@@ -74,8 +74,8 @@ std::string Canonicalize(const std::vector<Result<KpjResult>>& results) {
 
 std::string AlgoStatsKey(const AlgoStats& a) {
   std::ostringstream os;
-  os << a.heap_pushes << "," << a.heap_pops << "," << a.heap_decrease_keys
-     << "," << a.node_expansions << "," << a.spt_resume_hits << ","
+  os << a.heap_pushes << "," << a.heap_decrease_keys << ","
+     << a.node_expansions << "," << a.spt_resume_hits << ","
      << a.spt_resume_misses << "," << a.iter_bound_rounds << ","
      << a.candidates_generated << "," << a.candidates_pruned << ","
      << a.lb_tightness_num << "," << a.lb_tightness_den;

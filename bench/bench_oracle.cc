@@ -8,12 +8,11 @@
 // answer is oracle-independent up to the identity of equal-length paths —
 // the same invariant the cross-algorithm property suite checks), and the
 // interesting numbers are the deterministic search-effort counters: node
-// expansions, heap pops, and
-// the lower-bound tightness ratio (AlgoStats lb_tightness_num/den). Wall
-// time is best-of-round, interleaved so machine drift cannot bias one
-// oracle. `expansion_speedup` (ALT expansions / hub expansions) is the
-// regression-gated leaf: it is exact-integer deterministic, unlike wall
-// time.
+// expansions and the lower-bound tightness ratio (AlgoStats
+// lb_tightness_num/den). Wall time is best-of-round, interleaved so
+// machine drift cannot bias one oracle. `expansion_speedup` (ALT
+// expansions / hub expansions) is the regression-gated leaf: it is
+// exact-integer deterministic, unlike wall time.
 //
 // Two tightness figures are reported. `*_oracle_tightness` is the direct
 // Eq. (2) quality of the oracle itself: sum of lb(v, V_T) over the whole
@@ -198,8 +197,6 @@ int Main() {
     double hub_ms = kInfMs;
     uint64_t alt_expansions = 0;
     uint64_t hub_expansions = 0;
-    uint64_t alt_heap_pops = 0;
-    uint64_t hub_heap_pops = 0;
     double alt_tightness = 0.0;
     double hub_tightness = 0.0;
     bool identical = false;
@@ -236,8 +233,6 @@ int Main() {
     const EngineMetricsSnapshot hub_snap = hub->MetricsSnapshot();
     row.alt_expansions = alt_snap.algo.node_expansions;
     row.hub_expansions = hub_snap.algo.node_expansions;
-    row.alt_heap_pops = alt_snap.algo.heap_pops;
-    row.hub_heap_pops = hub_snap.algo.heap_pops;
     row.alt_tightness = alt_snap.algo.LowerBoundTightness();
     row.hub_tightness = hub_snap.algo.LowerBoundTightness();
 
@@ -311,8 +306,6 @@ int Main() {
          << ",\"expansion_speedup\":"
          << static_cast<double>(row.alt_expansions) /
                 static_cast<double>(std::max<uint64_t>(row.hub_expansions, 1))
-         << ",\"alt_heap_pops\":" << row.alt_heap_pops
-         << ",\"hub_heap_pops\":" << row.hub_heap_pops
          << ",\"alt_tightness\":" << row.alt_tightness
          << ",\"hub_tightness\":" << row.hub_tightness
          << ",\"identical\":" << (row.identical ? "true" : "false") << "}";

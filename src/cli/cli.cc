@@ -675,7 +675,6 @@ int CmdQuery(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
         << "# nodes settled:              " << st.nodes_settled << "\n"
         << "# SPT nodes:                  " << st.spt_nodes << "\n"
         << "# heap pushes:                " << a.heap_pushes << "\n"
-        << "# heap pops:                  " << a.heap_pops << "\n"
         << "# heap decrease-keys:         " << a.heap_decrease_keys << "\n"
         << "# node expansions:            " << a.node_expansions << "\n"
         << "# SPT resume hits/misses:     " << a.spt_resume_hits << "/"

@@ -111,7 +111,6 @@ SubspaceSearchResult ConstrainedSearch::Run(
     }
     NodeId u = heap_.Pop();
     ++stats->nodes_settled;
-    ++stats->algo.heap_pops;
     ++stats->algo.node_expansions;
     if (u != request.start && targets_.Contains(u)) {
       // First pop of a target: optimal by A* admissibility (heuristics

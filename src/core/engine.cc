@@ -1,8 +1,6 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <cmath>
-#include <sstream>
 #include <utility>
 
 #include "util/cancellation.h"
@@ -12,13 +10,6 @@
 #include "util/trace.h"
 
 namespace kpj {
-namespace {
-
-/// JSON has no NaN/Inf literals; exposition substitutes 0 so downstream
-/// parsers never choke on a freshly reset (empty) histogram.
-double FiniteOrZero(double v) { return std::isfinite(v) ? v : 0.0; }
-
-}  // namespace
 
 unsigned KpjEngine::ResolveThreads(const KpjEngineOptions& options) {
   return ResolveWorkerCount(options.threads, options.clamp_to_hardware);
@@ -175,10 +166,9 @@ Result<KpjResult> KpjEngine::RunOne(const KpjQuery& query, double deadline_ms,
     metrics_.deadline_exceeded.Increment();
   }
   metrics_.paths_returned.Add(r.paths.size());
-  metrics_.heap_pops.Add(r.stats.nodes_settled);
   metrics_.edges_relaxed.Add(r.stats.edges_relaxed);
   metrics_.sp_computations.Add(r.stats.shortest_path_computations);
-  metrics_.algo.Add(r.stats.algo);
+  algo_[PlannerIndex(r.algorithm_used)].Add(r.stats.algo);
 
   if (options_.slow_query_ms > 0.0 &&
       (elapsed_ms >= options_.slow_query_ms || !r.status.ok())) {
@@ -267,284 +257,36 @@ std::vector<Result<KpjResult>> KpjEngine::RunBatch(
 
 EngineMetricsSnapshot KpjEngine::MetricsSnapshot() const {
   EngineMetricsSnapshot snap;
-  snap.queries_served = metrics_.queries_served.value();
-  snap.queries_failed = metrics_.queries_failed.value();
-  snap.deadline_exceeded = metrics_.deadline_exceeded.value();
-  snap.paths_returned = metrics_.paths_returned.value();
-  snap.heap_pops = metrics_.heap_pops.value();
-  snap.edges_relaxed = metrics_.edges_relaxed.value();
-  snap.sp_computations = metrics_.sp_computations.value();
-  snap.slow_queries = metrics_.slow_queries.value();
-  snap.latency_count = metrics_.latency.count();
-  snap.latency_mean_ms = metrics_.latency.Mean();
-  snap.latency_min_ms = metrics_.latency.min_ms();
-  snap.latency_max_ms = metrics_.latency.max_ms();
-  snap.latency_p50_ms = metrics_.latency.Percentile(50.0);
-  snap.latency_p90_ms = metrics_.latency.Percentile(90.0);
-  snap.latency_p99_ms = metrics_.latency.Percentile(99.0);
-  snap.algo = metrics_.algo.Snapshot();
-  snap.intra_steals = metrics_.intra_steals.value();
-  snap.intra_parallel_rounds = metrics_.intra_parallel_rounds.value();
-  snap.intra_fanout_count = metrics_.intra_fanout.count();
-  snap.intra_fanout_mean = metrics_.intra_fanout.Mean();
-  snap.intra_fanout_max = metrics_.intra_fanout.max_ms();
-  for (size_t a = 0; a < kNumPlannableAlgorithms; ++a) {
-    snap.planner_choice[a] = metrics_.planner_choice[a].value();
+  metrics_.ReadInto(&snap);
+  for (size_t a = 0; a < algo_.size(); ++a) {
+    snap.algo_by_algorithm[a] = algo_[a].Snapshot();
+    snap.algo.Accumulate(snap.algo_by_algorithm[a]);
   }
-  snap.planner_fallback = metrics_.planner_fallback.value();
+  // Gauges, and the counters the reuse caches keep themselves.
+  snap.workers = num_workers();
+  snap.lb_tightness = snap.algo.LowerBoundTightness();
   if (spt_cache_ != nullptr) {
     SptCacheStats spt = spt_cache_->StatsSnapshot();
     TargetBoundCacheStats bounds = bound_cache_->StatsSnapshot();
     snap.spt_cache_insertions = spt.insertions;
     snap.spt_cache_evictions = spt.evictions;
     snap.bound_cache_evictions = bounds.evictions;
-    snap.cache_bytes = spt.bytes + bounds.bytes;
+    snap.cache_bytes = static_cast<double>(spt.bytes + bounds.bytes);
   }
   return snap;
 }
 
 std::string KpjEngine::MetricsJson() const {
-  EngineMetricsSnapshot s = MetricsSnapshot();
-  std::ostringstream out;
-  out << "{\n"
-      << "  \"workers\": " << num_workers() << ",\n"
-      << "  \"queries_served\": " << s.queries_served << ",\n"
-      << "  \"queries_failed\": " << s.queries_failed << ",\n"
-      << "  \"deadline_exceeded\": " << s.deadline_exceeded << ",\n"
-      << "  \"slow_queries\": " << s.slow_queries << ",\n"
-      << "  \"paths_returned\": " << s.paths_returned << ",\n"
-      << "  \"heap_pops\": " << s.heap_pops << ",\n"
-      << "  \"edges_relaxed\": " << s.edges_relaxed << ",\n"
-      << "  \"sp_computations\": " << s.sp_computations << ",\n"
-      << "  \"algo_heap_pushes\": " << s.algo.heap_pushes << ",\n"
-      << "  \"algo_heap_pops\": " << s.algo.heap_pops << ",\n"
-      << "  \"algo_heap_decrease_keys\": " << s.algo.heap_decrease_keys
-      << ",\n"
-      << "  \"algo_node_expansions\": " << s.algo.node_expansions << ",\n"
-      << "  \"algo_spt_resume_hits\": " << s.algo.spt_resume_hits << ",\n"
-      << "  \"algo_spt_resume_misses\": " << s.algo.spt_resume_misses
-      << ",\n"
-      << "  \"algo_iter_bound_rounds\": " << s.algo.iter_bound_rounds
-      << ",\n"
-      << "  \"algo_candidates_generated\": " << s.algo.candidates_generated
-      << ",\n"
-      << "  \"algo_candidates_pruned\": " << s.algo.candidates_pruned
-      << ",\n"
-      << "  \"algo_lb_tightness\": "
-      << FiniteOrZero(s.algo.LowerBoundTightness()) << ",\n"
-      << "  \"algo_spt_cache_hits\": " << s.algo.spt_cache_hits << ",\n"
-      << "  \"algo_spt_cache_misses\": " << s.algo.spt_cache_misses << ",\n"
-      << "  \"algo_bound_cache_hits\": " << s.algo.bound_cache_hits << ",\n"
-      << "  \"algo_bound_cache_misses\": " << s.algo.bound_cache_misses
-      << ",\n"
-      << "  \"algo_spt_cache_insert_skips\": "
-      << s.algo.spt_cache_insert_skips << ",\n"
-      << "  \"algo_intra_rounds\": " << s.algo.intra_rounds << ",\n"
-      << "  \"algo_intra_tasks\": " << s.algo.intra_tasks << ",\n"
-      << "  \"intra_steals\": " << s.intra_steals << ",\n"
-      << "  \"intra_parallel_rounds\": " << s.intra_parallel_rounds << ",\n"
-      << "  \"intra_fanout_count\": " << s.intra_fanout_count << ",\n"
-      << "  \"intra_fanout_mean\": " << FiniteOrZero(s.intra_fanout_mean)
-      << ",\n"
-      << "  \"intra_fanout_max\": " << FiniteOrZero(s.intra_fanout_max)
-      << ",\n";
-  // Planner decision counters, one flat key per algorithm (display names
-  // with '-' mapped to '_' so keys stay identifier-shaped), then the
-  // aggregate and the GKPJ-fallback count.
-  uint64_t planner_total = 0;
-  for (size_t a = 0; a < kNumPlannableAlgorithms; ++a) {
-    std::string name = AlgorithmName(kAllAlgorithms[a]);
-    for (char& c : name) {
-      if (c == '-') c = '_';
-    }
-    out << "  \"planner_choice_" << name << "\": "
-        << s.planner_choice[PlannerIndex(kAllAlgorithms[a])] << ",\n";
-    planner_total += s.planner_choice[PlannerIndex(kAllAlgorithms[a])];
-  }
-  out << "  \"planner_choice_total\": " << planner_total << ",\n"
-      << "  \"planner_fallback_total\": " << s.planner_fallback << ",\n"
-      << "  \"spt_cache_insertions\": " << s.spt_cache_insertions << ",\n"
-      << "  \"spt_cache_evictions\": " << s.spt_cache_evictions << ",\n"
-      << "  \"bound_cache_evictions\": " << s.bound_cache_evictions << ",\n"
-      << "  \"cache_bytes\": " << s.cache_bytes << ",\n"
-      << "  \"latency_count\": " << s.latency_count << ",\n"
-      << "  \"latency_mean_ms\": " << FiniteOrZero(s.latency_mean_ms)
-      << ",\n"
-      << "  \"latency_min_ms\": " << FiniteOrZero(s.latency_min_ms) << ",\n"
-      << "  \"latency_max_ms\": " << FiniteOrZero(s.latency_max_ms) << ",\n"
-      << "  \"latency_p50_ms\": " << FiniteOrZero(s.latency_p50_ms) << ",\n"
-      << "  \"latency_p90_ms\": " << FiniteOrZero(s.latency_p90_ms) << ",\n"
-      << "  \"latency_p99_ms\": " << FiniteOrZero(s.latency_p99_ms) << "\n"
-      << "}";
-  return out.str();
+  return WriteMetricsJson(MetricsSnapshot(), /*with_server=*/false);
 }
 
 std::string KpjEngine::MetricsPrometheus() const {
-  EngineMetricsSnapshot s = MetricsSnapshot();
-  std::ostringstream out;
-  auto counter = [&out](const char* name, const char* help, uint64_t value) {
-    out << "# HELP " << name << " " << help << "\n"
-        << "# TYPE " << name << " counter\n"
-        << name << " " << value << "\n";
-  };
-  auto gauge = [&out](const char* name, const char* help, double value) {
-    out << "# HELP " << name << " " << help << "\n"
-        << "# TYPE " << name << " gauge\n"
-        << name << " " << FiniteOrZero(value) << "\n";
-  };
-
-  gauge("kpj_workers", "Engine worker threads.",
-        static_cast<double>(num_workers()));
-  counter("kpj_queries_served_total", "Queries answered completely.",
-          s.queries_served);
-  counter("kpj_queries_failed_total", "Queries rejected by validation.",
-          s.queries_failed);
-  counter("kpj_queries_deadline_exceeded_total",
-          "Queries stopped by deadline or cancellation.",
-          s.deadline_exceeded);
-  counter("kpj_slow_queries_total",
-          "Queries at or above the slow-query threshold.", s.slow_queries);
-  counter("kpj_paths_returned_total", "Result paths across all queries.",
-          s.paths_returned);
-  counter("kpj_sp_computations_total",
-          "Exact shortest-path computations (CompSP).", s.sp_computations);
-  counter("kpj_heap_pushes_total", "Priority-queue inserts in all searches.",
-          s.algo.heap_pushes);
-  counter("kpj_heap_pops_total", "Priority-queue pops in all searches.",
-          s.algo.heap_pops);
-  counter("kpj_heap_decrease_keys_total",
-          "Priority-queue decrease-key operations.",
-          s.algo.heap_decrease_keys);
-  counter("kpj_node_expansions_total", "Nodes settled across all searches.",
-          s.algo.node_expansions);
-  counter("kpj_edges_relaxed_total", "Edges relaxed across all searches.",
-          s.edges_relaxed);
-  counter("kpj_spt_resume_hits_total",
-          "SPT_I growth calls answered from the existing tree.",
-          s.algo.spt_resume_hits);
-  counter("kpj_spt_resume_misses_total",
-          "SPT_I growth calls that settled new nodes.",
-          s.algo.spt_resume_misses);
-  counter("kpj_iter_bound_rounds_total",
-          "Subspace re-tests after enlarging tau.", s.algo.iter_bound_rounds);
-  counter("kpj_candidates_generated_total",
-          "Candidate paths pushed into result queues.",
-          s.algo.candidates_generated);
-  counter("kpj_candidates_pruned_total",
-          "Subspaces discarded without yielding a path.",
-          s.algo.candidates_pruned);
-  gauge("kpj_lower_bound_tightness_ratio",
-        "Mean CompLB / exact-length ratio (1.0 = exact).",
-        s.algo.LowerBoundTightness());
-  // Raw tightness terms, labeled by the solver this engine runs: their
-  // quotient is the ratio above, but as monotone counters they survive
-  // scraping/rate() and make per-algorithm oracle comparisons (ALT vs hub
-  // labels) directly observable.
-  {
-    const char* algo_name = AlgorithmName(options_.solver.algorithm);
-    auto labeled_counter = [&out, algo_name](const char* name,
-                                             const char* help,
-                                             uint64_t value) {
-      out << "# HELP " << name << " " << help << "\n"
-          << "# TYPE " << name << " counter\n"
-          << name << "{algorithm=\"" << algo_name << "\"} " << value << "\n";
-    };
-    labeled_counter("kpj_lb_tightness_num_total",
-                    "Sum of popped lower bounds at exact-path pops.",
-                    s.algo.lb_tightness_num);
-    labeled_counter("kpj_lb_tightness_den_total",
-                    "Sum of exact path lengths at exact-path pops.",
-                    s.algo.lb_tightness_den);
-  }
-  counter("kpj_spt_cache_hits_total",
-          "Queries that adopted cached SPT/root-path state.",
-          s.algo.spt_cache_hits);
-  counter("kpj_spt_cache_misses_total",
-          "SPT cache lookups that had to recompute.",
-          s.algo.spt_cache_misses);
-  counter("kpj_bound_cache_hits_total",
-          "Landmark set aggregates served from cache.",
-          s.algo.bound_cache_hits);
-  counter("kpj_bound_cache_misses_total",
-          "Landmark set aggregates computed afresh.",
-          s.algo.bound_cache_misses);
-  counter("kpj_spt_cache_insert_skips_total",
-          "SPT cache insertions skipped (negative measured hit benefit).",
-          s.algo.spt_cache_insert_skips);
-  // Adaptive-planner decision counters, labeled by the chosen algorithm.
-  out << "# HELP kpj_planner_choice_total Planner decisions by chosen "
-         "algorithm (--algorithm=auto).\n"
-      << "# TYPE kpj_planner_choice_total counter\n";
-  for (Algorithm a : kAllAlgorithms) {
-    out << "kpj_planner_choice_total{algorithm=\"" << AlgorithmName(a)
-        << "\"} " << s.planner_choice[PlannerIndex(a)] << "\n";
-  }
-  counter("kpj_planner_fallback_total",
-          "Planner decisions the cache probes could not help (GKPJ).",
-          s.planner_fallback);
-  counter("kpj_spt_cache_evictions_total",
-          "SPT cache entries evicted (LRU or epoch purge).",
-          s.spt_cache_evictions);
-  counter("kpj_bound_cache_evictions_total",
-          "Bound cache entries evicted (LRU or epoch purge).",
-          s.bound_cache_evictions);
-  gauge("kpj_cache_bytes", "Resident bytes across both reuse caches.",
-        static_cast<double>(s.cache_bytes));
-  counter("kpj_intra_rounds_total",
-          "Deviation rounds executed (all execution modes).",
-          s.algo.intra_rounds);
-  counter("kpj_intra_tasks_total",
-          "Deviation tasks (candidate slots) executed.", s.algo.intra_tasks);
-  counter("kpj_intra_steals_total",
-          "Deviation tasks executed by helper lanes.", s.intra_steals);
-  counter("kpj_intra_parallel_rounds_total",
-          "Deviation rounds that fanned out across the pool.",
-          s.intra_parallel_rounds);
-
-  // Histograms with Prometheus cumulative buckets.
-  auto histogram = [&out](const char* name, const char* help,
-                          const LatencyHistogram& h) {
-    out << "# HELP " << name << " " << help << "\n"
-        << "# TYPE " << name << " histogram\n";
-    uint64_t cumulative = 0;
-    for (size_t b = 0; b < LatencyHistogram::kBuckets; ++b) {
-      cumulative += h.bucket_count(b);
-      double ub = LatencyHistogram::BucketUpperBoundMs(b);
-      out << name << "_bucket{le=\"";
-      if (std::isinf(ub)) {
-        out << "+Inf";
-      } else {
-        out << ub;
-      }
-      out << "\"} " << cumulative << "\n";
-    }
-    out << name << "_sum " << FiniteOrZero(h.sum_ms()) << "\n"
-        << name << "_count " << h.count() << "\n";
-  };
-  histogram("kpj_query_latency_ms", "Per-query wall time in milliseconds.",
-            metrics_.latency);
-  histogram("kpj_intra_fanout",
-            "Slots per fanned-out deviation round (dimensionless).",
-            metrics_.intra_fanout);
-  return out.str();
+  return WriteMetricsPrometheus(MetricsSnapshot(), /*with_server=*/false);
 }
 
 void KpjEngine::ResetMetrics() {
-  metrics_.queries_served.Reset();
-  metrics_.queries_failed.Reset();
-  metrics_.deadline_exceeded.Reset();
-  metrics_.paths_returned.Reset();
-  metrics_.heap_pops.Reset();
-  metrics_.edges_relaxed.Reset();
-  metrics_.sp_computations.Reset();
-  metrics_.slow_queries.Reset();
-  metrics_.latency.Reset();
-  metrics_.algo.Reset();
-  metrics_.intra_steals.Reset();
-  metrics_.intra_parallel_rounds.Reset();
-  metrics_.intra_fanout.Reset();
-  for (Counter& c : metrics_.planner_choice) c.Reset();
-  metrics_.planner_fallback.Reset();
+  metrics_.Reset();
+  for (AtomicAlgoStats& a : algo_) a.Reset();
   if (spt_cache_ != nullptr) {
     spt_cache_->ResetStats();
     bound_cache_->ResetStats();

@@ -11,15 +11,14 @@
 #include <string>
 #include <vector>
 
-#include "core/instrumentation.h"
 #include "core/intra.h"
 #include "core/kpj_instance.h"
 #include "core/kpj_query.h"
+#include "core/metrics.h"
 #include "core/planner.h"
 #include "core/solver.h"
 #include "core/spt_cache.h"
 #include "index/target_bound.h"
-#include "util/stats.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -81,50 +80,6 @@ struct QueryContext {
   /// forces that solver for this query only; Algorithm::kAuto engages the
   /// planner for this query even on a fixed-algorithm engine.
   std::optional<Algorithm> algorithm;
-};
-
-/// Point-in-time copy of the engine's execution metrics. Counts are sums
-/// over all workers since construction (or the last ResetMetrics).
-struct EngineMetricsSnapshot {
-  uint64_t queries_served = 0;      ///< Completed OK with a full answer.
-  uint64_t queries_failed = 0;      ///< Rejected (validation) queries.
-  uint64_t deadline_exceeded = 0;   ///< Stopped by deadline/cancellation.
-  uint64_t paths_returned = 0;      ///< Paths across all results.
-  uint64_t heap_pops = 0;           ///< Nodes settled across all searches.
-  uint64_t edges_relaxed = 0;
-  uint64_t sp_computations = 0;     ///< Exact shortest-path computations.
-  uint64_t slow_queries = 0;        ///< Queries past the slow-query bar.
-  uint64_t latency_count = 0;       ///< Queries with a recorded latency.
-  double latency_mean_ms = 0.0;
-  double latency_min_ms = 0.0;
-  double latency_max_ms = 0.0;
-  double latency_p50_ms = 0.0;
-  double latency_p90_ms = 0.0;
-  double latency_p99_ms = 0.0;
-  /// Aggregated per-query algorithm counters (exact integer sums; identical
-  /// for the same workload at any worker count).
-  AlgoStats algo;
-  /// Cross-query cache object counters (all zero when caching is off).
-  /// Hit/miss counts live in `algo` (they are per-query solver events).
-  uint64_t spt_cache_insertions = 0;
-  uint64_t spt_cache_evictions = 0;
-  uint64_t bound_cache_evictions = 0;
-  uint64_t cache_bytes = 0;  ///< Current resident bytes across both caches.
-  /// Intra-query parallelism scheduling facts (all zero at
-  /// intra_threads <= 1). Deliberately *not* in `algo`: steals and
-  /// fan-out depend on worker timing, while AlgoStats must be identical
-  /// at any thread count. The deterministic round structure is in
-  /// `algo.intra_rounds` / `algo.intra_tasks`.
-  uint64_t intra_steals = 0;           ///< Slots executed by helper lanes.
-  uint64_t intra_parallel_rounds = 0;  ///< Rounds that actually fanned out.
-  uint64_t intra_fanout_count = 0;     ///< Fanned-out rounds recorded.
-  double intra_fanout_mean = 0.0;      ///< Mean slots per fanned-out round.
-  double intra_fanout_max = 0.0;       ///< Largest fanned-out round.
-  /// Adaptive-planner decisions per chosen algorithm (indexed by
-  /// PlannerIndex; all zero when no query engaged the planner) and the
-  /// fallback count (GKPJ queries the cache probes cannot help).
-  std::array<uint64_t, kNumPlannableAlgorithms> planner_choice{};
-  uint64_t planner_fallback = 0;
 };
 
 /// Concurrent KPJ query engine over one immutable KpjInstance.
@@ -193,15 +148,13 @@ class KpjEngine {
                                           double deadline_ms,
                                           QueryContext context);
 
+  /// Every metric of the registry (core/metrics.def); server entries are
+  /// zero.
   EngineMetricsSnapshot MetricsSnapshot() const;
 
-  /// Metrics as a JSON object (stable keys; for --metrics-json and
-  /// dashboards).
+  /// The snapshot as a JSON object (stable keys; for --metrics-out and
+  /// dashboards) or in Prometheus text exposition format.
   std::string MetricsJson() const;
-
-  /// Metrics in Prometheus text exposition format (`# HELP`/`# TYPE`
-  /// comments, `kpj_`-prefixed counters, and the latency histogram with
-  /// cumulative `le` buckets).
   std::string MetricsPrometheus() const;
 
   void ResetMetrics();
@@ -243,28 +196,10 @@ class KpjEngine {
   /// is part of every cache key).
   std::atomic<uint64_t> purged_epoch_{0};
 
-  struct Metrics {
-    Counter queries_served;
-    Counter queries_failed;
-    Counter deadline_exceeded;
-    Counter paths_returned;
-    Counter heap_pops;
-    Counter edges_relaxed;
-    Counter sp_computations;
-    Counter slow_queries;
-    LatencyHistogram latency;
-    AtomicAlgoStats algo;
-    /// Intra-query scheduling facts; see EngineMetricsSnapshot.
-    Counter intra_steals;
-    Counter intra_parallel_rounds;
-    /// Per-round fan-out distribution (values are slot counts; the
-    /// geometric ms buckets resolve the interesting 1..100 range well).
-    LatencyHistogram intra_fanout;
-    /// Planner decisions by chosen algorithm, plus GKPJ fallbacks.
-    std::array<Counter, kNumPlannableAlgorithms> planner_choice;
-    Counter planner_fallback;
-  };
-  Metrics metrics_;
+  LiveMetrics<MetricOwner::kEngine> metrics_;
+  /// Per-query AlgoStats sums, split by the solver that ran
+  /// (PlannerIndex order).
+  std::array<AtomicAlgoStats, kNumPlannableAlgorithms> algo_;
   /// Monotonic query-id source shared by Submit and RunBatch.
   std::atomic<uint64_t> next_query_id_{0};
   /// Queries currently inside RunOne; drives the intra_threads == 0

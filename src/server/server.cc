@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <poll.h>
-#include <sstream>
 #include <utility>
 
 #include "core/kpj_query.h"
@@ -257,7 +256,7 @@ void KpjServer::ConnectionLoop(Socket socket) {
     int64_t read_start_us = rec.NowUs();
     Result<Frame> frame = ReadFrame(socket, options_.max_frame_bytes);
     if (!frame.ok()) {
-      metrics_.rejected.Increment();
+      metrics_.server_rejected.Increment();
       api::ResponseEnvelope response = api::ErrorResponse(
           0, api::StatusCode::kInvalidArgument, frame.status().message());
       (void)WriteFrame(socket, api::SerializeResponse(response));
@@ -269,7 +268,7 @@ void KpjServer::ConnectionLoop(Socket socket) {
     Result<api::RequestEnvelope> request =
         api::ParseRequest(frame.value().payload);
     if (!request.ok()) {
-      metrics_.rejected.Increment();
+      metrics_.server_rejected.Increment();
       response = api::ErrorResponse(0, api::StatusCode::kInvalidArgument,
                                     request.status().message());
       AccessLogEntry entry;
@@ -351,7 +350,7 @@ api::QueryResponse KpjServer::RunAdmitted(
   if (!request.algorithm.empty()) {
     Result<Algorithm> parsed = api::ParseAlgorithm(request.algorithm);
     if (!parsed.ok()) {
-      metrics_.rejected.Increment();
+      metrics_.server_rejected.Increment();
       response.status = api::StatusCode::kInvalidArgument;
       response.message = parsed.status().message();
       return response;
@@ -365,10 +364,10 @@ api::QueryResponse KpjServer::RunAdmitted(
     TraceSpan queue_span("server.queue");
     outcome = admission_->Admit(deadline_ms, &queue_ms);
   }
-  metrics_.queue_time.Record(queue_ms);
+  metrics_.server_queue_time_ms.Record(queue_ms);
   response.queue_ms = queue_ms;
   if (outcome != AdmissionController::Outcome::kAdmitted) {
-    metrics_.shed.Increment();
+    metrics_.server_shed.Increment();
     response.status = api::StatusCode::kOverloaded;
     response.message = outcome == AdmissionController::Outcome::kQueueFull
                            ? "admission queue full"
@@ -382,13 +381,13 @@ api::QueryResponse KpjServer::RunAdmitted(
     remaining_ms = deadline_ms - queue_ms;
     if (remaining_ms <= 0.0) {
       admission_->Release();
-      metrics_.shed.Increment();
+      metrics_.server_shed.Increment();
       response.status = api::StatusCode::kOverloaded;
       response.message = "queue time exhausted the deadline";
       return response;
     }
   }
-  metrics_.accepted.Increment();
+  metrics_.server_accepted.Increment();
   Timer run_timer;
   Result<KpjResult> result = [&] {
     TraceSpan execute_span("server.execute");
@@ -399,7 +398,7 @@ api::QueryResponse KpjServer::RunAdmitted(
   }();
   double elapsed_ms = run_timer.ElapsedMillis();
   admission_->Release();
-  if (drain_.triggered()) metrics_.drained.Increment();
+  if (drain_.triggered()) metrics_.server_drained.Increment();
   return api::BuildQueryResponse(result, state->epoch, elapsed_ms, queue_ms);
 }
 
@@ -412,7 +411,7 @@ api::ResponseEnvelope KpjServer::HandleQuery(
   Result<api::QueryRequest> query =
       api::QueryRequestFromJson(request.payload);
   if (!query.ok()) {
-    metrics_.rejected.Increment();
+    metrics_.server_rejected.Increment();
     entry.status = api::StatusCode::kInvalidArgument;
     LogAccess(std::move(entry));
     return api::ErrorResponse(request.id, api::StatusCode::kInvalidArgument,
@@ -421,7 +420,7 @@ api::ResponseEnvelope KpjServer::HandleQuery(
   entry.k = query.value().k;
   std::shared_ptr<ServingState> serving = state();
   if (drain_.triggered() || serving == nullptr) {
-    metrics_.rejected.Increment();
+    metrics_.server_rejected.Increment();
     entry.status = api::StatusCode::kUnavailable;
     LogAccess(std::move(entry));
     return api::ErrorResponse(request.id, api::StatusCode::kUnavailable,
@@ -469,7 +468,7 @@ api::ResponseEnvelope KpjServer::HandleBatch(
   Result<api::BatchRequest> batch =
       api::BatchRequestFromJson(request.payload);
   if (!batch.ok()) {
-    metrics_.rejected.Increment();
+    metrics_.server_rejected.Increment();
     entry.status = api::StatusCode::kInvalidArgument;
     LogAccess(std::move(entry));
     return api::ErrorResponse(request.id, api::StatusCode::kInvalidArgument,
@@ -480,7 +479,7 @@ api::ResponseEnvelope KpjServer::HandleBatch(
   entry.k = static_cast<uint32_t>(batch.value().queries.size());
   std::shared_ptr<ServingState> serving = state();
   if (drain_.triggered() || serving == nullptr) {
-    metrics_.rejected.Increment();
+    metrics_.server_rejected.Increment();
     entry.status = api::StatusCode::kUnavailable;
     LogAccess(std::move(entry));
     return api::ErrorResponse(request.id, api::StatusCode::kUnavailable,
@@ -504,7 +503,7 @@ api::ResponseEnvelope KpjServer::HandleBatch(
                                "a batch supports a single algorithm override")
                          : Status::Ok();
     if (!invalid.ok()) {
-      metrics_.rejected.Increment();
+      metrics_.server_rejected.Increment();
       entry.status = api::StatusCode::kInvalidArgument;
       LogAccess(std::move(entry));
       return api::ErrorResponse(request.id, api::StatusCode::kInvalidArgument,
@@ -527,7 +526,7 @@ api::ResponseEnvelope KpjServer::HandleBatch(
     TraceSpan queue_span("server.queue");
     outcome = admission_->Admit(deadline_ms, &queue_ms);
   }
-  metrics_.queue_time.Record(queue_ms);
+  metrics_.server_queue_time_ms.Record(queue_ms);
   entry.queue_ms = queue_ms;
   double remaining_ms = deadline_ms > 0.0 ? deadline_ms - queue_ms
                                           : deadline_ms;
@@ -536,7 +535,7 @@ api::ResponseEnvelope KpjServer::HandleBatch(
     if (outcome == AdmissionController::Outcome::kAdmitted) {
       admission_->Release();
     }
-    metrics_.shed.Add(queries.size());
+    metrics_.server_shed.Add(queries.size());
     window_.Record(queue_ms, /*shed=*/true, /*error=*/false);
     const char* reason = outcome == AdmissionController::Outcome::kQueueFull
                              ? "admission queue full"
@@ -547,7 +546,7 @@ api::ResponseEnvelope KpjServer::HandleBatch(
     return api::ErrorResponse(request.id, api::StatusCode::kOverloaded,
                               reason);
   }
-  metrics_.accepted.Add(queries.size());
+  metrics_.server_accepted.Add(queries.size());
   std::vector<KpjQuery> engine_queries;
   engine_queries.reserve(queries.size());
   for (const api::QueryRequest& query : queries) {
@@ -563,7 +562,7 @@ api::ResponseEnvelope KpjServer::HandleBatch(
   }
   double exec_ms = run_timer.ElapsedMillis();
   admission_->Release();
-  if (drain_.triggered()) metrics_.drained.Add(queries.size());
+  if (drain_.triggered()) metrics_.server_drained.Add(queries.size());
 
   response.results.reserve(results.size());
   for (const Result<KpjResult>& result : results) {
@@ -591,7 +590,7 @@ api::ResponseEnvelope KpjServer::HandleMetrics(
   Result<api::MetricsRequest> metrics =
       api::MetricsRequestFromJson(request.payload);
   if (!metrics.ok()) {
-    metrics_.rejected.Increment();
+    metrics_.server_rejected.Increment();
     return api::ErrorResponse(request.id, api::StatusCode::kInvalidArgument,
                               metrics.status().message());
   }
@@ -656,18 +655,18 @@ api::ResponseEnvelope KpjServer::HandleSwap(
     const api::RequestEnvelope& request) {
   Result<api::SwapRequest> swap = api::SwapRequestFromJson(request.payload);
   if (!swap.ok()) {
-    metrics_.rejected.Increment();
+    metrics_.server_rejected.Increment();
     return api::ErrorResponse(request.id, api::StatusCode::kInvalidArgument,
                               swap.status().message());
   }
   if (drain_.triggered()) {
-    metrics_.rejected.Increment();
+    metrics_.server_rejected.Increment();
     return api::ErrorResponse(request.id, api::StatusCode::kUnavailable,
                               "server is draining");
   }
   Result<api::SwapInfo> info = Swap(swap.value());
   if (!info.ok()) {
-    metrics_.rejected.Increment();
+    metrics_.server_rejected.Increment();
     return api::ErrorResponse(request.id,
                               api::FromCoreStatus(info.status()),
                               info.status().message());
@@ -700,7 +699,7 @@ Result<api::SwapInfo> KpjServer::Swap(const api::SwapRequest& request) {
   info.old_epoch = old_state != nullptr ? old_state->epoch : 0;
   info.new_epoch = epoch;
   info.load_ms = load_timer.ElapsedMillis();
-  metrics_.swap_ms.Record(info.load_ms);
+  metrics_.server_swap_ms.Record(info.load_ms);
   // old_state's engine (and caches) die with the last in-flight reference.
   return info;
 }
@@ -750,109 +749,27 @@ std::vector<api::TraceSpanWire> KpjServer::EndSpanCollection(
 
 // --- Metrics exposition ---------------------------------------------------
 
-std::string KpjServer::MetricsJson() const {
+EngineMetricsSnapshot KpjServer::MetricsSnapshot() const {
   std::shared_ptr<ServingState> serving = state();
-  std::string engine_json = serving != nullptr
-                                ? serving->engine->MetricsJson()
-                                : std::string("{\n  \"workers\": 0\n}");
-  std::ostringstream extra;
-  extra << "  \"server_accepted\": " << metrics_.accepted.value() << ",\n"
-        << "  \"server_rejected\": " << metrics_.rejected.value() << ",\n"
-        << "  \"server_shed\": " << metrics_.shed.value() << ",\n"
-        << "  \"server_drained\": " << metrics_.drained.value() << ",\n"
-        << "  \"server_in_flight\": "
-        << (admission_ != nullptr ? admission_->in_flight() : 0) << ",\n"
-        << "  \"server_epoch\": "
-        << (serving != nullptr ? serving->epoch : 0) << ",\n"
-        << "  \"server_queue_count\": " << metrics_.queue_time.count()
-        << ",\n"
-        << "  \"server_queue_mean_ms\": "
-        << FiniteOrZero(metrics_.queue_time.Mean()) << ",\n"
-        << "  \"server_queue_max_ms\": "
-        << FiniteOrZero(metrics_.queue_time.max_ms()) << ",\n"
-        << "  \"server_queue_p99_ms\": "
-        << FiniteOrZero(metrics_.queue_time.Percentile(99.0)) << ",\n"
-        << "  \"server_swap_count\": " << metrics_.swap_ms.count() << ",\n"
-        << "  \"server_swap_mean_ms\": "
-        << FiniteOrZero(metrics_.swap_ms.Mean()) << ",\n"
-        << "  \"server_swap_max_ms\": "
-        << FiniteOrZero(metrics_.swap_ms.max_ms()) << ",\n"
-        << "  \"server_swap_p99_ms\": "
-        << FiniteOrZero(metrics_.swap_ms.Percentile(99.0)) << ",\n"
-        << "  \"server_mapped_bytes\": "
-        << (serving != nullptr ? serving->instance.mapped_bytes() : 0);
-  // Splice the server series into the engine object: drop the closing
-  // brace (and its newline), append, close again.
-  size_t brace = engine_json.rfind('}');
-  KPJ_CHECK(brace != std::string::npos);
-  size_t cut = brace;
-  if (cut > 0 && engine_json[cut - 1] == '\n') --cut;
-  engine_json.erase(cut);
-  engine_json += ",\n" + extra.str() + "\n}";
-  return engine_json;
+  EngineMetricsSnapshot snap = serving != nullptr
+                                   ? serving->engine->MetricsSnapshot()
+                                   : EngineMetricsSnapshot{};
+  metrics_.ReadInto(&snap);
+  snap.server_in_flight =
+      admission_ != nullptr ? admission_->in_flight() : 0;
+  if (serving != nullptr) {
+    snap.server_epoch = serving->epoch;
+    snap.server_mapped_bytes = serving->instance.mapped_bytes();
+  }
+  return snap;
+}
+
+std::string KpjServer::MetricsJson() const {
+  return WriteMetricsJson(MetricsSnapshot(), /*with_server=*/true);
 }
 
 std::string KpjServer::MetricsPrometheus() const {
-  std::shared_ptr<ServingState> serving = state();
-  std::ostringstream out;
-  if (serving != nullptr) out << serving->engine->MetricsPrometheus();
-  auto counter = [&out](const char* name, const char* help, uint64_t value) {
-    out << "# HELP " << name << " " << help << "\n"
-        << "# TYPE " << name << " counter\n"
-        << name << " " << value << "\n";
-  };
-  counter("kpj_server_accepted_total",
-          "Queries admitted to the engine by the server.",
-          metrics_.accepted.value());
-  counter("kpj_server_rejected_total",
-          "Requests rejected (malformed, invalid, or unavailable).",
-          metrics_.rejected.value());
-  counter("kpj_server_shed_total",
-          "Queries shed with kOverloaded by admission control.",
-          metrics_.shed.value());
-  counter("kpj_server_drained_total",
-          "In-flight queries answered after drain began.",
-          metrics_.drained.value());
-  out << "# HELP kpj_server_in_flight Admitted queries currently executing.\n"
-      << "# TYPE kpj_server_in_flight gauge\n"
-      << "kpj_server_in_flight "
-      << (admission_ != nullptr ? admission_->in_flight() : 0) << "\n";
-  out << "# HELP kpj_server_epoch Generation of the serving instance; "
-         "increments on hot swap.\n"
-      << "# TYPE kpj_server_epoch gauge\n"
-      << "kpj_server_epoch " << (serving != nullptr ? serving->epoch : 0)
-      << "\n";
-  out << "# HELP kpj_server_mapped_bytes Bytes of the read-only graph file "
-         "mapping backing the serving instance (0 = heap-owned).\n"
-      << "# TYPE kpj_server_mapped_bytes gauge\n"
-      << "kpj_server_mapped_bytes "
-      << (serving != nullptr ? serving->instance.mapped_bytes() : 0) << "\n";
-  // Cumulative-le histograms, same bucket shape as the engine's.
-  auto histogram = [&out](const char* name, const char* help,
-                          const LatencyHistogram& h) {
-    out << "# HELP " << name << " " << help << "\n"
-        << "# TYPE " << name << " histogram\n";
-    uint64_t cumulative = 0;
-    for (size_t b = 0; b < LatencyHistogram::kBuckets; ++b) {
-      cumulative += h.bucket_count(b);
-      double ub = LatencyHistogram::BucketUpperBoundMs(b);
-      out << name << "_bucket{le=\"";
-      if (std::isinf(ub)) {
-        out << "+Inf";
-      } else {
-        out << ub;
-      }
-      out << "\"} " << cumulative << "\n";
-    }
-    out << name << "_sum " << FiniteOrZero(h.sum_ms()) << "\n"
-        << name << "_count " << h.count() << "\n";
-  };
-  histogram("kpj_server_queue_time_ms", "Admission-queue wait per query.",
-            metrics_.queue_time);
-  histogram("kpj_server_swap_ms",
-            "Hot-swap load time (graph load + engine build) per swap.",
-            metrics_.swap_ms);
-  return out.str();
+  return WriteMetricsPrometheus(MetricsSnapshot(), /*with_server=*/true);
 }
 
 }  // namespace kpj::server

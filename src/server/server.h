@@ -14,11 +14,11 @@
 #include "api/wire.h"
 #include "core/engine.h"
 #include "core/kpj_instance.h"
+#include "core/metrics.h"
 #include "server/access_log.h"
 #include "server/rolling_window.h"
 #include "util/shutdown_signal.h"
 #include "util/socket.h"
-#include "util/stats.h"
 #include "util/status.h"
 #include "util/timer.h"
 
@@ -163,8 +163,9 @@ class KpjServer {
   /// Current serving state (snapshot; safe to hold across a swap).
   std::shared_ptr<ServingState> state() const;
 
-  /// Engine metrics with the server's own series spliced in
-  /// (server_accepted/rejected/shed/drained, queue-time histogram).
+  /// The engine's metrics plus the server's own entries of the registry
+  /// (core/metrics.def), as a snapshot or exposed as JSON / Prometheus.
+  EngineMetricsSnapshot MetricsSnapshot() const;
   std::string MetricsJson() const;
   std::string MetricsPrometheus() const;
 
@@ -244,15 +245,7 @@ class KpjServer {
   };
   std::vector<Connection> connections_;
 
-  struct Metrics {
-    Counter accepted;  ///< Queries admitted to the engine.
-    Counter rejected;  ///< Malformed / invalid / unavailable requests.
-    Counter shed;      ///< Queries shed with kOverloaded.
-    Counter drained;   ///< In-flight queries answered after drain began.
-    LatencyHistogram queue_time;  ///< Admission-queue wait per query.
-    LatencyHistogram swap_ms;     ///< Hot-swap load time per Swap().
-  };
-  Metrics metrics_;
+  LiveMetrics<MetricOwner::kServer> metrics_;
 
   std::unique_ptr<AccessLog> access_log_;  ///< Null when disabled.
   RollingWindow window_;

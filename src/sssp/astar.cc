@@ -21,10 +21,7 @@ NodeId AStar::Loop(NodeId stop_node, const EpochSet* stop_set) {
     NodeId u = heap_.Pop();
     settled_.Insert(u);
     ++stats_.nodes_settled;
-    if (algo_ != nullptr) {
-      ++algo_->heap_pops;
-      ++algo_->node_expansions;
-    }
+    if (algo_ != nullptr) ++algo_->node_expansions;
     if (u == stop_node) return u;
     if (stop_set != nullptr && stop_set->Contains(u)) return u;
     PathLength du = dist_.Get(u);

@@ -43,10 +43,7 @@ NodeId Dijkstra::Loop(NodeId stop_node, const EpochSet* stop_set) {
     auto [u, du] = heap_.PopWithKey();
     settled_.Insert(u);
     ++stats_.nodes_settled;
-    if (algo_ != nullptr) {
-      ++algo_->heap_pops;
-      ++algo_->node_expansions;
-    }
+    if (algo_ != nullptr) ++algo_->node_expansions;
     if (u == stop_node) return u;
     if (stop_set != nullptr && stop_set->Contains(u)) return u;
     for (const OutEdge& e : graph_.OutEdges(u)) {

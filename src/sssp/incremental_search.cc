@@ -49,10 +49,7 @@ void IncrementalSearch::Settle(NodeId u,
   settled_.Insert(u);
   ++num_settled_;
   ++stats_.nodes_settled;
-  if (algo_ != nullptr) {
-    ++algo_->heap_pops;
-    ++algo_->node_expansions;
-  }
+  if (algo_ != nullptr) ++algo_->node_expansions;
   if (on_settle) on_settle(u);
   PathLength du = dist_.Get(u);
   for (const OutEdge& e : graph_.OutEdges(u)) {

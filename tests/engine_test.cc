@@ -196,12 +196,12 @@ TEST(KpjEngineTest, MetricsCountServedQueriesAndReset) {
   EngineMetricsSnapshot snap = engine.MetricsSnapshot();
   EXPECT_EQ(snap.queries_served, queries.size());
   EXPECT_EQ(snap.queries_failed, 0u);
-  EXPECT_EQ(snap.latency_count, queries.size());
+  EXPECT_EQ(snap.latency.count, queries.size());
   uint64_t paths = 0;
   for (const auto& r : results) paths += r.value().paths.size();
   EXPECT_EQ(snap.paths_returned, paths);
-  EXPECT_GT(snap.heap_pops, 0u);
-  EXPECT_GE(snap.latency_max_ms, snap.latency_min_ms);
+  EXPECT_GT(snap.algo.node_expansions, 0u);
+  EXPECT_GE(snap.latency.max, snap.latency.min);
 
   std::string json = engine.MetricsJson();
   EXPECT_NE(json.find("\"queries_served\": " +
@@ -211,7 +211,7 @@ TEST(KpjEngineTest, MetricsCountServedQueriesAndReset) {
   engine.ResetMetrics();
   snap = engine.MetricsSnapshot();
   EXPECT_EQ(snap.queries_served, 0u);
-  EXPECT_EQ(snap.latency_count, 0u);
+  EXPECT_EQ(snap.latency.count, 0u);
 }
 
 }  // namespace

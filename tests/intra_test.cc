@@ -283,7 +283,7 @@ TEST(IntraMetricsTest, RoundAndTaskCountersAreSchedulingIndependent) {
   EXPECT_EQ(seq.intra_parallel_rounds, 0u);
   EXPECT_EQ(seq.intra_steals, 0u);
   EXPECT_GT(par.intra_parallel_rounds, 0u);
-  EXPECT_EQ(par.intra_fanout_count, par.intra_parallel_rounds);
+  EXPECT_EQ(par.intra_fanout.count, par.intra_parallel_rounds);
 }
 
 // ---------------------------------------------------------------------------

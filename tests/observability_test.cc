@@ -1,10 +1,15 @@
 // Observability layer: AlgoStats population per algorithm, deterministic
 // counters (run-to-run and across engine worker counts), slow-query
-// accounting, and the JSON / Prometheus metrics expositions.
+// accounting, and the JSON / Prometheus metrics expositions checked
+// against the metric registry (core/metrics.def).
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
+#include <regex>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "api/api.h"
@@ -12,7 +17,10 @@
 #include "core/instrumentation.h"
 #include "core/kpj.h"
 #include "core/kpj_instance.h"
+#include "core/metrics.h"
 #include "gen/road_gen.h"
+#include "graph/serialize.h"
+#include "server/server.h"
 #include "util/rng.h"
 
 namespace kpj {
@@ -42,7 +50,6 @@ std::vector<KpjQuery> TestQueries(NodeId num_nodes, size_t count = 16,
 TEST(AlgoStatsTest, AccumulateSumsEveryField) {
   AlgoStats a;
   a.heap_pushes = 1;
-  a.heap_pops = 2;
   a.heap_decrease_keys = 3;
   a.node_expansions = 4;
   a.spt_resume_hits = 5;
@@ -55,7 +62,6 @@ TEST(AlgoStatsTest, AccumulateSumsEveryField) {
   AlgoStats b = a;
   b.Accumulate(a);
   EXPECT_EQ(b.heap_pushes, 2u);
-  EXPECT_EQ(b.heap_pops, 4u);
   EXPECT_EQ(b.heap_decrease_keys, 6u);
   EXPECT_EQ(b.node_expansions, 8u);
   EXPECT_EQ(b.spt_resume_hits, 10u);
@@ -106,7 +112,6 @@ TEST(ObservabilityTest, EveryAlgorithmPopulatesCoreCounters) {
     const AlgoStats& stats = result.value().stats.algo;
     // Every solver drives at least one priority queue.
     EXPECT_GT(stats.heap_pushes, 0u) << AlgorithmName(a);
-    EXPECT_GT(stats.heap_pops, 0u) << AlgorithmName(a);
     EXPECT_GT(stats.node_expansions, 0u) << AlgorithmName(a);
     // Each returned path had to be generated as a candidate first.
     EXPECT_GE(stats.candidates_generated, result.value().paths.size())
@@ -172,7 +177,7 @@ TEST(ObservabilityTest, EngineAggregateIsIdenticalAcrossWorkerCounts) {
       ASSERT_TRUE(r.ok());
     }
     AlgoStats aggregate = engine.MetricsSnapshot().algo;
-    EXPECT_GT(aggregate.heap_pops, 0u);
+    EXPECT_GT(aggregate.node_expansions, 0u);
     if (!have_reference) {
       reference = aggregate;
       have_reference = true;
@@ -207,29 +212,170 @@ TEST(ObservabilityTest, SlowQueryThresholdCountsAndLogs) {
   EXPECT_EQ(quiet_engine.MetricsSnapshot().slow_queries, 0u);
 }
 
-TEST(ObservabilityTest, MetricsJsonCarriesAlgoCounters) {
+/// How often each JSON key and each Prometheus family (`# TYPE` line)
+/// occurs in a pair of expositions.
+struct ExposedNames {
+  std::map<std::string, int> json;
+  std::map<std::string, int> prom;
+};
+
+ExposedNames CountExposedNames(const std::string& json,
+                               const std::string& prom) {
+  ExposedNames names;
+  static const std::regex kKey("\"(\\w+)\": ");
+  for (std::sregex_iterator it(json.begin(), json.end(), kKey), end;
+       it != end; ++it) {
+    ++names.json[(*it)[1]];
+  }
+  static const std::regex kType("# TYPE (\\w+) ");
+  for (std::sregex_iterator it(prom.begin(), prom.end(), kType), end;
+       it != end; ++it) {
+    ++names.prom[(*it)[1]];
+  }
+  return names;
+}
+
+/// Every registry entry the exposition carries appears exactly once in the
+/// JSON and once in the Prometheus text, and nothing else appears.
+void ExpectEveryEntryOnce(const EngineMetricsSnapshot& snapshot,
+                          const std::string& json, const std::string& prom,
+                          bool with_server) {
+  ExposedNames exposed = CountExposedNames(json, prom);
+  size_t json_keys = 0;
+  size_t prom_families = 0;
+  ForEachMetric(snapshot, [&](const MetricInfo& m, const auto&) {
+    if (m.owner == MetricOwner::kServer && !with_server) return;
+    for (const std::string& key : JsonKeys(m)) {
+      EXPECT_EQ(exposed.json[key], 1) << "JSON key " << key;
+      ++json_keys;
+    }
+    EXPECT_EQ(exposed.prom[PromName(m)], 1) << "series " << PromName(m);
+    ++prom_families;
+  });
+  EXPECT_EQ(exposed.json.size(), json_keys);
+  EXPECT_EQ(exposed.prom.size(), prom_families);
+}
+
+TEST(ObservabilityTest, MetricsCarryEveryRegistryEntryOnce) {
   Result<KpjInstance> made = KpjInstance::Make(TestGraph());
   ASSERT_TRUE(made.ok());
-  std::vector<KpjQuery> queries = TestQueries(made.value().NumNodes(), 4);
+  std::vector<KpjQuery> queries = TestQueries(made.value().NumNodes(), 8);
   api::EngineConfig config;
-  config.workers = 1;
+  config.workers = 2;
+  config.clamp_to_hardware = false;
+  config.intra_threads = 2;
+  config.cache_mb = 8;
   KpjEngine engine(made.value(), config.ToEngineOptions());
-  for (const Result<KpjResult>& r : engine.RunBatch(queries)) {
-    ASSERT_TRUE(r.ok());
+  for (int round = 0; round < 2; ++round) {
+    for (const Result<KpjResult>& r : engine.RunBatch(queries)) {
+      ASSERT_TRUE(r.ok());
+    }
   }
+  QueryContext planned;
+  planned.algorithm = Algorithm::kAuto;
+  ASSERT_TRUE(engine.RunBatch(queries, 0.0, planned)[0].ok());
+
+  EngineMetricsSnapshot before = engine.MetricsSnapshot();
+  ASSERT_EQ(before.queries_served, 3 * queries.size());
+  ASSERT_GT(before.spt_cache_insertions, 0u);
+  ExpectEveryEntryOnce(before, engine.MetricsJson(),
+                       engine.MetricsPrometheus(), /*with_server=*/false);
   std::string json = engine.MetricsJson();
-  for (const char* key :
-       {"\"algo_heap_pushes\"", "\"algo_heap_pops\"",
-        "\"algo_heap_decrease_keys\"", "\"algo_node_expansions\"",
-        "\"algo_spt_resume_hits\"", "\"algo_spt_resume_misses\"",
-        "\"algo_iter_bound_rounds\"", "\"algo_candidates_generated\"",
-        "\"algo_candidates_pruned\"", "\"algo_lb_tightness\"",
-        "\"slow_queries\""}) {
-    EXPECT_NE(json.find(key), std::string::npos) << key;
-  }
   // JSON must stay parseable: no NaN/Inf literals even on odd inputs.
   EXPECT_EQ(json.find("nan"), std::string::npos);
   EXPECT_EQ(json.find("inf"), std::string::npos);
+
+  // ResetMetrics zeroes every counter and histogram; gauges are sampled.
+  engine.ResetMetrics();
+  ForEachMetric(engine.MetricsSnapshot(), [](const MetricInfo& m,
+                                             const auto& value) {
+    using Value = std::decay_t<decltype(value)>;
+    if constexpr (std::is_same_v<Value, uint64_t>) {
+      EXPECT_EQ(value, 0u) << m.field;
+    } else if constexpr (std::is_same_v<Value, AlgorithmCounts>) {
+      for (uint64_t count : value) EXPECT_EQ(count, 0u) << m.field;
+    } else if constexpr (std::is_same_v<Value, HistogramSnapshot>) {
+      EXPECT_EQ(value.count, 0u) << m.field;
+      EXPECT_EQ(value.sum, 0.0) << m.field;
+      for (uint64_t count : value.buckets) EXPECT_EQ(count, 0u) << m.field;
+    }
+  });
+}
+
+TEST(ObservabilityTest, ServerMetricsCarryEveryRegistryEntryOnce) {
+  std::string path = ::testing::TempDir() + "kpj_observability_graph.bin";
+  ASSERT_TRUE(SaveGraphBinary(TestGraph(), Permutation(), path).ok());
+  server::KpjServerOptions options;
+  options.graph_path = path;
+  options.engine.workers = 1;
+  server::KpjServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  ExpectEveryEntryOnce(server.MetricsSnapshot(), server.MetricsJson(),
+                       server.MetricsPrometheus(), /*with_server=*/true);
+  server.RequestDrain();
+  server.Wait();
+  std::remove(path.c_str());
+}
+
+TEST(ObservabilityTest, TightnessIsLabelledByTheSolverThatRan) {
+  Result<KpjInstance> made = KpjInstance::Make(TestGraph());
+  ASSERT_TRUE(made.ok());
+  std::vector<KpjQuery> queries = TestQueries(made.value().NumNodes(), 6);
+  api::EngineConfig config;
+  config.workers = 1;
+  config.algorithm = Algorithm::kAuto;
+  KpjEngine engine(made.value(), config.ToEngineOptions());
+
+  // The per-solver samples of one tightness family, from the exposition.
+  auto samples = [&engine](const std::string& family) {
+    std::map<std::string, uint64_t> by_label;
+    std::string prom = engine.MetricsPrometheus();
+    std::regex sample(family + "\\{algorithm=\"([^\"]+)\"\\} (\\d+)");
+    for (std::sregex_iterator it(prom.begin(), prom.end(), sample), end;
+         it != end; ++it) {
+      by_label[(*it)[1]] = std::stoull((*it)[2]);
+    }
+    return by_label;
+  };
+  auto expect_sums_match = [&] {
+    EngineMetricsSnapshot s = engine.MetricsSnapshot();
+    uint64_t num = 0;
+    uint64_t den = 0;
+    for (const auto& [label, value] : samples("kpj_lb_tightness_num_total")) {
+      EXPECT_NE(label, "Auto");
+      num += value;
+    }
+    for (const auto& [label, value] : samples("kpj_lb_tightness_den_total")) {
+      EXPECT_NE(label, "Auto");
+      den += value;
+    }
+    EXPECT_EQ(num, s.algo.lb_tightness_num);
+    EXPECT_EQ(den, s.algo.lb_tightness_den);
+    EXPECT_GT(den, 0u);
+  };
+
+  for (const Result<KpjResult>& r : engine.RunBatch(queries)) {
+    ASSERT_TRUE(r.ok());
+  }
+  expect_sums_match();
+
+  // A per-query override on the same auto engine counts under the solver
+  // it forced, and only there.
+  engine.ResetMetrics();
+  QueryContext forced;
+  forced.algorithm = Algorithm::kBestFirst;
+  for (const Result<KpjResult>& r : engine.RunBatch(queries, 0.0, forced)) {
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value().algorithm_used, Algorithm::kBestFirst);
+  }
+  expect_sums_match();
+  for (const auto& [label, value] : samples("kpj_lb_tightness_den_total")) {
+    if (label == AlgorithmName(Algorithm::kBestFirst)) {
+      EXPECT_GT(value, 0u);
+    } else {
+      EXPECT_EQ(value, 0u) << label;
+    }
+  }
 }
 
 TEST(ObservabilityTest, MetricsPrometheusIsWellFormed) {

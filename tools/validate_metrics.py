@@ -9,10 +9,11 @@ Validates one file per invocation:
     tools/validate_metrics.py --mode access-log   access.log
     tools/validate_metrics.py --mode stats        stats.json
 
-Pass --server for expositions produced by kpjd: the daemon splices
-server-level keys (server_accepted, kpj_server_*_total, the
-kpj_server_queue_time_ms histogram, ...) into the engine body, and those
-become required on top of the engine schema.
+The metrics schema is read from the metric registry,
+src/core/metrics.def: every declared key and series must be present
+exactly once, and nothing undeclared may appear. Pass --server for
+expositions produced by kpjd, whose server-owned entries (server_accepted,
+the kpj_server_queue_time_ms histogram, ...) are then required too.
 
 Exit status 0 means the file is well-formed; any violation prints a
 diagnostic and exits 1. Used by scripts/check.sh to gate the CLI smoke
@@ -23,138 +24,43 @@ dashboards.
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
-METRICS_REQUIRED_KEYS = [
-    "workers",
-    "queries_served",
-    "queries_failed",
-    "deadline_exceeded",
-    "slow_queries",
-    "paths_returned",
-    "heap_pops",
-    "edges_relaxed",
-    "sp_computations",
-    "algo_heap_pushes",
-    "algo_heap_pops",
-    "algo_heap_decrease_keys",
-    "algo_node_expansions",
-    "algo_spt_resume_hits",
-    "algo_spt_resume_misses",
-    "algo_iter_bound_rounds",
-    "algo_candidates_generated",
-    "algo_candidates_pruned",
-    "algo_lb_tightness",
-    "algo_spt_cache_hits",
-    "algo_spt_cache_misses",
-    "algo_bound_cache_hits",
-    "algo_bound_cache_misses",
-    "algo_spt_cache_insert_skips",
-    "algo_intra_rounds",
-    "algo_intra_tasks",
-    "planner_choice_DA",
-    "planner_choice_DA_SPT",
-    "planner_choice_BestFirst",
-    "planner_choice_IterBound",
-    "planner_choice_IterBoundP",
-    "planner_choice_IterBoundI",
-    "planner_choice_IterBoundI_NL",
-    "planner_choice_total",
-    "planner_fallback_total",
-    "intra_steals",
-    "intra_parallel_rounds",
-    "intra_fanout_count",
-    "intra_fanout_mean",
-    "intra_fanout_max",
-    "spt_cache_insertions",
-    "spt_cache_evictions",
-    "bound_cache_evictions",
-    "cache_bytes",
-    "latency_count",
-    "latency_mean_ms",
-    "latency_min_ms",
-    "latency_max_ms",
-    "latency_p50_ms",
-    "latency_p90_ms",
-    "latency_p99_ms",
-]
+# The metric registry: every JSON key and Prometheus series the expositions
+# carry is declared there, one entry per metric.
+REGISTRY_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             "..", "src", "core", "metrics.def")
+# KPJ_METRIC(owner, kind, field, "json", "prom", ...) or
+# KPJ_ALGO_METRIC(kind, field, "json", "prom", ...) with owner Algo.
+ENTRY_RE = re.compile(r'KPJ_(?:ALGO_METRIC\(|METRIC\((\w+),)\s*(\w+),\s*(\w+),'
+                      r'\s*"([^"]*)",\s*"([^"]*)",')
 
-PROM_REQUIRED_SERIES = [
-    "kpj_workers",
-    "kpj_queries_served_total",
-    "kpj_queries_failed_total",
-    "kpj_queries_deadline_exceeded_total",
-    "kpj_slow_queries_total",
-    "kpj_paths_returned_total",
-    "kpj_sp_computations_total",
-    "kpj_heap_pushes_total",
-    "kpj_heap_pops_total",
-    "kpj_heap_decrease_keys_total",
-    "kpj_node_expansions_total",
-    "kpj_edges_relaxed_total",
-    "kpj_spt_resume_hits_total",
-    "kpj_spt_resume_misses_total",
-    "kpj_iter_bound_rounds_total",
-    "kpj_candidates_generated_total",
-    "kpj_candidates_pruned_total",
-    "kpj_lower_bound_tightness_ratio",
-    "kpj_lb_tightness_num_total",
-    "kpj_lb_tightness_den_total",
-    "kpj_spt_cache_hits_total",
-    "kpj_spt_cache_misses_total",
-    "kpj_bound_cache_hits_total",
-    "kpj_bound_cache_misses_total",
-    "kpj_spt_cache_evictions_total",
-    "kpj_bound_cache_evictions_total",
-    "kpj_spt_cache_insert_skips_total",
-    "kpj_planner_choice_total",
-    "kpj_planner_fallback_total",
-    "kpj_cache_bytes",
-    "kpj_intra_rounds_total",
-    "kpj_intra_tasks_total",
-    "kpj_intra_steals_total",
-    "kpj_intra_parallel_rounds_total",
-    "kpj_intra_fanout",
-    "kpj_query_latency_ms",
-]
 
-# Spliced into both expositions by kpjd (src/server/server.cc); required
-# only under --server.
-SERVER_METRICS_REQUIRED_KEYS = [
-    "server_accepted",
-    "server_rejected",
-    "server_shed",
-    "server_drained",
-    "server_in_flight",
-    "server_epoch",
-    "server_queue_count",
-    "server_queue_mean_ms",
-    "server_queue_max_ms",
-    "server_queue_p99_ms",
-    "server_swap_count",
-    "server_swap_mean_ms",
-    "server_swap_max_ms",
-    "server_swap_p99_ms",
-    "server_mapped_bytes",
-]
+def load_registry():
+    """Every registry entry, as a dict."""
+    with open(REGISTRY_PATH, "r", encoding="utf-8") as f:
+        matches = ENTRY_RE.findall(f.read())
+    if not matches:
+        fail(f"no metric declarations found in {REGISTRY_PATH}")
+    entries = []
+    for owner, kind, field, json_key, prom in matches:
+        if not prom:
+            prom = "kpj_" + field
+            if kind in ("Counter", "ByAlgorithm"):
+                prom += "_total"
+        entries.append({"owner": owner or "Algo", "kind": kind,
+                        "json": json_key, "prom": prom})
+    return entries
 
-SERVER_PROM_REQUIRED_SERIES = [
-    "kpj_server_accepted_total",
-    "kpj_server_rejected_total",
-    "kpj_server_shed_total",
-    "kpj_server_drained_total",
-    "kpj_server_in_flight",
-    "kpj_server_epoch",
-    "kpj_server_mapped_bytes",
-    "kpj_server_queue_time_ms",
-    "kpj_server_swap_ms",
-]
 
-# Every histogram in the exposition gets cumulative-bucket and
-# +Inf == _count checks; these are the ones that must exist at all.
-REQUIRED_HISTOGRAMS = ["kpj_query_latency_ms"]
-SERVER_REQUIRED_HISTOGRAMS = ["kpj_server_queue_time_ms", "kpj_server_swap_ms"]
+def histogram_keys(spec):
+    """'latency_{count,mean_ms}' -> ['latency_count', 'latency_mean_ms']."""
+    m = re.fullmatch(r"(\w*)\{([\w,]+)\}", spec)
+    if m is None:
+        fail(f"histogram JSON spec {spec!r} lists no summaries")
+    return [m.group(1) + stat for stat in m.group(2).split(",")]
 
 
 def fail(message):
@@ -162,30 +68,73 @@ def fail(message):
     sys.exit(1)
 
 
+def check_number(where, key, value):
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        fail(f"{where} {key!r} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        fail(f"{where} {key!r} is not finite: {value!r}")
+    if value < 0:
+        fail(f"{where} {key!r} is negative: {value!r}")
+
+
+def reject_duplicate_keys(pairs):
+    keys = [key for key, _ in pairs]
+    repeated = sorted({key for key in keys if keys.count(key) > 1})
+    if repeated:
+        fail(f"metrics JSON repeats keys {repeated!r}")
+    return dict(pairs)
+
+
 def check_metrics_json(text, server=False):
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=reject_duplicate_keys)
     except json.JSONDecodeError as e:
         fail(f"metrics JSON does not parse: {e}")
     if not isinstance(data, dict):
         fail("metrics JSON root must be an object")
-    required = METRICS_REQUIRED_KEYS + (
-        SERVER_METRICS_REQUIRED_KEYS if server else [])
-    for key in required:
-        if key not in data:
-            fail(f"metrics JSON missing key {key!r}")
-        value = data[key]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            fail(f"metrics key {key!r} must be a number, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            fail(f"metrics key {key!r} is not finite: {value!r}")
-        if value < 0:
-            fail(f"metrics key {key!r} is negative: {value!r}")
-    if not 0.0 <= data["algo_lb_tightness"] <= 1.0 + 1e-9:
-        fail(f"algo_lb_tightness outside [0, 1]: {data['algo_lb_tightness']}")
+    declared = set()
+    for entry in load_registry():
+        required = server or entry["owner"] != "Server"
+        if entry["kind"] == "Histogram":
+            keys = histogram_keys(entry["json"])
+        elif entry["kind"] == "ByAlgorithm":
+            # One key per algorithm plus their sum; the algorithm names
+            # come from the exposition itself.
+            total = entry["json"] + "_total"
+            keys = [key for key in data
+                    if key.startswith(entry["json"] + "_")]
+            if required and (total not in keys or len(keys) < 2):
+                fail(f"metrics JSON missing {entry['json']}_<algorithm> "
+                     f"keys or {total!r}")
+            if entry["json"] + "_Auto" in keys:
+                fail(f"{entry['json']}: 'Auto' is the planner, not a solver")
+        else:
+            keys = [entry["json"]]
+        declared.update(keys)
+        if not required and not any(key in data for key in keys):
+            continue
+        for key in keys:
+            if key not in data:
+                fail(f"metrics JSON missing key {key!r}")
+            check_number("metrics key", key, data[key])
+        if entry["kind"] == "ByAlgorithm":
+            per_algorithm = sum(data[key] for key in keys if key != total)
+            if per_algorithm != data[total]:
+                fail(f"{total} = {data[total]} but its algorithms sum to "
+                     f"{per_algorithm}")
+        if entry["prom"].endswith("_ratio") and data[keys[0]] > 1.0 + 1e-9:
+            fail(f"{keys[0]} outside [0, 1]: {data[keys[0]]}")
+    undeclared = sorted(set(data) - declared)
+    if undeclared:
+        fail(f"metrics JSON keys not in the registry: {undeclared!r}")
+
+
+PROM_TYPES = {"Counter": "counter", "Gauge": "gauge",
+              "Histogram": "histogram", "ByAlgorithm": "counter"}
 
 
 def check_prom(text, server=False):
+    registry = {entry["prom"]: entry for entry in load_registry()}
     # sample line: name{labels} value  |  name value
     sample_re = re.compile(
         r"^([A-Za-z_:][A-Za-z0-9_:]*)(\{[^}]*\})?\s+(\S+)$")
@@ -203,7 +152,15 @@ def check_prom(text, server=False):
             if len(parts) != 4 or parts[3] not in (
                     "counter", "gauge", "histogram"):
                 fail(f"line {line_no}: malformed TYPE comment: {line!r}")
-            typed[parts[2]] = parts[3]
+            name = parts[2]
+            if name not in registry:
+                fail(f"line {line_no}: {name} is not in the registry")
+            if name in typed:
+                fail(f"line {line_no}: {name} is typed twice")
+            if parts[3] != PROM_TYPES[registry[name]["kind"]]:
+                fail(f"line {line_no}: {name} is declared "
+                     f"{registry[name]['kind']}, typed {parts[3]}")
+            typed[name] = parts[3]
             continue
         if line.startswith("#"):
             fail(f"line {line_no}: unknown comment form: {line!r}")
@@ -221,32 +178,32 @@ def check_prom(text, server=False):
             fail(f"line {line_no}: negative value: {line!r}")
         base = re.sub(r"_(bucket|sum|count)$", "", name)
         if base not in typed:
+            base = name
+        if base not in typed:
             fail(f"line {line_no}: sample {name!r} has no TYPE comment")
         seen.add(base)
-        if name in ("kpj_lb_tightness_num_total",
-                    "kpj_lb_tightness_den_total",
-                    "kpj_planner_choice_total"):
-            # Raw tightness terms and planner decisions are per-solver
-            # series; without the algorithm label they would aggregate
-            # into a meaningless sum.
+        if registry[base]["kind"] == "ByAlgorithm":
+            # Per-solver series; without the algorithm label they would
+            # aggregate into a meaningless sum.
             if labels is None or 'algorithm="' not in labels:
                 fail(f"line {line_no}: {name} without algorithm label")
+            if 'algorithm="Auto"' in labels:
+                fail(f"line {line_no}: 'Auto' is the planner, not a solver")
+        if name.endswith("_ratio") and value > 1.0 + 1e-9:
+            fail(f"line {line_no}: ratio outside [0, 1]: {line!r}")
         if name.endswith("_bucket") and typed.get(base) == "histogram":
             if labels is None or 'le="' not in labels:
                 fail(f"line {line_no}: histogram bucket without le label")
             bucket_counts.setdefault(base, []).append(value)
         if name.endswith("_count") and typed.get(base) == "histogram":
             histogram_counts[base] = value
-    required = PROM_REQUIRED_SERIES + (
-        SERVER_PROM_REQUIRED_SERIES if server else [])
-    for name in required:
+    for name, entry in registry.items():
+        if not server and entry["owner"] == "Server":
+            continue
         if name not in seen:
             fail(f"missing series {name!r}")
-    required_histograms = REQUIRED_HISTOGRAMS + (
-        SERVER_REQUIRED_HISTOGRAMS if server else [])
-    for base in required_histograms:
-        if base not in bucket_counts:
-            fail(f"histogram {base!r} has no buckets")
+        if entry["kind"] == "Histogram" and name not in bucket_counts:
+            fail(f"histogram {name!r} has no buckets")
     for base, buckets in bucket_counts.items():
         if any(b > a for b, a in zip(buckets, buckets[1:])):
             fail(f"histogram {base!r} buckets are not cumulative")
@@ -294,14 +251,7 @@ def check_access_log(text):
         for key in ACCESS_LOG_NUMBER_KEYS:
             if key not in entry:
                 fail(f"access log line {line_no} missing key {key!r}")
-            value = entry[key]
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                fail(f"access log line {line_no}: {key!r} must be a number, "
-                     f"got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
-                fail(f"access log line {line_no}: {key!r} is not finite")
-            if value < 0:
-                fail(f"access log line {line_no}: {key!r} is negative")
+            check_number(f"access log line {line_no}:", key, entry[key])
         if not TRACE_ID_RE.match(entry["trace_id"]):
             fail(f"access log line {line_no}: trace_id is not 16-hex: "
                  f"{entry['trace_id']!r}")
@@ -323,13 +273,7 @@ def check_stats(text):
     for key in STATS_REQUIRED_KEYS:
         if key not in data:
             fail(f"stats JSON missing key {key!r}")
-        value = data[key]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            fail(f"stats key {key!r} must be a number, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            fail(f"stats key {key!r} is not finite: {value!r}")
-        if value < 0:
-            fail(f"stats key {key!r} is negative: {value!r}")
+        check_number("stats key", key, data[key])
     if data["shed"] + data["errors"] > data["requests"]:
         fail("stats: shed + errors exceeds requests")
     if "per_second" not in data or not isinstance(data["per_second"], list):
