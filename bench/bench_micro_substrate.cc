@@ -83,7 +83,7 @@ void BM_DijkstraFullSssp(benchmark::State& state) {
 BENCHMARK(BM_DijkstraFullSssp);
 
 void BM_MonotoneDijkstraFullSssp(benchmark::State& state) {
-  // The radix-heap SSSP used by the landmark and hub-label index builds;
+  // The radix-heap SSSP used by the landmark index build;
   // same sources as BM_DijkstraFullSssp for a like-for-like comparison
   // against the IndexedHeap engine.
   const Graph& g = Network().graph;

@@ -1,10 +1,12 @@
 // Zero-copy (v4) storage head-to-head on the road_240k dataset: the same
-// reordered graph + hub labels are written as a version-3 heap format file
-// and a version-4 section-directory file, then loaded back to a
-// query-ready KpjInstance three ways:
+// reordered graph, landmark tables and POI categories are written once as
+// heap-format files (a version-2 graph file plus the landmark and category
+// index files beside it) and once as a single version-4 section-directory
+// file, then loaded back to a query-ready KpjInstance three ways:
 //
-//   * v3          — LoadGraphAuto: deserialize every array onto the heap,
-//                   recompute the reverse CSR, re-validate the hub labels.
+//   * heap        — LoadGraphAuto on the v2 file: deserialize every array
+//                   onto the heap and recompute the reverse CSR, then load
+//                   and attach the landmark and category files.
 //   * v4 verified — KpjInstance::LoadMapped with checksums: one sequential
 //                   pass over the mapping, zero allocation of large arrays.
 //   * v4 trusted  — LoadMapped without checksums: O(1) in the graph size;
@@ -12,18 +14,18 @@
 //
 // Reported per mode: best-of-rounds load wall time and the VmRSS delta
 // while the loaded instance is held (v4 residency is file-backed and
-// reclaimable; v3's is anonymous heap). A swap-style figure times what a
-// kpjd hot swap pays — load plus engine construction — for the daemon's
-// default (checksum-verified) path and for --trusted-graphs, which is
-// the gated one. Finally every algorithm in
-// kAllAlgorithms answers the same batch on the heap instance and the
-// mapped instance with the same hub-label oracle; the paths must be
+// reclaimable; the heap path's is anonymous heap). A swap-style figure
+// times what a kpjd hot swap pays — load plus engine construction — for
+// the daemon's default (checksum-verified) path and for --trusted-graphs,
+// which is the gated one. Finally every algorithm in kAllAlgorithms
+// answers the same batch on the heap instance and the mapped instance,
+// both bounded by the same landmark tables; the paths must be
 // byte-identical (node sequences and lengths), which is the acceptance
 // gate for serving straight out of a mapping.
 //
 // At full scale this binary enforces the v4 acceptance floors: trusted
-// cold load >= 10x faster than v3, trusted RSS delta below v3's, and a
-// swap speedup >= 2x.
+// cold load >= 10x faster than the heap load, trusted RSS delta below the
+// heap load's, and a swap speedup >= 2x.
 //
 // The files are written immediately before loading, so "cold" means a
 // cold process (page cache warm for every contender alike), the same
@@ -51,10 +53,11 @@
 #include "api/api.h"
 #include "core/engine.h"
 #include "core/kpj_instance.h"
+#include "gen/poi_gen.h"
 #include "gen/road_gen.h"
 #include "graph/reorder.h"
 #include "graph/serialize.h"
-#include "index/hub_label_index.h"
+#include "index/category_index.h"
 #include "index/landmark_index.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -107,20 +110,27 @@ int Main() {
   }
   const bool full_scale = road.target_nodes >= 240000;
 
-  // The same content in both formats. The v3 format cannot carry
-  // landmarks or the reverse CSR — that asymmetry is the point: v3
-  // loaders recompute Reverse() on every load, v4 maps the stored one.
-  // KPJ_BENCH_REUSE skips the (minutes-long) hub-label build when both
-  // files already exist from a previous run, and keeps them afterwards;
-  // the operator owns matching KPJ_BENCH_NODES to the stored files.
-  const std::string v3_path = TempPath("bench_mmap_v3.bin");
+  // The same content in both formats. The heap files cannot carry the
+  // reverse CSR — that asymmetry is the point: heap loaders recompute
+  // Reverse() on every load, v4 maps the stored one. KPJ_BENCH_REUSE
+  // skips the build when every file already exists from a previous run,
+  // and keeps them afterwards; the operator owns matching KPJ_BENCH_NODES
+  // to the stored files.
+  const std::string v2_path = TempPath("bench_mmap_v2.bin");
+  const std::string lm_path = TempPath("bench_mmap_v2.lm");
+  const std::string cat_path = TempPath("bench_mmap_v2.cat");
   const std::string v4_path = TempPath("bench_mmap_v4.bin");
+  const std::vector<std::string> files = {v2_path, lm_path, cat_path,
+                                          v4_path};
   const char* reuse_env = std::getenv("KPJ_BENCH_REUSE");
   const bool keep_files = reuse_env != nullptr && *reuse_env != '\0';
   const bool reuse =
-      keep_files && FileBytes(v3_path) > 0 && FileBytes(v4_path) > 0;
+      keep_files && std::all_of(files.begin(), files.end(),
+                                [](const std::string& f) {
+                                  return FileBytes(f) > 0;
+                                });
   if (reuse) {
-    std::fprintf(stderr, "[bench_mmap] reusing %s and %s\n", v3_path.c_str(),
+    std::fprintf(stderr, "[bench_mmap] reusing %s and %s\n", v2_path.c_str(),
                  v4_path.c_str());
   } else {
     Result<KpjInstance> made = KpjInstance::Make(
@@ -131,47 +141,55 @@ int Main() {
                  road.target_nodes / 1000, built.NumNodes(),
                  built.graph().NumEdges());
 
-    HubLabelOptions hl_opt;
-    hl_opt.threads = threads;
-    Timer build_timer;
-    const HubLabelIndex hub_labels =
-        HubLabelIndex::Build(built.graph(), built.reverse(), hl_opt);
-    std::fprintf(stderr,
-                 "[bench_mmap] hub labels: %.1f s build (%u threads)\n",
-                 build_timer.ElapsedSeconds(), threads);
     LandmarkIndexOptions lm_opt;
     lm_opt.num_landmarks = 8;
     lm_opt.threads = threads;
+    Timer build_timer;
     const LandmarkIndex landmarks =
         LandmarkIndex::Build(built.graph(), built.reverse(), lm_opt);
+    std::fprintf(stderr, "[bench_mmap] landmarks: %.1f s build (%u threads)\n",
+                 build_timer.ElapsedSeconds(), threads);
+    // Categories hold original ids, like `kpj_cli pois --cal` output.
+    CategoryIndex categories(built.NumNodes());
+    AssignNestedPoiSets(categories, /*seed=*/7);
+    AssignCaliforniaLikePois(categories, /*seed=*/8);
 
-    Status saved = SaveGraphBinary(built.graph(), built.permutation(),
-                                   &hub_labels, v3_path);
+    Status saved =
+        SaveGraphBinary(built.graph(), built.permutation(), v2_path);
+    KPJ_CHECK(saved.ok()) << saved.ToString();
+    saved = landmarks.Save(lm_path);
+    KPJ_CHECK(saved.ok()) << saved.ToString();
+    saved = categories.Save(cat_path);
     KPJ_CHECK(saved.ok()) << saved.ToString();
     GraphFileSections sections;
     sections.graph = &built.graph();
     sections.reverse = &built.reverse();
     sections.permutation = &built.permutation();
-    sections.hub_labels = &hub_labels;
     sections.landmarks = &landmarks;
+    sections.categories = &categories;
     saved = SaveGraphFileV4(sections, v4_path);
     KPJ_CHECK(saved.ok()) << saved.ToString();
   }
-  const uint64_t v3_bytes = FileBytes(v3_path);
+  const uint64_t heap_bytes =
+      FileBytes(v2_path) + FileBytes(lm_path) + FileBytes(cat_path);
   const uint64_t v4_bytes = FileBytes(v4_path);
 
   // --- Loaders producing a query-ready instance -------------------------
-  auto load_v3 = [&]() -> KpjInstance {
-    Result<GraphFile> file = LoadGraphAuto(v3_path);
+  auto load_heap = [&]() -> KpjInstance {
+    Result<GraphFile> file = LoadGraphAuto(v2_path);
     KPJ_CHECK(file.ok()) << file.status().ToString();
     Result<KpjInstance> wrapped =
         KpjInstance::Wrap(std::move(file.value().graph),
                           std::move(file.value().permutation));
     KPJ_CHECK(wrapped.ok()) << wrapped.status().ToString();
     KpjInstance instance = std::move(wrapped).value();
-    KPJ_CHECK(file.value().hub_labels.has_value());
-    Status attached =
-        instance.AttachHubLabels(std::move(*file.value().hub_labels));
+    Result<LandmarkIndex> landmarks = LandmarkIndex::Load(lm_path);
+    KPJ_CHECK(landmarks.ok()) << landmarks.status().ToString();
+    Status attached = instance.AttachLandmarks(std::move(landmarks).value());
+    KPJ_CHECK(attached.ok()) << attached.ToString();
+    Result<CategoryIndex> categories = CategoryIndex::Load(cat_path);
+    KPJ_CHECK(categories.ok()) << categories.status().ToString();
+    attached = instance.AttachCategories(std::move(categories).value());
     KPJ_CHECK(attached.ok()) << attached.ToString();
     return instance;
   };
@@ -196,7 +214,7 @@ int Main() {
   // earlier allocation (the in-process index build above is huge) would
   // let a later load recycle pages invisibly to VmRSS; malloc_trim
   // returns the freed arena to the OS so each delta sees real growth.
-  // v3 still goes FIRST as belt and braces. What residency the v4
+  // The heap load still goes FIRST as belt and braces. What residency the v4
   // verified pass adds is file-backed page cache, reclaimable and
   // shared across processes, not anonymous heap.
   auto rss_delta_kb = [](auto&& loader) {
@@ -208,7 +226,7 @@ int Main() {
     const uint64_t after = ProcStatusKb("VmRSS");
     return after > before ? after - before : 0;
   };
-  const uint64_t v3_rss_kb = rss_delta_kb(load_v3);
+  const uint64_t heap_rss_kb = rss_delta_kb(load_heap);
   const uint64_t v4_trusted_rss_kb =
       rss_delta_kb([&] { return load_v4(false); });
   const uint64_t v4_verified_rss_kb =
@@ -228,10 +246,10 @@ int Main() {
       best_ms(kLoadRounds, [&] { return load_v4(false); });
   const double v4_verified_ms =
       best_ms(kLoadRounds, [&] { return load_v4(true); });
-  const double v3_ms = best_ms(kSwapRounds, load_v3);
+  const double heap_ms = best_ms(kSwapRounds, load_heap);
 
   // Swap-style figure: what ServingState::Load pays on a kpjd hot swap —
-  // file to serving engine — for the v3 heap path, the v4 daemon default
+  // file to serving engine — for the heap path, the v4 daemon default
   // (checksums verified) and the v4 --trusted-graphs configuration. The
   // gated speedup is the trusted one: a hot swap is an operator pushing a
   // file they just wrote, which is the case --trusted-graphs exists for;
@@ -249,26 +267,26 @@ int Main() {
     }
     return best;
   };
-  const double v3_swap_ms = swap_ms(load_v3);
+  const double heap_swap_ms = swap_ms(load_heap);
   const double v4_swap_verified_ms = swap_ms([&] { return load_v4(true); });
   const double v4_swap_trusted_ms = swap_ms([&] { return load_v4(false); });
 
   // A trusted open is tens of microseconds — pure syscall noise. Clamp
-  // the denominator so the gated ratio tracks the stable v3 numerator
-  // instead of microsecond jitter ("at least 10 * v3_ms" in speedup).
-  const double cold_load_speedup = v3_ms / std::max(v4_trusted_ms, 0.1);
+  // the denominator so the gated ratio tracks the stable heap numerator
+  // instead of microsecond jitter ("at least 10 * heap_ms" in speedup).
+  const double cold_load_speedup = heap_ms / std::max(v4_trusted_ms, 0.1);
   const double verified_load_speedup =
-      v3_ms / std::max(v4_verified_ms, 1e-6);
+      heap_ms / std::max(v4_verified_ms, 1e-6);
   const double swap_speedup =
-      v3_swap_ms / std::max(v4_swap_trusted_ms, 1e-6);
+      heap_swap_ms / std::max(v4_swap_trusted_ms, 1e-6);
 
   // --- Byte-identity: every algorithm, heap vs mapped -------------------
-  // Both instances pin the same hub-label oracle so tie-breaking (and
-  // therefore path identity, not just lengths) must match exactly.
-  KpjInstance heap = load_v3();
-  KPJ_CHECK(heap.SelectOracle(OracleKind::kHubLabel).ok());
+  // Both instances bound their searches with the same landmark tables, so
+  // tie-breaking (and therefore path identity, not just lengths) must
+  // match exactly.
+  KpjInstance heap = load_heap();
   KpjInstance mapped = load_v4(false);
-  KPJ_CHECK(mapped.SelectOracle(OracleKind::kHubLabel).ok());
+  KPJ_CHECK(heap.landmarks() != nullptr && mapped.landmarks() != nullptr);
   KPJ_CHECK(heap.mapped_bytes() == 0);
   KPJ_CHECK(mapped.mapped_bytes() == v4_bytes);
 
@@ -322,20 +340,19 @@ int Main() {
 
   if (full_scale) {
     KPJ_CHECK(cold_load_speedup >= 10.0)
-        << "v4 trusted load only " << cold_load_speedup << "x over v3";
-    KPJ_CHECK(v4_trusted_rss_kb < v3_rss_kb)
+        << "v4 trusted load only " << cold_load_speedup << "x over heap";
+    KPJ_CHECK(v4_trusted_rss_kb < heap_rss_kb)
         << "trusted mapped load RSS " << v4_trusted_rss_kb
-        << " kB not below v3's " << v3_rss_kb << " kB";
+        << " kB not below the heap load's " << heap_rss_kb << " kB";
     KPJ_CHECK(swap_speedup >= 2.0)
-        << "mapped hot swap only " << swap_speedup << "x over v3";
+        << "mapped hot swap only " << swap_speedup << "x over heap";
   }
 
   Table load_table(
-      "v3 vs v4 load on road_" + std::to_string(road.target_nodes / 1000) +
+      "heap vs v4 load on road_" + std::to_string(road.target_nodes / 1000) +
           "k (query-ready instance; RSS while held)",
       {"load ms", "rss MB", "swap ms"});
-  load_table.AddRow("v3 heap",
-                    {v3_ms, v3_rss_kb / 1024.0, v3_swap_ms});
+  load_table.AddRow("v2 heap", {heap_ms, heap_rss_kb / 1024.0, heap_swap_ms});
   load_table.AddRow("v4 verified", {v4_verified_ms,
                                     v4_verified_rss_kb / 1024.0,
                                     v4_swap_verified_ms});
@@ -359,19 +376,19 @@ int Main() {
   json << "{\"bench\":\"bench_mmap\",\"dataset\":\"road_"
        << road.target_nodes / 1000 << "k\""
        << ",\"nodes\":" << num_nodes << ",\"arcs\":" << num_arcs
-       << ",\"v3_file_bytes\":" << v3_bytes
+       << ",\"heap_file_bytes\":" << heap_bytes
        << ",\"v4_file_bytes\":" << v4_bytes
-       << ",\"v3_load_ms\":" << v3_ms
+       << ",\"heap_load_ms\":" << heap_ms
        << ",\"v4_verified_load_ms\":" << v4_verified_ms
        // _us: informational — an O(1) open is syscall noise, not a
        // gateable duration; the gated claim is cold_load_speedup.
        << ",\"v4_trusted_load_us\":" << v4_trusted_ms * 1000.0
        << ",\"cold_load_speedup\":" << cold_load_speedup
        << ",\"verified_load_speedup\":" << verified_load_speedup
-       << ",\"v3_load_rss_kb\":" << v3_rss_kb
+       << ",\"heap_load_rss_kb\":" << heap_rss_kb
        << ",\"v4_verified_load_rss_kb\":" << v4_verified_rss_kb
        << ",\"v4_trusted_load_rss_kb\":" << v4_trusted_rss_kb
-       << ",\"v3_swap_ms\":" << v3_swap_ms
+       << ",\"heap_swap_ms\":" << heap_swap_ms
        << ",\"v4_swap_verified_ms\":" << v4_swap_verified_ms
        << ",\"v4_swap_trusted_ms\":" << v4_swap_trusted_ms
        << ",\"swap_speedup\":" << swap_speedup << ",\"rows\":[";
@@ -392,8 +409,7 @@ int Main() {
     std::cout << json.str() << "\n";
   }
   if (!keep_files) {
-    std::remove(v3_path.c_str());
-    std::remove(v4_path.c_str());
+    for (const std::string& f : files) std::remove(f.c_str());
   }
   return 0;
 }

@@ -10,11 +10,11 @@
 #                                    # much faster than --asan)
 #   scripts/check.sh --tsan          # opt-in ThreadSanitizer run of the
 #                                    # concurrency suite (engine, pool,
-#                                    # parallel, intra, trace,
+#                                    # landmark build, intra, trace,
 #                                    # observability, cache reuse, api,
 #                                    # socket, server) only
-#   scripts/check.sh --bench-gate    # opt-in perf gate: re-run bench_cache,
-#                                    # bench_intra, and bench_oracle and
+#   scripts/check.sh --bench-gate    # opt-in perf gate: re-run bench_cache
+#                                    # and bench_intra and
 #                                    # diff against the checked-in
 #                                    # BENCH_*.json baselines with
 #                                    # tools/compare_bench.py (>10% fails);
@@ -34,9 +34,10 @@
 # After ctest, every mode drives the built kpj_cli end to end on a small
 # generated graph with --trace-out / --metrics-out and validates the
 # emitted trace JSON, metrics JSON, and Prometheus text with
-# tools/validate_metrics.py, converts the graph to the zero-copy v4
-# format and requires --mmap answers byte-identical to the heap load,
-# then boots kpjd on loopback with an access log and round-trips
+# tools/validate_metrics.py, builds landmarks and converts the graph to
+# the zero-copy v4 format with them embedded, and requires --mmap answers
+# byte-identical to the heap load, then boots kpjd on loopback with an
+# access log and round-trips
 # health/query/traced-query/stats/metrics/drain through kpj_client, runs
 # a short kpj_loadgen burst, validates the merged wire trace, stats
 # payload, access log, and loadgen report (failing on any leaked daemon
@@ -66,9 +67,9 @@ elif [[ "${1:-}" == "--tsan" || "${KPJ_CHECK_TSAN:-0}" == "1" ]]; then
   build_dir=build-tsan
   mode=tsan
   cmake_flags+=("-DCMAKE_CXX_FLAGS=-fsanitize=thread -fno-sanitize-recover=all")
-  # hub_label_index_test is in the list for its multi-threaded
+  # landmark_index_test is in the list for its multi-threaded
   # byte-identical-build property, not for raw coverage.
-  ctest_flags+=("-R" "engine_test|thread_pool_test|parallel_test|intra_test|trace_test|observability_test|cache_reuse_test|hub_label_index_test|api_test|socket_test|server_test")
+  ctest_flags+=("-R" "engine_test|thread_pool_test|intra_test|trace_test|observability_test|cache_reuse_test|landmark_index_test|api_test|socket_test|server_test")
 elif [[ "${1:-}" == "--bench-gate" || "${KPJ_CHECK_BENCH_GATE:-0}" == "1" ]]; then
   mode=bench-gate
 fi
@@ -115,30 +116,33 @@ python3 tools/validate_metrics.py --mode trace "$smoke_dir/batch_trace.json"
 python3 tools/validate_metrics.py --mode prom "$smoke_dir/batch_metrics.prom"
 echo "observability smoke OK"
 
-# --- Oracle smoke: build hub labels offline into a version-3 graph file,
-# then answer the same query under both oracles; the top-k length profiles
-# must agree (path identities may differ under ties, so only the "(len N)"
-# suffixes are compared).
-"$cli" index --graph "$smoke_dir/g.bin" --out "$smoke_dir/g_hl.bin" > /dev/null
-"$cli" query --graph "$smoke_dir/g_hl.bin" --oracle alt --source 0 \
-  --targets 100,200,300 --k 5 | grep -o 'len [0-9]*' > "$smoke_dir/alt_lens.txt"
-"$cli" query --graph "$smoke_dir/g_hl.bin" --oracle hublabel --source 0 \
-  --targets 100,200,300 --k 5 | grep -o 'len [0-9]*' > "$smoke_dir/hub_lens.txt"
-diff "$smoke_dir/alt_lens.txt" "$smoke_dir/hub_lens.txt"
-echo "oracle smoke OK"
+# --- Landmark smoke: build landmark (ALT) tables offline, then answer the
+# same query with and without them; the top-k length profiles must agree
+# (path identities may differ under ties, so only the "(len N)" suffixes
+# are compared).
+"$cli" landmarks --graph "$smoke_dir/g.bin" --out "$smoke_dir/g.lm" \
+  --count 4 > /dev/null
+"$cli" query --graph "$smoke_dir/g.bin" --landmarks "$smoke_dir/g.lm" \
+  --source 0 --targets 100,200,300 --k 5 \
+  | grep -o 'len [0-9]*' > "$smoke_dir/alt_lens.txt"
+"$cli" query --graph "$smoke_dir/g.bin" --source 0 \
+  --targets 100,200,300 --k 5 | grep -o 'len [0-9]*' > "$smoke_dir/plain_lens.txt"
+diff "$smoke_dir/alt_lens.txt" "$smoke_dir/plain_lens.txt"
+echo "landmark smoke OK"
 
-# --- Zero-copy (v4) smoke: convert the indexed graph to the mmap format,
-# then answer the same query heap-loaded, mapped, and mapped-trusted; the
-# printed paths must be byte-identical across all three.
-"$cli" convert --in "$smoke_dir/g_hl.bin" --format v4 \
-  --out "$smoke_dir/g_v4.bin" > /dev/null
-"$cli" query --graph "$smoke_dir/g_hl.bin" --oracle hublabel --source 0 \
-  --targets 100,200,300 --k 5 | grep ' -> ' > "$smoke_dir/v4_heap.txt"
-"$cli" query --graph "$smoke_dir/g_v4.bin" --mmap --oracle hublabel \
+# --- Zero-copy (v4) smoke: convert the graph to the mmap format with the
+# landmarks embedded, then answer the same query heap-loaded (landmark
+# file beside the graph), mapped, and mapped-trusted; the printed paths
+# must be byte-identical across all three.
+"$cli" convert --in "$smoke_dir/g.bin" --format v4 \
+  --landmarks "$smoke_dir/g.lm" --out "$smoke_dir/g_v4.bin" > /dev/null
+"$cli" query --graph "$smoke_dir/g.bin" --landmarks "$smoke_dir/g.lm" \
+  --source 0 --targets 100,200,300 --k 5 | grep ' -> ' > "$smoke_dir/v4_heap.txt"
+"$cli" query --graph "$smoke_dir/g_v4.bin" --mmap \
   --source 0 --targets 100,200,300 --k 5 \
   | grep ' -> ' > "$smoke_dir/v4_mmap.txt"
 "$cli" query --graph "$smoke_dir/g_v4.bin" --mmap --trusted \
-  --oracle hublabel --source 0 --targets 100,200,300 --k 5 \
+  --source 0 --targets 100,200,300 --k 5 \
   | grep ' -> ' > "$smoke_dir/v4_trusted.txt"
 diff "$smoke_dir/v4_heap.txt" "$smoke_dir/v4_mmap.txt"
 diff "$smoke_dir/v4_heap.txt" "$smoke_dir/v4_trusted.txt"
@@ -267,8 +271,8 @@ echo "service smoke OK"
 
 # --- Mapped service smoke: boot kpjd on the v4 file (mmap'd, checksums
 # verified at startup) and require wire answers byte-identical to the
-# mapped in-process CLI on the same file and oracle.
-"$kpjd" --graph "$smoke_dir/g_v4.bin" --oracle hublabel --port 0 \
+# mapped in-process CLI on the same file and embedded landmarks.
+"$kpjd" --graph "$smoke_dir/g_v4.bin" --port 0 \
   --port-file "$smoke_dir/kpjd_v4.port" --workers 2 \
   > "$smoke_dir/kpjd_v4.log" 2>&1 &
 kpjd_pid=$!
@@ -287,7 +291,7 @@ done
 "$kpj_client" query --port-file "$smoke_dir/kpjd_v4.port" \
   --source 0 --targets 100,200,300 --k 5 \
   | grep ' -> ' > "$smoke_dir/v4_wire.txt"
-"$cli" query --graph "$smoke_dir/g_v4.bin" --mmap --oracle hublabel \
+"$cli" query --graph "$smoke_dir/g_v4.bin" --mmap \
   --source 0 --targets 100,200,300 --k 5 \
   | grep ' -> ' > "$smoke_dir/v4_cli.txt"
 diff "$smoke_dir/v4_cli.txt" "$smoke_dir/v4_wire.txt"
@@ -318,9 +322,6 @@ if [[ "$mode" == "bench-gate" ]]; then
     --threshold 0.10
   KPJ_BENCH_JSON="$gate_dir/BENCH_intra.json" "$build_dir/bench/bench_intra"
   python3 tools/compare_bench.py BENCH_intra.json "$gate_dir/BENCH_intra.json" \
-    --threshold 0.10
-  KPJ_BENCH_JSON="$gate_dir/BENCH_oracle.json" "$build_dir/bench/bench_oracle"
-  python3 tools/compare_bench.py BENCH_oracle.json "$gate_dir/BENCH_oracle.json" \
     --threshold 0.10
   # Adaptive-planner gate: the mixed-workload artifact diffs at a looser
   # threshold (the planner re-learns from its static priors every round,

@@ -49,12 +49,6 @@ StatusCode FromCoreStatus(const kpj::Status& status) {
   return StatusCode::kInternal;
 }
 
-Result<OracleKind> ParseOracleKind(std::string_view name) {
-  if (name == "alt") return OracleKind::kAlt;
-  if (name == "hublabel") return OracleKind::kHubLabel;
-  return Status::InvalidArgument("--oracle must be 'alt' or 'hublabel'");
-}
-
 Result<Algorithm> ParseAlgorithm(const std::string& name) {
   std::string canonical;
   for (char c : name) {
@@ -99,8 +93,8 @@ KpjEngineOptions EngineConfig::ToEngineOptions() const {
   options.solver.algorithm = algorithm;
   options.solver.alpha = alpha;
   options.solver.max_active_landmarks = max_active_landmarks;
-  // solver.oracle stays null: the engine resolves the instance's selected
-  // oracle (KpjInstance::SelectOracle applies the `oracle` field).
+  // solver.oracle stays null: the engine resolves the instance's landmark
+  // index (ResolveOptions).
   return options;
 }
 

@@ -8,7 +8,6 @@
 
 #include "core/engine.h"
 #include "core/kpj_query.h"
-#include "index/distance_oracle.h"
 #include "util/status.h"
 #include "util/types.h"
 
@@ -52,10 +51,6 @@ Result<StatusCode> ParseStatusCode(std::string_view name);
 /// Maps an in-process status onto the wire vocabulary.
 StatusCode FromCoreStatus(const kpj::Status& status);
 
-/// Parses an oracle spelling as used by --oracle and the wire ("alt",
-/// "hublabel").
-Result<OracleKind> ParseOracleKind(std::string_view name);
-
 /// Parses an algorithm name as printed by AlgorithmName (case-insensitive,
 /// '-'/'_' interchangeable): "DA", "da-spt", "IterBoundI", ... plus
 /// "auto" for the adaptive per-query planner (Algorithm::kAuto).
@@ -82,10 +77,6 @@ struct EngineConfig {
   Algorithm algorithm = Algorithm::kIterBoundSptI;
   /// τ growth factor for the iteratively bounding solvers; must be > 1.
   double alpha = 1.1;
-  /// Which attached distance oracle the instance should select. Applied at
-  /// instance level (KpjInstance::SelectOracle), not in ToEngineOptions():
-  /// the engine resolves a null solver oracle from the instance.
-  OracleKind oracle = OracleKind::kAlt;
   /// ALT only: evaluate at most this many landmarks per query; 0 = all.
   uint32_t max_active_landmarks = 0;
   /// Advisory hardware clamp on explicit worker counts; tests turn this
@@ -96,7 +87,7 @@ struct EngineConfig {
   kpj::Status Validate() const;
 
   /// Lowers to the core engine options. The solver oracle pointer is left
-  /// null — engines resolve it from the instance's selected oracle.
+  /// null — engines resolve it from the instance's landmark index.
   KpjEngineOptions ToEngineOptions() const;
 };
 

@@ -171,12 +171,6 @@ Result<EngineConfig> ParseEngineConfig(const ParsedArgs& args,
   if (!cache_mb.ok()) return cache_mb.status();
   config.cache_mb = cache_mb.value();
 
-  if (auto name = args.Get("oracle"); name.has_value()) {
-    Result<OracleKind> oracle = ParseOracleKind(*name);
-    if (!oracle.ok()) return oracle.status();
-    config.oracle = oracle.value();
-  }
-
   Result<double> deadline = ParseNonNegativeMs(args, "deadline-ms");
   if (!deadline.ok()) return deadline.status();
   config.deadline_ms = deadline.value();

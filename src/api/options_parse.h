@@ -52,7 +52,6 @@ struct EngineConfigDefaults {
 ///   --workers N        worker pool size (>= 1; --threads is an alias)
 ///   --intra-threads N  per-query lanes (>= 0; 0 = auto-split)
 ///   --cache-mb MB | --no-cache   (mutually exclusive)
-///   --oracle alt|hublabel
 ///   --deadline-ms MS   default per-query deadline (>= 0; 0 = unbounded)
 ///   --slow-query-ms MS slow-query log threshold (>= 0; 0 = off)
 ///   --algorithm NAME   solver selection ("auto" = adaptive planner)

@@ -310,9 +310,6 @@ JsonValue ToJson(const SwapRequest& request) {
   if (!request.landmarks.empty()) {
     object.Set("landmarks", JsonValue::Str(request.landmarks));
   }
-  if (request.oracle.has_value()) {
-    object.Set("oracle", JsonValue::Str(OracleKindName(*request.oracle)));
-  }
   return object;
 }
 
@@ -327,17 +324,6 @@ Result<SwapRequest> SwapRequestFromJson(const JsonValue& json) {
   Result<std::string> landmarks = GetString(json, "landmarks", "");
   if (!landmarks.ok()) return landmarks.status();
   request.landmarks = std::move(landmarks).value();
-  if (const JsonValue* oracle = json.Find("oracle"); oracle != nullptr) {
-    if (!oracle->is_string()) {
-      return Status::InvalidArgument("field 'oracle' must be a string");
-    }
-    Result<OracleKind> kind = ParseOracleKind(oracle->string_value());
-    if (!kind.ok()) {
-      return Status::InvalidArgument("field 'oracle' must be 'alt' or "
-                                     "'hublabel'");
-    }
-    request.oracle = kind.value();
-  }
   return request;
 }
 

@@ -2,14 +2,12 @@
 #define KPJ_API_WIRE_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "api/api.h"
 #include "api/json.h"
-#include "index/distance_oracle.h"
 #include "util/status.h"
 
 namespace kpj::api {
@@ -35,9 +33,8 @@ struct MetricsRequest {
 
 /// Payload of a kSwap request: paths are resolved by the *server* process.
 struct SwapRequest {
-  std::string graph;                ///< New graph file (required).
-  std::string landmarks;            ///< Optional landmark index file.
-  std::optional<OracleKind> oracle; ///< Absent = keep the current kind.
+  std::string graph;      ///< New graph file (required).
+  std::string landmarks;  ///< Optional landmark index file.
 };
 
 /// Payload of a kHealth response.

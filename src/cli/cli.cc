@@ -11,7 +11,6 @@
 #include "graph/connectivity.h"
 #include "graph/dimacs_io.h"
 #include "graph/serialize.h"
-#include "index/hub_label_index.h"
 #include "index/landmark_index.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -109,16 +108,14 @@ void PrintHelp(std::ostream& out) {
          "  kpj_cli info      --graph FILE\n"
          "  kpj_cli landmarks --graph FILE --out FILE [--count 16]"
          " [--seed S] [--threads N]\n"
-         "  kpj_cli index     --graph FILE --out FILE [--seeds 16]"
-         " [--threads N] [--verbose]\n"
          "  kpj_cli pois      --graph FILE --out FILE [--seed S] [--cal]\n"
          "  kpj_cli query     --graph FILE --source S\n"
          "                    (--targets A,B,C | --categories FILE"
          " --category NAME)\n"
          "                    [--k 10] [--algorithm NAME|auto]"
          " [--landmarks FILE] [--alpha 1.1]\n"
-         "                    [--oracle alt|hublabel] [--mmap [--trusted]]\n"
-         "                    [--reorder STRAT] [--stats] [--threads N]\n"
+         "                    [--mmap [--trusted]] [--reorder STRAT]"
+         " [--stats] [--threads N]\n"
          "                    [--intra-threads N]\n"
          "                    [--deadline-ms MS] [--slow-query-ms MS]\n"
          "                    [--cache-mb MB | --no-cache]\n"
@@ -127,9 +124,9 @@ void PrintHelp(std::ostream& out) {
          "                    [--trace-out FILE]\n"
          "  kpj_cli batch     --graph FILE --queries FILE"
          " [--algorithm NAME|auto] [--landmarks FILE]\n"
-         "                    [--oracle alt|hublabel] [--mmap [--trusted]]\n"
-         "                    [--threads N] [--intra-threads N]"
-         " [--reorder STRAT]\n"
+         "                    [--mmap [--trusted]] [--threads N]"
+         " [--intra-threads N]\n"
+         "                    [--reorder STRAT]\n"
          "                    [--deadline-ms MS] [--slow-query-ms MS]\n"
          "                    [--cache-mb MB | --no-cache]\n"
          "                    [--metrics-out FILE|-]"
@@ -153,18 +150,17 @@ void PrintHelp(std::ostream& out) {
          "category-bound caches sized by --cache-mb (default 64 MiB);\n"
          "--no-cache turns them off. Answers are byte-identical either\n"
          "way — caching only changes latency.\n"
-         "Distance oracles: 'index' precomputes exact 2-hop hub labels and\n"
-         "stores them in a version-3 binary graph file; --oracle=hublabel\n"
-         "makes the solvers use them for (tight, exact) lower bounds\n"
-         "instead of the landmark/ALT bounds (--oracle=alt, the default).\n"
+         "Lower bounds: 'landmarks' precomputes the landmark (ALT) tables\n"
+         "the solvers bound their searches with (--landmarks, or embedded\n"
+         "in a v4 file); without them every bound is 0.\n"
          "Binary graphs may store a cache-locality reordering; node ids on\n"
          "the command line and in output always refer to original ids.\n"
          "Reorder strategies: none (default), bfs, degree, hybrid.\n"
          "Zero-copy storage: 'convert --format v4' writes the page-aligned\n"
-         "mappable format (optionally embedding hub labels from the input\n"
-         "plus --landmarks/--categories index files); query/batch --mmap\n"
-         "then serve straight out of the page cache with no load-time array\n"
-         "copies, and concurrent processes share the mapped pages. --mmap\n"
+         "mappable format (optionally embedding --landmarks/--categories\n"
+         "index files); query/batch --mmap then serve straight out of the\n"
+         "page cache with no load-time array copies, and concurrent\n"
+         "processes share the mapped pages. --mmap\n"
          "verifies every section checksum at open; --trusted skips that for\n"
          "files you generated yourself, making the open O(1).\n"
          "Algorithms: DA, DA-SPT, BestFirst, IterBound, IterBoundP,\n"
@@ -263,13 +259,10 @@ int CmdConvert(const ParsedArgs& args, std::ostream& out,
   if (reorder.value() != ReorderStrategy::kNone) {
     // Compose on top of any permutation already stored in the input so the
     // output stays addressable by the input's original ids. Stored-layout
-    // indexes (hub labels, landmarks) follow the relabeling; categories
-    // hold original ids and are unaffected.
+    // landmarks follow the relabeling; categories hold original ids and are
+    // unaffected.
     Permutation extra = ComputeReordering(graph, reorder.value());
     graph = ApplyPermutation(graph, extra);
-    if (file.value().hub_labels.has_value()) {
-      file.value().hub_labels = file.value().hub_labels->Remap(extra);
-    }
     if (landmarks.has_value()) landmarks = landmarks->Remap(extra);
     perm = perm.empty() ? std::move(extra)
                         : perm.ComposeWith(extra);
@@ -283,9 +276,6 @@ int CmdConvert(const ParsedArgs& args, std::ostream& out,
     GraphFileSections sections;
     sections.graph = &graph;
     sections.permutation = &perm;
-    if (file.value().hub_labels.has_value()) {
-      sections.hub_labels = &*file.value().hub_labels;
-    }
     if (landmarks.has_value()) sections.landmarks = &*landmarks;
     if (categories.has_value()) sections.categories = &*categories;
     saved = SaveGraphFileV4(sections, out_path.value());
@@ -297,7 +287,6 @@ int CmdConvert(const ParsedArgs& args, std::ostream& out,
       << " (" << graph.NumNodes() << " nodes";
   if (format == "v4") {
     out << ", format: v4 (mappable)";
-    if (file.value().hub_labels.has_value()) out << " +hub-labels";
     if (landmarks.has_value()) out << " +landmarks";
     if (categories.has_value()) out << " +categories";
   }
@@ -367,57 +356,6 @@ int CmdLandmarks(const ParsedArgs& args, std::ostream& out,
   return 0;
 }
 
-int CmdIndex(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
-  Result<std::string> path = args.Require("graph");
-  Result<std::string> out_path = args.Require("out");
-  if (!path.ok()) return Fail(err, path.status());
-  if (!out_path.ok()) return Fail(err, out_path.status());
-  if (EndsWith(out_path.value(), ".gr")) {
-    return Fail(err, Status::InvalidArgument(
-                         "hub labels need a binary output file (DIMACS "
-                         "text cannot store the label section)"));
-  }
-  Result<int64_t> seeds = args.GetInt("seeds", 16);
-  Result<unsigned> threads = api::ParseThreadsFlag(args);
-  if (!seeds.ok()) return Fail(err, seeds.status());
-  if (!threads.ok()) return Fail(err, threads.status());
-  if (seeds.value() < 1) {
-    return Fail(err, Status::InvalidArgument("--seeds must be >= 1"));
-  }
-
-  // Labels are built in (and stored alongside) the file's layout, so a
-  // later `query --graph OUT --oracle hublabel` needs no extra alignment.
-  Result<GraphFile> file = LoadGraph(path.value());
-  if (!file.ok()) return Fail(err, file.status());
-  const Graph& graph = file.value().graph;
-  Timer timer;
-  HubLabelOptions opt;
-  opt.order_seeds = static_cast<uint32_t>(seeds.value());
-  opt.threads = threads.value();
-  double last_progress_s = -1e9;  // First report prints immediately.
-  if (args.Has("verbose")) {
-    // Progress goes to stderr so stdout stays parseable; throttled so huge
-    // graphs don't drown the terminal. The callback never changes what is
-    // built — output is byte-identical with and without it.
-    opt.progress = [&](const char* stage, uint64_t done, uint64_t total) {
-      double now_s = timer.ElapsedSeconds();
-      if (now_s - last_progress_s < 2.0 && done != total) return;
-      last_progress_s = now_s;
-      err << "index: " << stage << " " << done << "/" << total << " ("
-          << timer.ElapsedSeconds() << " s)\n";
-    };
-  }
-  HubLabelIndex index = HubLabelIndex::Build(graph, graph.Reverse(), opt);
-  double build_s = timer.ElapsedSeconds();
-  Status saved = SaveGraphBinary(graph, file.value().permutation, &index,
-                                 out_path.value());
-  if (!saved.ok()) return Fail(err, saved);
-  out << "built hub labels for " << graph.NumNodes() << " nodes in "
-      << build_s << " s (avg " << index.AverageLabelSize()
-      << " entries/node/side) -> " << out_path.value() << "\n";
-  return 0;
-}
-
 int CmdPois(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
   Result<std::string> path = args.Require("graph");
   Result<std::string> out_path = args.Require("out");
@@ -465,19 +403,6 @@ struct QuerySetup {
   explicit QuerySetup(KpjInstance inst) : instance(std::move(inst)) {}
 };
 
-/// Selects the hub-label oracle when --oracle=hublabel asked for it;
-/// shared by the heap-owned and mapped setup paths.
-Status MaybeSelectHubLabelOracle(QuerySetup& setup) {
-  if (setup.config.oracle != OracleKind::kHubLabel) return Status::Ok();
-  Status selected = setup.instance.SelectOracle(OracleKind::kHubLabel);
-  if (!selected.ok()) {
-    return Status::InvalidArgument(
-        "--oracle hublabel needs a graph file with stored hub labels "
-        "(build one with 'kpj_cli index')");
-  }
-  return Status::Ok();
-}
-
 /// The --mmap setup path: zero-copy map of a v4 file. The instance serves
 /// straight out of the page cache — no CSR copy, no Reverse() compute.
 Result<QuerySetup> LoadMappedQuerySetup(const ParsedArgs& args,
@@ -509,7 +434,6 @@ Result<QuerySetup> LoadMappedQuerySetup(const ParsedArgs& args,
         setup.instance.AttachLandmarks(std::move(index).value());
     if (!attached.ok()) return attached;
   }
-  KPJ_RETURN_IF_ERROR(MaybeSelectHubLabelOracle(setup));
   return setup;
 }
 
@@ -540,9 +464,8 @@ Result<QuerySetup> LoadQuerySetup(const ParsedArgs& args) {
   }
 
   // --reorder relabels in memory on top of whatever layout the file stores.
-  // The landmark file and any stored hub labels are aligned with the
-  // file's layout, so they are remapped by the same extra permutation to
-  // stay consistent.
+  // The landmark file is aligned with the file's layout, so it is remapped
+  // by the same extra permutation to stay consistent.
   if (reorder.value() != ReorderStrategy::kNone) {
     Permutation extra =
         ComputeReordering(file.value().graph, reorder.value());
@@ -550,16 +473,11 @@ Result<QuerySetup> LoadQuerySetup(const ParsedArgs& args) {
     if (landmarks.num_landmarks() > 0) {
       landmarks = landmarks.Remap(extra);
     }
-    if (file.value().hub_labels.has_value()) {
-      file.value().hub_labels = file.value().hub_labels->Remap(extra);
-    }
     file.value().permutation =
         file.value().permutation.empty()
             ? extra
             : file.value().permutation.ComposeWith(extra);
   }
-  std::optional<HubLabelIndex> hub_labels =
-      std::move(file.value().hub_labels);
   Result<KpjInstance> instance = KpjInstance::Wrap(
       std::move(file.value().graph), std::move(file.value().permutation));
   if (!instance.ok()) return instance.status();
@@ -569,17 +487,11 @@ Result<QuerySetup> LoadQuerySetup(const ParsedArgs& args) {
     Status attached = setup.instance.AttachLandmarks(std::move(landmarks));
     if (!attached.ok()) return attached;
   }
-  if (hub_labels.has_value()) {
-    Status attached =
-        setup.instance.AttachHubLabels(std::move(hub_labels).value());
-    if (!attached.ok()) return attached;
-  }
   if (file.value().categories.has_value()) {
     Status attached = setup.instance.AttachCategories(
         std::move(*file.value().categories));
     if (!attached.ok()) return attached;
   }
-  KPJ_RETURN_IF_ERROR(MaybeSelectHubLabelOracle(setup));
   return setup;
 }
 
@@ -796,7 +708,6 @@ int RunCli(std::span<const std::string> args, std::ostream& out,
   if (a.command == "convert") return CmdConvert(a, out, err);
   if (a.command == "info") return CmdInfo(a, out, err);
   if (a.command == "landmarks") return CmdLandmarks(a, out, err);
-  if (a.command == "index") return CmdIndex(a, out, err);
   if (a.command == "pois") return CmdPois(a, out, err);
   if (a.command == "query") return CmdQuery(a, out, err);
   if (a.command == "batch") return CmdBatch(a, out, err);

@@ -31,18 +31,15 @@ using api::ParseNodeList;
 ///   info      --graph FILE
 ///   landmarks --graph FILE --out FILE [--count 16] [--seed S]
 ///             [--threads N]
-///   index     --graph FILE --out FILE [--seeds 16] [--threads N]
-///             (exact 2-hop hub labels, stored in a v3 binary graph file)
 ///   pois      --graph FILE --out FILE [--seed S] [--cal]
 ///   query     --graph FILE --source S
 ///             (--targets A,B,C | --categories FILE --category NAME)
 ///             [--k 10]
 ///             [--algorithm NAME] [--landmarks FILE] [--alpha 1.1] [--stats]
-///             [--oracle alt|hublabel]       (which distance oracle to use)
 ///             [--reorder STRAT]             (in-memory, at load time)
 ///             [--threads N] [--deadline-ms MS] [--metrics-json FILE|-]
 ///   batch     --graph FILE --queries FILE [--algorithm NAME]
-///             [--landmarks FILE] [--oracle alt|hublabel] [--threads N]
+///             [--landmarks FILE] [--threads N]
 ///             [--reorder STRAT]
 ///             [--deadline-ms MS] [--metrics-json FILE|-]
 ///             (query file: one `source k target...` line per query)

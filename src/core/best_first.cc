@@ -75,10 +75,8 @@ bool BestFirstFramework::InitializeQuery(const PreparedQuery& query,
     key.kind = SptCacheKind::kRootPath;
     key.epoch = epoch;
     key.source = query.source;
-    key.config = SptCacheConfig(
-        options_.oracle != nullptr, options_.max_active_landmarks,
-        options_.oracle != nullptr ? options_.oracle->kind()
-                                   : OracleKind::kAlt);
+    key.config = SptCacheConfig(options_.oracle != nullptr,
+                                options_.max_active_landmarks);
     key.targets = query.targets;
     if (std::optional<SptCacheValue> cached = spt_cache->Lookup(key)) {
       ++stats->algo.spt_cache_hits;

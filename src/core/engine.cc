@@ -28,7 +28,7 @@ KpjEngine::KpjEngine(const KpjInstance& instance, KpjEngineOptions options)
   // cold default; its other choices fill the grid lazily on first use.
   Algorithm warm = options_.solver.algorithm;
   if (warm == Algorithm::kAuto) {
-    warm = instance_.oracle() != nullptr || options_.solver.oracle != nullptr
+    warm = instance_.landmarks() != nullptr || options_.solver.oracle != nullptr
                ? Algorithm::kIterBoundSptI
                : Algorithm::kIterBoundSptINoLm;
   }

@@ -36,7 +36,7 @@ struct KpjEngineOptions {
   /// milliseconds. 0 disables (queries run to completion).
   double default_deadline_ms = 0.0;
   /// Solver selection and knobs. `solver.oracle` may be left null: the
-  /// instance's selected distance oracle is used (ResolveOptions).
+  /// instance's landmark index is used (ResolveOptions).
   KpjOptions solver;
   /// Slow-query log threshold in milliseconds; queries at or above it are
   /// reported through KPJ_LOG(Warning) with their query id (and, when a

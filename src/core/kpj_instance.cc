@@ -50,9 +50,6 @@ Result<KpjInstance> KpjInstance::LoadMapped(const std::string& path,
   if (b.landmarks.has_value()) {
     KPJ_RETURN_IF_ERROR(instance.AttachLandmarks(std::move(*b.landmarks)));
   }
-  if (b.hub_labels.has_value()) {
-    KPJ_RETURN_IF_ERROR(instance.AttachHubLabels(std::move(*b.hub_labels)));
-  }
   if (b.categories.has_value()) {
     KPJ_RETURN_IF_ERROR(instance.AttachCategories(std::move(*b.categories)));
   }
@@ -69,33 +66,6 @@ Status KpjInstance::AttachLandmarks(LandmarkIndex landmarks) {
   return Status::Ok();
 }
 
-Status KpjInstance::AttachHubLabels(HubLabelIndex labels) {
-  if (labels.num_nodes() != bundle_.graph.NumNodes()) {
-    return Status::InvalidArgument(
-        "hub label index node count does not match graph");
-  }
-  hub_labels_ = std::move(labels);
-  ++epoch_;
-  return Status::Ok();
-}
-
-Status KpjInstance::SelectOracle(OracleKind kind) {
-  switch (kind) {
-    case OracleKind::kAlt:
-      if (!landmarks_) {
-        return Status::FailedPrecondition("no landmark index attached");
-      }
-      break;
-    case OracleKind::kHubLabel:
-      if (!hub_labels_) {
-        return Status::FailedPrecondition("no hub label index attached");
-      }
-      break;
-  }
-  selected_oracle_ = kind;
-  return Status::Ok();
-}
-
 Status KpjInstance::AttachCategories(CategoryIndex categories) {
   if (categories.num_nodes() != bundle_.graph.NumNodes()) {
     return Status::InvalidArgument(
@@ -109,7 +79,7 @@ Status KpjInstance::AttachCategories(CategoryIndex categories) {
 KpjOptions ResolveOptions(const KpjInstance& instance,
                           const KpjOptions& options) {
   KpjOptions resolved = options;
-  if (resolved.oracle == nullptr) resolved.oracle = instance.oracle();
+  if (resolved.oracle == nullptr) resolved.oracle = instance.landmarks();
   return resolved;
 }
 

@@ -12,7 +12,6 @@
 #include "graph/graph.h"
 #include "graph/reorder.h"
 #include "index/category_index.h"
-#include "index/hub_label_index.h"
 #include "index/landmark_index.h"
 #include "util/cancellation.h"
 #include "util/mmap_file.h"
@@ -72,18 +71,9 @@ class KpjInstance {
   /// Fails if its node count does not match the graph.
   Status AttachLandmarks(LandmarkIndex landmarks);
 
-  /// Attaches the hub-label index (internal layout, like the landmarks:
-  /// build it on `graph()` or Remap with `permutation()`). Fails if its
-  /// node count does not match the graph.
-  Status AttachHubLabels(HubLabelIndex labels);
-
   /// Attaches the category index (original ids; see class comment). Fails
   /// if its node count does not match the graph.
   Status AttachCategories(CategoryIndex categories);
-
-  /// Selects which attached oracle `oracle()` resolves to. Fails when the
-  /// requested kind is not attached. Instances start on kAlt (landmarks).
-  Status SelectOracle(OracleKind kind);
 
   const Graph& graph() const { return bundle_.graph; }
   const Graph& reverse() const { return bundle_.reverse; }
@@ -92,22 +82,6 @@ class KpjInstance {
   const LandmarkIndex* landmarks() const {
     return landmarks_ ? &*landmarks_ : nullptr;
   }
-  /// nullptr when not attached.
-  const HubLabelIndex* hub_labels() const {
-    return hub_labels_ ? &*hub_labels_ : nullptr;
-  }
-  /// The selected distance oracle (SelectOracle; defaults to kAlt), or
-  /// nullptr when the selected kind is not attached.
-  const DistanceOracle* oracle() const {
-    switch (selected_oracle_) {
-      case OracleKind::kAlt:
-        return landmarks();
-      case OracleKind::kHubLabel:
-        return hub_labels();
-    }
-    return nullptr;
-  }
-  OracleKind selected_oracle_kind() const { return selected_oracle_; }
   /// nullptr when not attached.
   const CategoryIndex* categories() const {
     return categories_ ? &*categories_ : nullptr;
@@ -140,14 +114,12 @@ class KpjInstance {
   /// for heap-owned instances.
   std::shared_ptr<const MappedGraphFile> mapping_;
   std::optional<LandmarkIndex> landmarks_;
-  std::optional<HubLabelIndex> hub_labels_;
   std::optional<CategoryIndex> categories_;
-  OracleKind selected_oracle_ = OracleKind::kAlt;
   uint64_t epoch_ = 1;
 };
 
 /// Resolves the options a solver for `instance` actually runs with: when
-/// `options.oracle` is null, the instance's selected oracle (if attached)
+/// `options.oracle` is null, the instance's landmark index (if attached)
 /// is used. Engines and the facade share this so pooled solvers and
 /// one-shot solvers always agree.
 KpjOptions ResolveOptions(const KpjInstance& instance,

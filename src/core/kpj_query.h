@@ -7,7 +7,7 @@
 
 #include "core/instrumentation.h"
 #include "core/path.h"
-#include "index/distance_oracle.h"
+#include "index/landmark_index.h"
 #include "util/cancellation.h"
 #include "util/epoch_array.h"
 #include "util/status.h"
@@ -62,14 +62,13 @@ struct KpjOptions {
   /// τ growth factor of the iteratively bounding approaches (Alg. 4
   /// line 9); must be > 1. The paper settles on 1.1 (Fig. 6(b)).
   double alpha = 1.1;
-  /// Offline lower-bound oracle (index/distance_oracle.h): the landmark
-  /// (ALT) index or the hub-label index. May be null (all bounds become 0,
-  /// §6 "Computing without Landmark"). kIterBoundSptINoLm ignores it.
-  const DistanceOracle* oracle = nullptr;
+  /// Offline lower-bound oracle: the landmark (ALT) index of §4.2. May be
+  /// null (all bounds become 0, §6 "Computing without Landmark").
+  /// kIterBoundSptINoLm ignores it.
+  const LandmarkIndex* oracle = nullptr;
   /// Extension: evaluate only the best `max_active_landmarks` landmarks
   /// per query (scored at the query endpoints); 0 evaluates all of them.
   /// Cuts the per-node bound cost at a small pruning-quality cost.
-  /// ALT-specific; exact oracles ignore it.
   uint32_t max_active_landmarks = 0;
 };
 

@@ -215,9 +215,8 @@ PlannerDecision QueryPlanner::Plan(const KpjQuery& query,
     forward_key.kind = SptCacheKind::kForwardSpti;
     forward_key.epoch = epoch;
     forward_key.source = instance_.ToInternal(query.sources[0]);
-    forward_key.config = SptCacheConfig(
-        use_oracle, base_.max_active_landmarks,
-        use_oracle ? base_.oracle->kind() : OracleKind::kAlt);
+    forward_key.config =
+        SptCacheConfig(use_oracle, base_.max_active_landmarks);
     forward_key.targets = targets;
     if (cache->Contains(forward_key)) {
       decision.algorithm = use_oracle ? Algorithm::kIterBoundSptI
@@ -259,8 +258,8 @@ PlannerDecision QueryPlanner::Plan(const KpjQuery& query,
     }
   }
 
-  // 5. Cold path. Features: k, |V_T|, oracle kind, landmark distance
-  // quintile of the source against the rolling scale.
+  // 5. Cold path. Features: k, |V_T|, whether landmarks are attached, the
+  // landmark distance quintile of the source against the rolling scale.
   int quintile = 2;
   if (use_oracle && !targets.empty()) {
     NodeId source = instance_.ToInternal(query.sources[0]);

@@ -122,11 +122,12 @@ struct PlannerOptions {
 
 /// Per-query algorithm planner behind `--algorithm=auto`.
 ///
-/// The cost model reads only cheap observables — k, |V_T|, the oracle
-/// kind, side-effect-free SPT-cache residency probes, the landmark
-/// distance quintile of the source, and the rolling per-algorithm latency
-/// profile — and never looks at the answer, so the choice can only change
-/// *which* solver produces the (byte-identical) paths, never the paths.
+/// The cost model reads only cheap observables — k, |V_T|, whether
+/// landmarks are attached, side-effect-free SPT-cache residency probes,
+/// the landmark distance quintile of the source, and the rolling
+/// per-algorithm latency profile — and never looks at the answer, so the
+/// choice can only change *which* solver produces the (byte-identical)
+/// paths, never the paths.
 ///
 /// Decision ladder, first match wins:
 ///  1. GKPJ (multiple sources) → profile-best cold algorithm; counted as

@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "index/distance_oracle.h"
 #include "sssp/incremental_search.h"
 #include "sssp/spt.h"
 #include "util/types.h"
@@ -64,15 +63,11 @@ struct SptCacheKey {
   }
 };
 
-/// Packs the heuristic configuration bits of a cache key. The oracle kind
-/// participates so cached heap state (whose keys embed heuristic values)
-/// never crosses oracles; without an oracle the kind bits are forced to 0
-/// so the no-oracle config stays identical to the pre-oracle layout.
-inline uint32_t SptCacheConfig(bool use_oracle, uint32_t max_active,
-                               OracleKind kind = OracleKind::kAlt) {
-  return (use_oracle ? 1u : 0u) |
-         (use_oracle ? static_cast<uint32_t>(kind) << 1 : 0u) |
-         (max_active << 3);
+/// Packs the heuristic configuration bits of a cache key, so cached heap
+/// state (whose keys embed heuristic values) never crosses heuristic
+/// configurations. Bits 1-2 are always zero.
+inline uint32_t SptCacheConfig(bool use_oracle, uint32_t max_active) {
+  return (use_oracle ? 1u : 0u) | (max_active << 3);
 }
 
 /// Cached initial shortest path of the best-first framework: the suffix

@@ -207,9 +207,7 @@ KpjResult IterBoundSptiSolver::Run(const PreparedQuery& query) {
     key.epoch = epoch;
     key.source = query.source;
     const bool use_oracle = use_landmarks_ && options_.oracle != nullptr;
-    key.config = SptCacheConfig(
-        use_oracle, options_.max_active_landmarks,
-        use_oracle ? options_.oracle->kind() : OracleKind::kAlt);
+    key.config = SptCacheConfig(use_oracle, options_.max_active_landmarks);
     key.targets = query.targets;
     if (std::optional<SptCacheValue> cached = spt_cache->Lookup(key)) {
       spti_.RestoreSnapshot(*cached->snapshot);

@@ -48,10 +48,8 @@ bool IterBoundSptpSolver::InitializeQuery(const PreparedQuery& query,
     key.kind = SptCacheKind::kReverseSptp;
     key.epoch = epoch;
     key.source = query.source;
-    key.config = SptCacheConfig(
-        options_.oracle != nullptr, options_.max_active_landmarks,
-        options_.oracle != nullptr ? options_.oracle->kind()
-                                   : OracleKind::kAlt);
+    key.config = SptCacheConfig(options_.oracle != nullptr,
+                                options_.max_active_landmarks);
     key.targets = query.targets;
     if (std::optional<SptCacheValue> hit = spt_cache->Lookup(key)) {
       sptp_.RestoreSnapshot(*hit->snapshot);

@@ -15,15 +15,17 @@ namespace {
 constexpr uint64_t kMagic = 0x4b504a4752503031ULL;  // "KPJGRP01"
 constexpr uint32_t kVersionBare = 1;      // CSR only
 constexpr uint32_t kVersionPermuted = 2;  // CSR + permutation section
-// CSR + has-permutation flag + optional permutation + checksummed
-// hub-label section (index/hub_label_index.h stream format).
-constexpr uint32_t kVersionHubLabels = 3;
+// Version 3 (CSR + permutation + a hub-label section) is retired: files
+// carrying it fail to load as an unsupported version.
 // Page-aligned section directory (util/mmap_file.h) designed for
 // zero-copy mmap loading. See docs/FORMATS.md for the layout.
 constexpr uint32_t kVersionMapped = 4;
 
 // v4 section kinds. Values are part of the on-disk format — never reuse
 // or renumber; unknown kinds are ignored on load (forward compatibility).
+// Kinds 7-11 and 21 are reserved: they held the retired hub-label arrays
+// and checksum, and files that still carry them open with those sections
+// skipped.
 enum GraphSectionKind : uint32_t {
   kSecFwdOffsets = 1,       // EdgeId[n+1]
   kSecFwdAdj = 2,           // OutEdge[m]
@@ -31,11 +33,7 @@ enum GraphSectionKind : uint32_t {
   kSecRevAdj = 4,           // OutEdge[m]
   kSecPermOldToNew = 5,     // NodeId[n]
   kSecPermNewToOld = 6,     // NodeId[n]
-  kSecHlRank = 7,           // uint32[n]
-  kSecHlInOffsets = 8,      // uint64[n+1]
-  kSecHlOutOffsets = 9,     // uint64[n+1]
-  kSecHlInEntries = 10,     // HubLabelIndex::Entry[...]
-  kSecHlOutEntries = 11,    // HubLabelIndex::Entry[...]
+  // 7-11: reserved (retired hub-label arrays).
   kSecLandmarkIds = 12,     // NodeId[L]
   kSecLmDistFrom = 13,      // uint32[n*L], node-major
   kSecLmDistTo = 14,        // uint32[n*L]
@@ -45,7 +43,7 @@ enum GraphSectionKind : uint32_t {
   kSecCatNodes = 18,        // NodeId[...], per-category sorted node sets
   kSecCatOfNodeOffsets = 19,  // uint64[n+1]
   kSecCatOfNodeEntries = 20,  // CategoryId[...], per-node sorted categories
-  kSecHlChecksum = 21,      // uint64[1], hub-label content checksum
+  // 21: reserved (retired hub-label checksum).
 };
 
 template <typename T>
@@ -92,46 +90,20 @@ Status SaveGraphBinary(const Graph& graph, const std::string& path) {
 
 Status SaveGraphBinary(const Graph& graph, const Permutation& permutation,
                        const std::string& path) {
-  return SaveGraphBinary(graph, permutation, /*hub_labels=*/nullptr, path);
-}
-
-Status SaveGraphBinary(const Graph& graph, const Permutation& permutation,
-                       const HubLabelIndex* hub_labels,
-                       const std::string& path) {
   const bool store_perm = !permutation.empty() && !permutation.IsIdentity();
   if (store_perm && permutation.size() != graph.NumNodes()) {
     return Status::InvalidArgument(
         "permutation size does not match graph node count");
   }
-  const bool store_labels = hub_labels != nullptr;
-  if (store_labels && hub_labels->num_nodes() != graph.NumNodes()) {
-    return Status::InvalidArgument(
-        "hub label index node count does not match graph");
-  }
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return Status::IoError("cannot open " + path + " for writing");
-  // Label-free files keep their historical v1/v2 bytes exactly; only a
-  // stored label index moves the file to version 3.
-  uint32_t version = store_labels ? kVersionHubLabels
-                     : store_perm ? kVersionPermuted
-                                  : kVersionBare;
+  const uint32_t version = store_perm ? kVersionPermuted : kVersionBare;
   if (!WritePod(out, kMagic) || !WritePod(out, version) ||
       !WriteVec(out, graph.offsets()) || !WriteVec(out, graph.adjacency())) {
     return Status::IoError("write failed for " + path);
   }
-  if (version == kVersionHubLabels) {
-    uint8_t has_perm = store_perm ? 1 : 0;
-    if (!WritePod(out, has_perm)) {
-      return Status::IoError("write failed for " + path);
-    }
-  }
   if (store_perm && !WriteVec(out, permutation.old_to_new())) {
     return Status::IoError("write failed for " + path);
-  }
-  if (store_labels) {
-    Status labels = hub_labels->SaveToStream(out);
-    if (!labels.ok()) return labels;
-    if (!out) return Status::IoError("write failed for " + path);
   }
   return Status::Ok();
 }
@@ -153,8 +125,7 @@ Result<GraphFile> LoadGraphFile(const std::string& path) {
     in.close();
     return LoadV4Owned(path);
   }
-  if (version != kVersionBare && version != kVersionPermuted &&
-      version != kVersionHubLabels) {
+  if (version != kVersionBare && version != kVersionPermuted) {
     return Status::Corruption(path + ": unsupported version");
   }
   std::vector<EdgeId> offsets;
@@ -179,15 +150,7 @@ Result<GraphFile> LoadGraphFile(const std::string& path) {
   }
 
   GraphFile file;
-  bool read_perm = version == kVersionPermuted;
-  if (version == kVersionHubLabels) {
-    uint8_t has_perm = 0;
-    if (!ReadPod(in, has_perm) || has_perm > 1) {
-      return Status::Corruption(path + ": bad permutation flag");
-    }
-    read_perm = has_perm == 1;
-  }
-  if (read_perm) {
+  if (version == kVersionPermuted) {
     std::vector<NodeId> old_to_new;
     if (!ReadVec(in, old_to_new, kMax)) {
       return Status::Corruption(path + ": truncated permutation");
@@ -200,16 +163,6 @@ Result<GraphFile> LoadGraphFile(const std::string& path) {
       return Status::Corruption(path + ": " + perm.status().message());
     }
     file.permutation = std::move(perm).value();
-  }
-  if (version == kVersionHubLabels) {
-    Result<HubLabelIndex> labels = HubLabelIndex::LoadFromStream(in);
-    if (!labels.ok()) {
-      return Status::Corruption(path + ": " + labels.status().message());
-    }
-    if (labels.value().num_nodes() != n) {
-      return Status::Corruption(path + ": hub label node count mismatch");
-    }
-    file.hub_labels = std::move(labels).value();
   }
   file.graph = Graph(std::move(offsets), std::move(adj));
   return file;
@@ -245,11 +198,6 @@ std::string GraphSectionKindName(uint32_t kind) {
     case kSecRevAdj: return "reverse.adjacency";
     case kSecPermOldToNew: return "permutation.old_to_new";
     case kSecPermNewToOld: return "permutation.new_to_old";
-    case kSecHlRank: return "hub_labels.rank_of_node";
-    case kSecHlInOffsets: return "hub_labels.in_offsets";
-    case kSecHlOutOffsets: return "hub_labels.out_offsets";
-    case kSecHlInEntries: return "hub_labels.in_entries";
-    case kSecHlOutEntries: return "hub_labels.out_entries";
     case kSecLandmarkIds: return "landmarks.ids";
     case kSecLmDistFrom: return "landmarks.dist_from";
     case kSecLmDistTo: return "landmarks.dist_to";
@@ -259,7 +207,6 @@ std::string GraphSectionKindName(uint32_t kind) {
     case kSecCatNodes: return "categories.nodes";
     case kSecCatOfNodeOffsets: return "categories.of_node_offsets";
     case kSecCatOfNodeEntries: return "categories.of_node_entries";
-    case kSecHlChecksum: return "hub_labels.checksum";
     default: return "";
   }
 }
@@ -276,7 +223,7 @@ Status SaveGraphFileV4(const GraphFileSections& sections,
   const NodeId n = graph.NumNodes();
 
   // The reverse CSR is stored so mapped loads never recompute it — that
-  // recomputation (O(m) + per-node sorts) is most of a v3 load.
+  // recomputation (O(m) + per-node sorts) is most of a v2 load.
   Graph computed_reverse;
   const Graph* reverse = sections.reverse;
   if (reverse == nullptr) {
@@ -303,24 +250,6 @@ Status SaveGraphFileV4(const GraphFileSections& sections,
     }
     writer.AddSection<NodeId>(kSecPermOldToNew, perm->old_to_new());
     writer.AddSection<NodeId>(kSecPermNewToOld, perm->new_to_old());
-  }
-
-  uint64_t hl_checksum = 0;  // must outlive WriteTo (sections keep spans)
-  if (sections.hub_labels != nullptr) {
-    const HubLabelIndex& hl = *sections.hub_labels;
-    if (hl.num_nodes() != n) {
-      return Status::InvalidArgument(
-          "hub label index node count does not match graph");
-    }
-    writer.AddSection<uint32_t>(kSecHlRank, hl.rank_of_node());
-    writer.AddSection<uint64_t>(kSecHlInOffsets, hl.in_offsets());
-    writer.AddSection<uint64_t>(kSecHlOutOffsets, hl.out_offsets());
-    writer.AddSection<HubLabelIndex::Entry>(kSecHlInEntries, hl.in_entries());
-    writer.AddSection<HubLabelIndex::Entry>(kSecHlOutEntries,
-                                            hl.out_entries());
-    hl_checksum = hl.Checksum();
-    writer.AddSection<uint64_t>(kSecHlChecksum,
-                                std::span<const uint64_t>(&hl_checksum, 1));
   }
 
   if (sections.landmarks != nullptr) {
@@ -471,32 +400,6 @@ Result<MappedGraphBundle> MapGraphFile(const std::string& path,
     bundle.permutation = Permutation::Borrowed(old_to_new, new_to_old);
   }
 
-  if (file->FindSection(kSecHlRank) != nullptr) {
-    std::span<const uint32_t> rank;
-    std::span<const uint64_t> in_offsets, out_offsets, checksum;
-    std::span<const HubLabelIndex::Entry> in_entries, out_entries;
-    KPJ_RETURN_IF_ERROR(require(kSecHlRank, rank));
-    KPJ_RETURN_IF_ERROR(require(kSecHlInOffsets, in_offsets));
-    KPJ_RETURN_IF_ERROR(require(kSecHlOutOffsets, out_offsets));
-    KPJ_RETURN_IF_ERROR(require(kSecHlInEntries, in_entries));
-    KPJ_RETURN_IF_ERROR(require(kSecHlOutEntries, out_entries));
-    KPJ_RETURN_IF_ERROR(require(kSecHlChecksum, checksum));
-    if (checksum.size() != 1) {
-      return Status::Corruption(path + ": malformed hub-label checksum");
-    }
-    Result<HubLabelIndex> labels = HubLabelIndex::FromParts(
-        n, ArrayRef<uint32_t>::Borrowed(rank),
-        ArrayRef<uint64_t>::Borrowed(in_offsets),
-        ArrayRef<HubLabelIndex::Entry>::Borrowed(in_entries),
-        ArrayRef<uint64_t>::Borrowed(out_offsets),
-        ArrayRef<HubLabelIndex::Entry>::Borrowed(out_entries), checksum[0],
-        validate);
-    if (!labels.ok()) {
-      return Status::Corruption(path + ": " + labels.status().message());
-    }
-    bundle.hub_labels = std::move(labels).value();
-  }
-
   if (file->FindSection(kSecLandmarkIds) != nullptr) {
     std::span<const NodeId> landmark_ids;
     std::span<const uint32_t> dist_from, dist_to;
@@ -560,22 +463,6 @@ Result<GraphFile> LoadV4Owned(const std::string& path) {
       return Status::Corruption(path + ": " + perm.status().message());
     }
     file.permutation = std::move(perm).value();
-  }
-  if (bundle.hub_labels.has_value()) {
-    const HubLabelIndex& hl = *bundle.hub_labels;
-    auto own = [](auto span) {
-      return std::vector<typename decltype(span)::value_type>(span.begin(),
-                                                              span.end());
-    };
-    // Already validated by the verified map above; skip re-validation.
-    Result<HubLabelIndex> owned = HubLabelIndex::FromParts(
-        hl.num_nodes(), own(hl.rank_of_node()), own(hl.in_offsets()),
-        own(hl.in_entries()), own(hl.out_offsets()), own(hl.out_entries()),
-        hl.Checksum(), /*validate=*/false);
-    if (!owned.ok()) {
-      return Status::Corruption(path + ": " + owned.status().message());
-    }
-    file.hub_labels = std::move(owned).value();
   }
   if (bundle.landmarks.has_value()) {
     const LandmarkIndex& lm = *bundle.landmarks;

@@ -8,7 +8,6 @@
 #include "graph/graph.h"
 #include "graph/reorder.h"
 #include "index/category_index.h"
-#include "index/hub_label_index.h"
 #include "index/landmark_index.h"
 #include "util/mmap_file.h"
 #include "util/status.h"
@@ -16,7 +15,7 @@
 namespace kpj {
 
 /// A graph loaded from disk together with the node-id permutation stored
-/// alongside it (empty when the file carries none) and, for version-3+
+/// alongside it (empty when the file carries none) and, for version-4
 /// files, any precomputed indexes. When a permutation is present the CSR
 /// is in the relabeled (cache-optimized) layout and `permutation` maps
 /// original ids to that layout, so preprocessed graphs stay addressable by
@@ -26,7 +25,6 @@ namespace kpj {
 struct GraphFile {
   Graph graph;
   Permutation permutation;
-  std::optional<HubLabelIndex> hub_labels;
   std::optional<LandmarkIndex> landmarks;    // v4 files only
   std::optional<CategoryIndex> categories;   // v4 files only
 };
@@ -47,20 +45,11 @@ Status SaveGraphBinary(const Graph& graph, const std::string& path);
 Status SaveGraphBinary(const Graph& graph, const Permutation& permutation,
                        const std::string& path);
 
-/// Saves `graph`, the permutation, and a prebuilt hub-label index (`kpj
-/// index` output). The label index must be in the stored layout and match
-/// the node count. Writes a version-3 file: version-2 layout (with an
-/// explicit has-permutation flag) followed by a checksummed hub-label
-/// section. Without labels this degrades to the overloads above (v1/v2
-/// bytes, unchanged).
-Status SaveGraphBinary(const Graph& graph, const Permutation& permutation,
-                       const HubLabelIndex* hub_labels,
-                       const std::string& path);
-
-/// Loads a version-1, -2 or -3 file, returning the stored permutation
-/// (empty for version 1) and hub labels (version 3 only). Validates magic,
-/// version, structural invariants, that any permutation is a bijection of
-/// the right size, and the hub-label section's checksum.
+/// Loads a version-1, -2 or -4 file, returning the stored permutation
+/// (empty for version 1) and, for version 4, the stored indexes. Validates
+/// magic, version, structural invariants, and that any permutation is a
+/// bijection of the right size. Version 3 is retired and fails as an
+/// unsupported version.
 Result<GraphFile> LoadGraphFile(const std::string& path);
 
 /// Loads just the graph, discarding any stored permutation. Node ids are
@@ -69,18 +58,18 @@ Result<GraphFile> LoadGraphFile(const std::string& path);
 Result<Graph> LoadGraphBinary(const std::string& path);
 
 /// Loads a graph by file extension — the convention every tool shares:
-/// ".gr" parses DIMACS text (never a permutation or labels), anything
+/// ".gr" parses DIMACS text (never a permutation or indexes), anything
 /// else reads the binary format via LoadGraphFile.
 Result<GraphFile> LoadGraphAuto(const std::string& path);
 
 // ------------------------------------------------------------------ v4 ---
 // Version 4 is the zero-copy format: a page-aligned section directory
 // (util/mmap_file.h) where every large array — forward AND reverse CSR,
-// both permutation directions, hub-label arrays, landmark tables, category
-// CSR — is an individually checksummed section whose on-disk bytes are the
-// in-memory representation. MapGraphFile borrows spans straight out of the
-// mapping; LoadGraphFile transparently deep-copies v4 files so every
-// existing tool can read them.
+// both permutation directions, landmark tables, category CSR — is an
+// individually checksummed section whose on-disk bytes are the in-memory
+// representation. MapGraphFile borrows spans straight out of the mapping;
+// LoadGraphFile transparently deep-copies v4 files so every existing tool
+// can read them.
 
 /// What to put in a v4 file. `graph` is required. `reverse` may be null —
 /// it is computed at save time (stored so mapped loads never pay the
@@ -90,7 +79,6 @@ struct GraphFileSections {
   const Graph* graph = nullptr;
   const Graph* reverse = nullptr;
   const Permutation* permutation = nullptr;
-  const HubLabelIndex* hub_labels = nullptr;
   const LandmarkIndex* landmarks = nullptr;
   const CategoryIndex* categories = nullptr;
 };
@@ -107,7 +95,6 @@ struct MappedGraphBundle {
   Graph graph;
   Graph reverse;
   Permutation permutation;
-  std::optional<HubLabelIndex> hub_labels;
   std::optional<LandmarkIndex> landmarks;
   std::optional<CategoryIndex> categories;
 };

@@ -207,8 +207,10 @@ Result<CategoryIndex> CategoryIndex::FromParts(
     return Status::Corruption("category section: offsets/entries disagree");
   }
 
-  CategoryIndex index(num_nodes);
-  index.categories_by_node_.clear();  // frozen mode uses the CSR arrays
+  // Frozen mode reads the CSR arrays, so no per-node vectors are built:
+  // a trusted mapped open stays O(1) in the node count.
+  CategoryIndex index;
+  index.num_nodes_ = num_nodes;
   index.names_.reserve(num_categories);
   for (size_t c = 0; c < num_categories; ++c) {
     if (name_offsets[c] > name_offsets[c + 1]) {

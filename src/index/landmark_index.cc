@@ -7,7 +7,7 @@
 #include "sssp/monotone_dijkstra.h"
 #include "util/logging.h"
 #include "util/concurrency.h"
-#include "util/parallel.h"
+#include "util/thread_pool.h"
 #include "util/rng.h"
 
 namespace kpj {
@@ -95,8 +95,9 @@ LandmarkIndex LandmarkIndex::Build(const Graph& graph,
     std::unique_ptr<MonotoneDijkstra> forward;
     std::unique_ptr<MonotoneDijkstra> backward;
   };
-  std::vector<Workspace> workspaces(EffectiveWorkers(options.threads));
-  ParallelFor(actual_count, options.threads, [&](size_t l, unsigned worker) {
+  const unsigned workers = EffectiveWorkers(options.threads);
+  std::vector<Workspace> workspaces(workers);
+  auto fill = [&](size_t l, unsigned worker) {
     Workspace& ws = workspaces[worker];
     if (ws.backward == nullptr) {
       ws.backward = std::make_unique<MonotoneDijkstra>(reverse_graph);
@@ -113,7 +114,12 @@ LandmarkIndex LandmarkIndex::Build(const Graph& graph,
             Narrow(ws.forward->Distance(v));
       }
     }
-  });
+  };
+  if (workers == 1) {
+    for (size_t l = 0; l < actual_count; ++l) fill(l, 0);
+  } else {
+    ThreadPool(workers).ParallelFor(actual_count, fill);
+  }
   const uint32_t actual = static_cast<uint32_t>(index.landmarks_.size());
   if (actual == num) {
     index.dist_from_ = std::move(from_table);
@@ -168,7 +174,6 @@ uint64_t LandmarkIndex::Identity() const {
       h = (h ^ ((value >> (8 * i)) & 0xff)) * kPrime;
     }
   };
-  mix(static_cast<uint64_t>(kind()));
   mix(num_nodes_);
   mix(landmarks_.size());
   for (NodeId l : landmarks_) mix(l);
@@ -177,7 +182,7 @@ uint64_t LandmarkIndex::Identity() const {
 
 PathLength LandmarkIndex::LowerBound(NodeId u, NodeId v) const {
   // Virtual nodes (GKPJ super-source) are outside the tables; 0 is the
-  // only admissible bound for them (DistanceOracle contract).
+  // only admissible bound for them.
   if (u >= num_nodes_ || v >= num_nodes_) return 0;
   if (u == v) return 0;
   PathLength best = 0;

@@ -2,14 +2,12 @@
 #define KPJ_INDEX_LANDMARK_INDEX_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "graph/graph.h"
 #include "graph/reorder.h"
-#include "index/distance_oracle.h"
 #include "util/array_ref.h"
 #include "util/status.h"
 #include "util/types.h"
@@ -55,7 +53,7 @@ struct LandmarkIndexOptions {
 ///
 /// Construction is O(|L| (m + n log n)); storage O(|L| n) — both as stated
 /// in the paper's "Remarks & Time Complexity".
-class LandmarkIndex final : public DistanceOracle {
+class LandmarkIndex {
  public:
   /// Builds the index. `reverse_graph` must be `graph.Reverse()` (passed in
   /// so callers can reuse an already-built reverse graph).
@@ -70,20 +68,14 @@ class LandmarkIndex final : public DistanceOracle {
   }
   const std::vector<NodeId>& landmarks() const { return landmarks_; }
 
-  // DistanceOracle interface -------------------------------------------
-  OracleKind kind() const override { return OracleKind::kAlt; }
-  NodeId num_nodes() const override { return num_nodes_; }
-  /// FNV-1a over the landmark set and table shape — cheap (O(|L|)) and
-  /// distinct across differently-built indexes with overwhelming
-  /// probability (different landmark node sets).
-  uint64_t Identity() const override;
-  std::shared_ptr<const SetAggregates> ComputeSetAggregates(
-      std::span<const NodeId> set, BoundDirection direction) const override;
-  std::unique_ptr<Heuristic> MakeSetBound(
-      std::shared_ptr<const SetAggregates> aggregates,
-      BoundDirection direction, NodeId scoring_node,
-      uint32_t max_active) const override;
-  // ---------------------------------------------------------------------
+  NodeId num_nodes() const { return num_nodes_; }
+
+  /// Cache-key fingerprint: FNV-1a over the landmark set and table shape —
+  /// cheap (O(|L|)) and distinct across differently-built indexes with
+  /// overwhelming probability (different landmark node sets). Mixed into
+  /// TargetBoundCache keys so set aggregates computed from one index are
+  /// never served to another.
+  uint64_t Identity() const;
 
   /// δ(landmark_l, v); kInfLength if unreachable.
   PathLength DistFromLandmark(uint32_t l, NodeId v) const {
@@ -96,8 +88,10 @@ class LandmarkIndex final : public DistanceOracle {
   }
 
   /// Lower bound on the point-to-point shortest distance dist(u, v).
-  /// Returns kInfLength when the tables prove v unreachable from u.
-  PathLength LowerBound(NodeId u, NodeId v) const override;
+  /// Returns kInfLength when the tables prove v unreachable from u, and 0
+  /// when either node is virtual (>= num_nodes(); GKPJ super-sources attach
+  /// via zero-weight arcs, so no other bound is admissible).
+  PathLength LowerBound(NodeId u, NodeId v) const;
 
   /// Returns a copy of this index with every node id mapped through
   /// `permutation` (old id -> new id): landmark ids are translated and the

@@ -129,28 +129,10 @@ PathLength LandmarkSetBound::Estimate(NodeId u) const {
   return best;
 }
 
-std::shared_ptr<const SetAggregates> LandmarkIndex::ComputeSetAggregates(
-    std::span<const NodeId> set, BoundDirection direction) const {
-  return LandmarkSetBound::ComputeAggregates(*this, set, direction);
-}
-
-std::unique_ptr<Heuristic> LandmarkIndex::MakeSetBound(
-    std::shared_ptr<const SetAggregates> aggregates, BoundDirection direction,
-    NodeId scoring_node, uint32_t max_active) const {
-  KPJ_CHECK(aggregates != nullptr);
-  // The cache keys aggregates by Identity(), so anything handed back here
-  // was produced by this oracle's ComputeSetAggregates.
-  return std::make_unique<LandmarkSetBound>(
-      this,
-      std::static_pointer_cast<const LandmarkSetAggregates>(
-          std::move(aggregates)),
-      direction, scoring_node, max_active);
-}
-
 size_t TargetBoundCache::KeyHash::operator()(const Key& key) const {
   size_t h = 14695981039346656037ull;
   constexpr size_t kPrime = 1099511628211ull;
-  h = (h ^ key.oracle) * kPrime;
+  h = (h ^ key.index) * kPrime;
   h = (h ^ key.epoch) * kPrime;
   h = (h ^ static_cast<size_t>(key.direction)) * kPrime;
   for (NodeId x : key.set) h = (h ^ x) * kPrime;
@@ -161,14 +143,14 @@ TargetBoundCache::TargetBoundCache(size_t budget_bytes)
     : budget_bytes_(budget_bytes) {}
 
 size_t TargetBoundCache::EntryBytes(const Key& key,
-                                    const SetAggregates& agg) {
+                                    const LandmarkSetAggregates& agg) {
   return 2 * key.set.capacity() * sizeof(NodeId) + agg.MemoryBytes() + 128;
 }
 
-std::shared_ptr<const SetAggregates> TargetBoundCache::Lookup(
-    uint64_t oracle_identity, uint64_t epoch, BoundDirection direction,
+std::shared_ptr<const LandmarkSetAggregates> TargetBoundCache::Lookup(
+    uint64_t index_identity, uint64_t epoch, BoundDirection direction,
     std::span<const NodeId> set) {
-  Key key{oracle_identity, epoch, direction,
+  Key key{index_identity, epoch, direction,
           std::vector<NodeId>(set.begin(), set.end())};
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
@@ -182,11 +164,11 @@ std::shared_ptr<const SetAggregates> TargetBoundCache::Lookup(
 }
 
 void TargetBoundCache::Insert(
-    uint64_t oracle_identity, uint64_t epoch, BoundDirection direction,
+    uint64_t index_identity, uint64_t epoch, BoundDirection direction,
     std::span<const NodeId> set,
-    std::shared_ptr<const SetAggregates> aggregates) {
+    std::shared_ptr<const LandmarkSetAggregates> aggregates) {
   KPJ_CHECK(aggregates != nullptr);
-  Key key{oracle_identity, epoch, direction,
+  Key key{index_identity, epoch, direction,
           std::vector<NodeId>(set.begin(), set.end())};
   size_t bytes = EntryBytes(key, *aggregates);
   std::lock_guard<std::mutex> lock(mu_);
@@ -242,26 +224,26 @@ void TargetBoundCache::ResetStats() {
 }
 
 std::unique_ptr<Heuristic> MakeCachedSetBound(
-    const DistanceOracle* oracle, std::span<const NodeId> set,
+    const LandmarkIndex* index, std::span<const NodeId> set,
     BoundDirection direction, NodeId scoring_node, uint32_t max_active,
     TargetBoundCache* cache, uint64_t epoch, AlgoStats* algo) {
-  KPJ_CHECK(oracle != nullptr);
-  std::shared_ptr<const SetAggregates> agg;
+  KPJ_CHECK(index != nullptr);
+  std::shared_ptr<const LandmarkSetAggregates> agg;
   if (cache == nullptr) {
-    agg = oracle->ComputeSetAggregates(set, direction);
+    agg = LandmarkSetBound::ComputeAggregates(*index, set, direction);
   } else {
-    const uint64_t identity = oracle->Identity();
+    const uint64_t identity = index->Identity();
     agg = cache->Lookup(identity, epoch, direction, set);
     if (agg != nullptr) {
       if (algo != nullptr) ++algo->bound_cache_hits;
     } else {
       if (algo != nullptr) ++algo->bound_cache_misses;
-      agg = oracle->ComputeSetAggregates(set, direction);
+      agg = LandmarkSetBound::ComputeAggregates(*index, set, direction);
       cache->Insert(identity, epoch, direction, set, agg);
     }
   }
-  return oracle->MakeSetBound(std::move(agg), direction, scoring_node,
-                              max_active);
+  return std::make_unique<LandmarkSetBound>(index, std::move(agg), direction,
+                                            scoring_node, max_active);
 }
 
 }  // namespace kpj

@@ -12,23 +12,33 @@
 #include <vector>
 
 #include "core/instrumentation.h"
-#include "index/distance_oracle.h"
 #include "index/landmark_index.h"
 #include "sssp/astar.h"
 #include "util/types.h"
 
 namespace kpj {
 
+/// Direction of a node-to-set distance bound.
+enum class BoundDirection {
+  /// Bound on dist(u, S) = min over x in S of dist(u, x). This is the
+  /// paper's lb(u, V_T) of Eq. (2): the set is the destination category.
+  kToSet,
+  /// Bound on dist(S, u) = min over x in S of dist(x, u). Used by the
+  /// reverse-oriented SPT_I search (bounding distance *from* the source
+  /// side, §5.3/§6) and by GKPJ's multi-node source.
+  kFromSet,
+};
+
 /// Per-landmark distance aggregates over a fixed node set — the O(|L|*|S|)
 /// part of building a LandmarkSetBound, and a pure function of (landmark
 /// tables, set, direction). Shareable across queries hitting the same
-/// category: see TargetBoundCache. (BoundDirection itself lives in
-/// index/distance_oracle.h with the oracle interface.)
-struct LandmarkSetAggregates final : SetAggregates {
+/// category: see TargetBoundCache.
+struct LandmarkSetAggregates {
   std::vector<PathLength> min_primary;   // kToSet: min_x δ(w,x); kFromSet: min_x δ(x,w)
   std::vector<PathLength> max_secondary; // kToSet: max_x δ(x,w); kFromSet: max_x δ(w,x)
 
-  size_t MemoryBytes() const override {
+  /// Approximate resident size, for cache byte accounting.
+  size_t MemoryBytes() const {
     return sizeof(LandmarkSetAggregates) +
            (min_primary.capacity() + max_secondary.capacity()) *
                sizeof(PathLength);
@@ -47,7 +57,12 @@ struct LandmarkSetAggregates final : SetAggregates {
 /// For kFromSet the roles of the tables swap symmetrically.
 ///
 /// Estimate returns kInfLength when the tables prove the set unreachable.
-/// A set member always gets a bound of 0.
+/// A set member always gets a bound of 0, and so does a virtual node
+/// (>= num_nodes(), e.g. the GKPJ super-source). The bound is consistent
+/// along edges of the forward (kToSet) resp. reverse (kFromSet) graph, and
+/// a pure function of (index, set, direction, scoring_node, max_active):
+/// equal inputs give byte-identical bounds, which is what makes
+/// cross-query caching and the engine's determinism guarantees sound.
 class LandmarkSetBound final : public Heuristic {
  public:
   /// An empty `index` (zero landmarks) yields all-zero bounds: this is the
@@ -112,13 +127,12 @@ struct TargetBoundCacheStats {
   size_t entries = 0;
 };
 
-/// LRU cache of SetAggregates keyed by (oracle identity, epoch, direction,
-/// node set) — the category-bound cache: repeated KPJ queries against the
-/// same POI category pay the per-set aggregation once. Thread-safe. The
-/// oracle's Identity() is part of the key, so aggregates computed by one
-/// oracle (or one oracle's contents) are never served to another. Epoch
-/// invalidation is lazy (the epoch is part of the key) plus eager via
-/// PurgeOlderEpochs.
+/// LRU cache of LandmarkSetAggregates keyed by (index identity, epoch,
+/// direction, node set) — the category-bound cache: repeated KPJ queries
+/// against the same POI category pay the per-set aggregation once.
+/// Thread-safe. LandmarkIndex::Identity() is part of the key, so aggregates
+/// computed from one index are never served to another. Epoch invalidation
+/// is lazy (the epoch is part of the key) plus eager via PurgeOlderEpochs.
 class TargetBoundCache {
  public:
   explicit TargetBoundCache(size_t budget_bytes);
@@ -126,14 +140,13 @@ class TargetBoundCache {
   TargetBoundCache(const TargetBoundCache&) = delete;
   TargetBoundCache& operator=(const TargetBoundCache&) = delete;
 
-  std::shared_ptr<const SetAggregates> Lookup(uint64_t oracle_identity,
-                                              uint64_t epoch,
-                                              BoundDirection direction,
-                                              std::span<const NodeId> set);
+  std::shared_ptr<const LandmarkSetAggregates> Lookup(
+      uint64_t index_identity, uint64_t epoch, BoundDirection direction,
+      std::span<const NodeId> set);
 
-  void Insert(uint64_t oracle_identity, uint64_t epoch,
+  void Insert(uint64_t index_identity, uint64_t epoch,
               BoundDirection direction, std::span<const NodeId> set,
-              std::shared_ptr<const SetAggregates> aggregates);
+              std::shared_ptr<const LandmarkSetAggregates> aggregates);
 
   /// Eagerly removes every entry older than `current_epoch`; removals
   /// count as evictions.
@@ -144,7 +157,7 @@ class TargetBoundCache {
 
  private:
   struct Key {
-    uint64_t oracle;  // DistanceOracle::Identity()
+    uint64_t index;  // LandmarkIndex::Identity()
     uint64_t epoch;
     BoundDirection direction;
     std::vector<NodeId> set;
@@ -153,10 +166,10 @@ class TargetBoundCache {
   struct KeyHash {
     size_t operator()(const Key& key) const;
   };
-  using LruList =
-      std::list<std::pair<Key, std::shared_ptr<const SetAggregates>>>;
+  using LruList = std::list<
+      std::pair<Key, std::shared_ptr<const LandmarkSetAggregates>>>;
 
-  static size_t EntryBytes(const Key& key, const SetAggregates& agg);
+  static size_t EntryBytes(const Key& key, const LandmarkSetAggregates& agg);
 
   size_t budget_bytes_;
   mutable std::mutex mu_;
@@ -168,14 +181,14 @@ class TargetBoundCache {
   std::atomic<uint64_t> evictions_{0};
 };
 
-/// Builds the oracle's set bound, serving the per-set aggregation
-/// (O(|L| * |S|) for ALT, a label merge for hub labels) from `cache` when
-/// possible. With a null cache this is ComputeSetAggregates + MakeSetBound
-/// directly. Cache hits/misses are counted into `algo` (if non-null) —
-/// and, either way, the returned bound is byte-identical to an uncached
-/// one: aggregates are a pure function of the key.
+/// Builds the landmark set bound, serving the O(|L| * |S|) per-set
+/// aggregation from `cache` when possible. With a null cache this is the
+/// plain LandmarkSetBound constructor. Cache hits/misses are counted into
+/// `algo` (if non-null) — and, either way, the returned bound is
+/// byte-identical to an uncached one: aggregates are a pure function of the
+/// key.
 std::unique_ptr<Heuristic> MakeCachedSetBound(
-    const DistanceOracle* oracle, std::span<const NodeId> set,
+    const LandmarkIndex* index, std::span<const NodeId> set,
     BoundDirection direction, NodeId scoring_node, uint32_t max_active,
     TargetBoundCache* cache, uint64_t epoch, AlgoStats* algo);
 

@@ -1,8 +1,10 @@
 #include "server/server.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <poll.h>
 #include <utility>
 
@@ -35,6 +37,34 @@ bool PollReadable(int primary, int drain_fd) {
   }
 }
 
+/// The ReadWaiter of a connection that is inside a frame: blocks until
+/// `fd` is readable. Once the drain broadcast fires, the peer has
+/// kDrainMidFrameGrace from then (`grace_end`, set on first sight of the
+/// drain) to make progress; returns false when that runs out.
+bool WaitMidFrame(int fd, int drain_fd,
+                  std::optional<std::chrono::steady_clock::time_point>&
+                      grace_end) {
+  using Clock = std::chrono::steady_clock;
+  for (;;) {
+    pollfd fds[2] = {{fd, POLLIN, 0}, {drain_fd, POLLIN, 0}};
+    int timeout_ms = -1;
+    if (grace_end.has_value()) {
+      timeout_ms = static_cast<int>(std::max<int64_t>(
+          0, std::chrono::ceil<std::chrono::milliseconds>(*grace_end -
+                                                          Clock::now())
+                 .count()));
+    }
+    int n = ::poll(fds, grace_end.has_value() ? 1 : 2, timeout_ms);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    if (fds[0].revents != 0) return true;
+    if (grace_end.has_value()) return false;  // grace ran out
+    if (fds[1].revents != 0) grace_end = Clock::now() + kDrainMidFrameGrace;
+  }
+}
+
 }  // namespace
 
 // --- ServingState ---------------------------------------------------------
@@ -44,7 +74,6 @@ Result<std::shared_ptr<ServingState>> ServingState::Load(
     const api::EngineConfig& config, uint64_t epoch, bool trusted) {
   KPJ_RETURN_IF_ERROR(config.Validate());
   std::optional<KpjInstance> loaded;
-  std::optional<HubLabelIndex> hub_labels;
   // Version-4 files are mapped, not copied: the peek decides the path, and
   // a failed peek (DIMACS text, missing file, ...) falls through so
   // LoadGraphAuto produces the authoritative error.
@@ -59,7 +88,6 @@ Result<std::shared_ptr<ServingState>> ServingState::Load(
   } else {
     Result<GraphFile> file = LoadGraphAuto(graph_path);
     if (!file.ok()) return file.status();
-    hub_labels = std::move(file.value().hub_labels);
     Result<KpjInstance> instance = KpjInstance::Wrap(
         std::move(file.value().graph), std::move(file.value().permutation));
     if (!instance.ok()) return instance.status();
@@ -68,10 +96,6 @@ Result<std::shared_ptr<ServingState>> ServingState::Load(
   auto state = std::make_shared<ServingState>(std::move(*loaded));
   state->epoch = epoch;
   state->graph_path = graph_path;
-  if (hub_labels.has_value()) {
-    KPJ_RETURN_IF_ERROR(
-        state->instance.AttachHubLabels(std::move(hub_labels).value()));
-  }
   if (!landmarks_path.empty()) {
     Result<LandmarkIndex> landmarks = LandmarkIndex::Load(landmarks_path);
     if (!landmarks.ok()) return landmarks.status();
@@ -81,14 +105,6 @@ Result<std::shared_ptr<ServingState>> ServingState::Load(
     }
     KPJ_RETURN_IF_ERROR(
         state->instance.AttachLandmarks(std::move(landmarks).value()));
-  }
-  if (config.oracle == OracleKind::kHubLabel) {
-    Status selected = state->instance.SelectOracle(OracleKind::kHubLabel);
-    if (!selected.ok()) {
-      return Status::InvalidArgument(
-          "--oracle hublabel needs a graph file with stored hub labels "
-          "(build one with 'kpj_cli index')");
-    }
   }
   // The instance is at its final heap address now; the engine may keep
   // references into it.
@@ -249,12 +265,24 @@ void KpjServer::ConnectionLoop(Socket socket) {
   Result<std::string> peer = PeerAddress(socket);
   conn.peer = peer.ok() ? peer.value() : "unknown";
   conn.accept_us = rec.NowUs();
+  std::optional<std::chrono::steady_clock::time_point> grace_end;
+  const ReadWaiter wait_mid_frame = [this, &grace_end](int fd) {
+    return WaitMidFrame(fd, drain_.fd(), grace_end);
+  };
   for (;;) {
     // Drain: pipelined requests already on the wire are still answered
     // (the socket wins the poll); the connection closes once idle.
     if (!PollReadable(socket.fd(), drain_.fd())) break;
     int64_t read_start_us = rec.NowUs();
-    Result<Frame> frame = ReadFrame(socket, options_.max_frame_bytes);
+    Result<Frame> frame =
+        ReadFrame(socket, options_.max_frame_bytes, wait_mid_frame);
+    if (!frame.ok() &&
+        frame.status().code() == StatusCode::kDeadlineExceeded) {
+      KPJ_LOG(Warning) << "closing connection from " << conn.peer
+                       << ": stalled mid-frame past the "
+                       << kDrainMidFrameGrace.count() << " ms drain grace";
+      break;
+    }
     if (!frame.ok()) {
       metrics_.server_rejected.Increment();
       api::ResponseEnvelope response = api::ErrorResponse(
@@ -683,12 +711,10 @@ Result<api::SwapInfo> KpjServer::Swap(const api::SwapRequest& request) {
   // the pointer flip).
   std::lock_guard<std::mutex> swap_lock(swap_mutex_);
   std::shared_ptr<ServingState> old_state = state();
-  api::EngineConfig config = options_.engine;
-  if (request.oracle.has_value()) config.oracle = *request.oracle;
   Timer load_timer;
   uint64_t epoch = next_epoch_.fetch_add(1, std::memory_order_relaxed);
   Result<std::shared_ptr<ServingState>> loaded = ServingState::Load(
-      request.graph, request.landmarks, config, epoch,
+      request.graph, request.landmarks, options_.engine, epoch,
       options_.trusted_graphs);
   if (!loaded.ok()) return loaded.status();
   {

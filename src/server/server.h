@@ -2,6 +2,7 @@
 #define KPJ_SERVER_SERVER_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -45,10 +46,9 @@ struct ServingState {
   ServingState(const ServingState&) = delete;
   ServingState& operator=(const ServingState&) = delete;
 
-  /// Loads a graph file (.gr = DIMACS text, else binary — stored hub
-  /// labels are attached automatically), optionally attaches a landmark
-  /// index (remapped into the stored layout), selects `config.oracle`,
-  /// and builds the engine. Version-4 files are mmap'd instead of copied:
+  /// Loads a graph file (.gr = DIMACS text, else binary; indexes stored in
+  /// a v4 file are attached automatically), optionally attaches a landmark
+  /// index, and builds the engine. Version-4 files are mmap'd instead of copied:
   /// the state serves borrowed arrays out of the page cache, so startup
   /// and swap cost is independent of graph size (one checksum pass when
   /// `trusted` is false, O(1) when true) and concurrent server processes
@@ -96,6 +96,12 @@ class AdmissionController {
   size_t waiting_ = 0;
   std::atomic<uint64_t> in_flight_{0};
 };
+
+/// Once drain fires, a connection blocked inside a partly received frame
+/// gets this long to finish sending it; then it is closed and logged, so
+/// Wait() returns even when a peer stalls mid-frame. Frames whose bytes are
+/// already on the socket are read (and answered) without waiting.
+inline constexpr std::chrono::milliseconds kDrainMidFrameGrace{2000};
 
 struct KpjServerOptions {
   std::string host = "127.0.0.1";

@@ -4,8 +4,8 @@
 namespace kpj {
 
 /// Shared hardware-clamp policy for every component that takes a thread
-/// count: the engine's worker pool, the parallel landmark builder, the free
-/// ParallelFor, and the CLI's --threads/--intra-threads validation. Having
+/// count: the engine's worker pool, the parallel landmark builder, and the
+/// CLI's --threads/--intra-threads validation. Having
 /// one implementation keeps "how many workers does N really mean" identical
 /// everywhere.
 

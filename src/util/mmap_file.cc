@@ -13,8 +13,7 @@
 namespace kpj {
 
 uint64_t Fnv1a64(const void* data, size_t bytes, uint64_t seed) {
-  // Same constants as the hub-label checksum (see hub_label_index.cc) so
-  // checksums computed here and there agree.
+  // Standard 64-bit FNV-1a; the offset basis is the default `seed`.
   constexpr uint64_t kPrime = 1099511628211ull;
   uint64_t h = seed;
   const uint8_t* p = static_cast<const uint8_t*>(data);

@@ -54,8 +54,8 @@ struct SectionEntry {
 };
 static_assert(sizeof(SectionEntry) == 40, "v4 directory entry is 40 bytes");
 
-/// FNV-1a 64-bit over a byte range (same constants as the hub-label
-/// checksum so a file's section sums are reproducible everywhere).
+/// FNV-1a 64-bit over a byte range (the standard constants, so a file's
+/// section sums are reproducible everywhere).
 uint64_t Fnv1a64(const void* data, size_t bytes,
                  uint64_t seed = 14695981039346656037ull);
 

@@ -45,9 +45,13 @@ Status WriteAll(int fd, const char* data, size_t size) {
 
 /// read() exactly `size` bytes. `*got` reports progress so callers can
 /// distinguish clean EOF (0 bytes read) from a truncated stream.
-Status ReadAll(int fd, char* data, size_t size, size_t* got) {
+Status ReadAll(int fd, char* data, size_t size, size_t* got,
+               const ReadWaiter& wait) {
   *got = 0;
   while (*got < size) {
+    if (wait && !wait(fd)) {
+      return Status::DeadlineExceeded("peer stalled mid-frame");
+    }
     ssize_t n = ::read(fd, data + *got, size - *got);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -185,11 +189,12 @@ Status WriteFrame(const Socket& socket, std::string_view payload) {
   return WriteAll(socket.fd(), payload.data(), payload.size());
 }
 
-Result<Frame> ReadFrame(const Socket& socket, size_t max_bytes) {
+Result<Frame> ReadFrame(const Socket& socket, size_t max_bytes,
+                        const ReadWaiter& wait) {
   unsigned char prefix[4];
   size_t got = 0;
   Status read =
-      ReadAll(socket.fd(), reinterpret_cast<char*>(prefix), 4, &got);
+      ReadAll(socket.fd(), reinterpret_cast<char*>(prefix), 4, &got, wait);
   if (!read.ok()) {
     // EOF before any prefix byte is an orderly disconnect, not an error.
     if (got == 0 && read.message().rfind("connection closed", 0) == 0) {
@@ -212,7 +217,7 @@ Result<Frame> ReadFrame(const Socket& socket, size_t max_bytes) {
   frame.payload.resize(size);
   if (size > 0) {
     KPJ_RETURN_IF_ERROR(
-        ReadAll(socket.fd(), frame.payload.data(), size, &got));
+        ReadAll(socket.fd(), frame.payload.data(), size, &got, wait));
   }
   return frame;
 }

@@ -2,6 +2,7 @@
 #define KPJ_UTIL_SOCKET_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -70,11 +71,17 @@ Result<Socket> ConnectTcp(const std::string& host, uint16_t port);
 /// surfaces as an IoError, not a signal).
 Status WriteFrame(const Socket& socket, std::string_view payload);
 
+/// Called with the socket's fd before every blocking read of a frame;
+/// returns false to abandon the frame.
+using ReadWaiter = std::function<bool(int fd)>;
+
 /// Reads one frame (blocking). Frames longer than `max_bytes` are refused
 /// without reading the body, so a hostile prefix cannot make the server
 /// allocate unbounded memory. EOF before the first prefix byte returns
-/// Frame{eof=true}; EOF mid-frame is an IoError.
-Result<Frame> ReadFrame(const Socket& socket, size_t max_bytes);
+/// Frame{eof=true}; EOF mid-frame is an IoError. With a `wait`, a read it
+/// abandons fails the frame with kDeadlineExceeded.
+Result<Frame> ReadFrame(const Socket& socket, size_t max_bytes,
+                        const ReadWaiter& wait = nullptr);
 
 }  // namespace kpj
 

@@ -14,9 +14,8 @@ namespace kpj {
 
 /// Fixed-size worker pool with a shared FIFO task queue.
 ///
-/// Generalizes the one-shot ParallelFor spawning pattern into reusable
-/// threads: the KPJ engine keeps per-worker solver state alive across many
-/// queries, so workers need stable identities (`worker` in
+/// Reusable threads: the KPJ engine keeps per-worker solver state alive
+/// across many queries, so workers need stable identities (`worker` in
 /// `[0, num_workers())`) and must outlive individual submissions.
 ///
 /// The pool spawns exactly `threads` workers (minimum 1) without clamping

@@ -266,13 +266,25 @@ TEST(WireTest, AuxiliaryPayloadsRoundTrip) {
   SwapRequest swap;
   swap.graph = "/tmp/g.bin";
   swap.landmarks = "/tmp/l.bin";
-  swap.oracle = OracleKind::kHubLabel;
   Result<SwapRequest> sback = SwapRequestFromJson(ToJson(swap));
   ASSERT_TRUE(sback.ok());
   EXPECT_EQ(sback.value().graph, "/tmp/g.bin");
   EXPECT_EQ(sback.value().landmarks, "/tmp/l.bin");
-  ASSERT_TRUE(sback.value().oracle.has_value());
-  EXPECT_EQ(*sback.value().oracle, OracleKind::kHubLabel);
+  // The landmark path is optional and omitted from the wire when empty.
+  swap.landmarks.clear();
+  EXPECT_EQ(ToJson(swap).Find("landmarks"), nullptr);
+  sback = SwapRequestFromJson(ToJson(swap));
+  ASSERT_TRUE(sback.ok());
+  EXPECT_EQ(sback.value().graph, "/tmp/g.bin");
+  EXPECT_TRUE(sback.value().landmarks.empty());
+  // Unknown fields are ignored, so a swap from an older client that still
+  // names an "oracle" is accepted.
+  Result<JsonValue> legacy =
+      JsonValue::Parse("{\"graph\":\"g.bin\",\"oracle\":\"alt\"}");
+  ASSERT_TRUE(legacy.ok());
+  Result<SwapRequest> legacy_swap = SwapRequestFromJson(legacy.value());
+  ASSERT_TRUE(legacy_swap.ok());
+  EXPECT_EQ(legacy_swap.value().graph, "g.bin");
 
   HealthInfo health;
   health.serving = true;
@@ -366,8 +378,8 @@ std::vector<std::string> Args(std::initializer_list<const char*> parts) {
 TEST(OptionsParseTest, ParsesTheSharedVocabulary) {
   Result<ParsedArgs> args = ParseFlagsOnly(Args(
       {"--workers", "4", "--intra-threads", "2", "--cache-mb", "16",
-       "--oracle", "hublabel", "--deadline-ms", "25", "--slow-query-ms",
-       "1.5", "--algorithm", "da-spt", "--alpha", "1.3"}));
+       "--deadline-ms", "25", "--slow-query-ms", "1.5", "--algorithm",
+       "da-spt", "--alpha", "1.3"}));
   ASSERT_TRUE(args.ok()) << args.status().ToString();
   Result<EngineConfig> config = ParseEngineConfig(args.value());
   ASSERT_TRUE(config.ok()) << config.status().ToString();
@@ -377,7 +389,6 @@ TEST(OptionsParseTest, ParsesTheSharedVocabulary) {
   EXPECT_EQ(config.value().intra_threads,
             std::min(2u, std::max(1u, std::thread::hardware_concurrency())));
   EXPECT_EQ(config.value().cache_mb, 16u);
-  EXPECT_EQ(config.value().oracle, OracleKind::kHubLabel);
   EXPECT_EQ(config.value().deadline_ms, 25.0);
   EXPECT_EQ(config.value().slow_query_ms, 1.5);
   EXPECT_EQ(config.value().algorithm, Algorithm::kDaSpt);
@@ -426,7 +437,6 @@ TEST(OptionsParseTest, RejectsInvalidValuesWithFlagSpelledErrors) {
            {Args({"--cache-mb", "8", "--no-cache"}), "mutually exclusive"},
            {Args({"--deadline-ms", "-1"}), "--deadline-ms"},
            {Args({"--alpha", "1.0"}), "--alpha"},
-           {Args({"--oracle", "psychic"}), "oracle"},
            {Args({"--algorithm", "quantum"}), "algorithm"},
        }) {
     Result<ParsedArgs> args = ParseFlagsOnly(c.args);

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 
 #include "gen/road_gen.h"
@@ -143,6 +144,33 @@ TEST_F(SerializeTest, BadMagicRejected) {
   Result<Graph> loaded = LoadGraphBinary(path);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+}
+
+TEST_F(SerializeTest, UnsupportedVersionsRejected) {
+  // Version 3 (CSR + permutation + hub labels) is retired; like any version
+  // the reader does not know, it fails as an unsupported version rather
+  // than being misread as a neighbour format.
+  GraphBuilder b(3);
+  b.AddEdge(0, 1, 1);
+  b.AddEdge(1, 2, 2);
+  const Graph g = b.Build();
+  for (uint32_t version : {0u, 3u, 5u, 99u}) {
+    std::string path = PathFor("v" + std::to_string(version) + ".bin");
+    {
+      // A valid v1 body behind the foreign version number.
+      ASSERT_TRUE(SaveGraphBinary(g, path).ok());
+      std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+      ASSERT_TRUE(f);
+      f.seekp(sizeof(uint64_t));  // just past the magic
+      f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    }
+    Result<GraphFile> loaded = LoadGraphFile(path);
+    ASSERT_FALSE(loaded.ok()) << "version " << version;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(loaded.status().message().find("unsupported version"),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
 }
 
 TEST_F(SerializeTest, TruncatedFileRejected) {

@@ -19,20 +19,17 @@
 #include "graph/reorder.h"
 #include "graph/serialize.h"
 #include "index/category_index.h"
-#include "index/hub_label_index.h"
 #include "index/landmark_index.h"
 #include "util/mmap_file.h"
 
 namespace kpj {
 namespace {
 
-/// Everything a v4 file can carry, built once and shared by all tests
-/// (hub-label construction dominates the fixture cost).
+/// Everything a v4 file can carry, built once and shared by all tests.
 struct Corpus {
   Graph graph;         // relabeled (stored) layout
   Graph reverse;
   Permutation permutation;
-  HubLabelIndex hub_labels;
   LandmarkIndex landmarks;
   CategoryIndex categories{0};
 
@@ -46,9 +43,6 @@ struct Corpus {
       c->permutation = ComputeReordering(original, ReorderStrategy::kDegree);
       c->graph = ApplyPermutation(original, c->permutation);
       c->reverse = c->graph.Reverse();
-      HubLabelOptions hub;
-      hub.order_seeds = 4;
-      c->hub_labels = HubLabelIndex::Build(c->graph, c->reverse, hub);
       LandmarkIndexOptions lm;
       lm.num_landmarks = 4;
       c->landmarks = LandmarkIndex::Build(c->graph, c->reverse, lm);
@@ -71,7 +65,6 @@ struct Corpus {
     s.graph = &graph;
     s.reverse = &reverse;
     s.permutation = &permutation;
-    s.hub_labels = &hub_labels;
     s.landmarks = &landmarks;
     s.categories = &categories;
     return s;
@@ -150,8 +143,6 @@ TEST_F(MmapGraphTest, MappedBundleBorrowsEverySection) {
   for (NodeId v = 0; v < corpus.graph.NumNodes(); v += 7) {
     EXPECT_EQ(bundle.permutation.ToNew(v), corpus.permutation.ToNew(v));
   }
-  ASSERT_TRUE(bundle.hub_labels.has_value());
-  EXPECT_TRUE(bundle.hub_labels->Equals(corpus.hub_labels));
   ASSERT_TRUE(bundle.landmarks.has_value());
   EXPECT_EQ(bundle.landmarks->num_landmarks(),
             corpus.landmarks.num_landmarks());
@@ -171,8 +162,6 @@ TEST_F(MmapGraphTest, OwnedLoadReadsV4Transparently) {
   ASSERT_TRUE(file.ok()) << file.status().ToString();
   EXPECT_FALSE(file.value().graph.borrowed());
   EXPECT_TRUE(file.value().graph.Equals(corpus.graph));
-  ASSERT_TRUE(file.value().hub_labels.has_value());
-  EXPECT_TRUE(file.value().hub_labels->Equals(corpus.hub_labels));
   ASSERT_TRUE(file.value().landmarks.has_value());
   ASSERT_TRUE(file.value().categories.has_value());
   EXPECT_TRUE(file.value().categories->Equals(corpus.categories));
@@ -181,13 +170,45 @@ TEST_F(MmapGraphTest, OwnedLoadReadsV4Transparently) {
 TEST_F(MmapGraphTest, PeekReportsVersion) {
   const Corpus& corpus = Corpus::Get();
   std::string v4 = WriteV4();
-  std::string v3 = PathFor("labels.v3");
-  ASSERT_TRUE(SaveGraphBinary(corpus.graph, corpus.permutation,
-                              &corpus.hub_labels, v3)
-                  .ok());
+  std::string v2 = PathFor("permuted.v2");
+  ASSERT_TRUE(SaveGraphBinary(corpus.graph, corpus.permutation, v2).ok());
   EXPECT_EQ(PeekGraphFileVersion(v4).value(), 4u);
-  EXPECT_EQ(PeekGraphFileVersion(v3).value(), 3u);
+  EXPECT_EQ(PeekGraphFileVersion(v2).value(), 2u);
   EXPECT_FALSE(PeekGraphFileVersion(PathFor("missing.bin")).ok());
+}
+
+TEST_F(MmapGraphTest, ReservedSectionKindsAreSkipped) {
+  // Kinds 7-11 and 21 held the retired hub-label sections. A v4 file that
+  // still carries them opens, in both verified and trusted mode, with
+  // those sections ignored.
+  const Corpus& corpus = Corpus::Get();
+  const Graph& g = corpus.graph;
+  std::vector<uint32_t> filler(g.NumNodes(), 7);
+  std::vector<uint64_t> checksum = {42};
+  constexpr uint64_t kGraphMagic = 0x4b504a4752503031ULL;  // "KPJGRP01"
+  SectionFileWriter writer(kGraphMagic, /*version=*/4);
+  writer.AddSection<EdgeId>(1, g.offsets());
+  writer.AddSection<OutEdge>(2, g.adjacency());
+  writer.AddSection<EdgeId>(3, corpus.reverse.offsets());
+  writer.AddSection<OutEdge>(4, corpus.reverse.adjacency());
+  for (uint32_t kind : {7u, 8u, 9u, 10u, 11u}) {
+    writer.AddSection<uint32_t>(kind, filler);
+  }
+  writer.AddSection<uint64_t>(21, checksum);
+  std::string path = PathFor("reserved.v4");
+  ASSERT_TRUE(writer.WriteTo(path).ok());
+
+  for (bool verify : {true, false}) {
+    MappedLoadOptions options;
+    options.verify_checksums = verify;
+    Result<MappedGraphBundle> bundle = MapGraphFile(path, options);
+    ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+    EXPECT_TRUE(bundle.value().graph.Equals(g));
+    EXPECT_FALSE(bundle.value().landmarks.has_value());
+  }
+  Result<GraphFile> owned = LoadGraphFile(path);
+  ASSERT_TRUE(owned.ok()) << owned.status().ToString();
+  EXPECT_TRUE(owned.value().graph.Equals(g));
 }
 
 TEST_F(MmapGraphTest, TrustedOpenSkipsChecksumPass) {
@@ -210,7 +231,6 @@ TEST_F(MmapGraphTest, AllAlgorithmsByteIdenticalUnderMmap) {
   ASSERT_TRUE(heap_result.ok());
   KpjInstance heap = std::move(heap_result).value();
   ASSERT_TRUE(heap.AttachLandmarks(corpus.landmarks).ok());
-  ASSERT_TRUE(heap.AttachHubLabels(corpus.hub_labels).ok());
 
   Result<KpjInstance> mapped_result = KpjInstance::LoadMapped(path);
   ASSERT_TRUE(mapped_result.ok()) << mapped_result.status().ToString();
@@ -252,7 +272,6 @@ TEST_F(MmapGraphTest, EngineConfigSweepByteIdenticalUnderMmap) {
   ASSERT_TRUE(heap_result.ok());
   KpjInstance heap = std::move(heap_result).value();
   ASSERT_TRUE(heap.AttachLandmarks(corpus.landmarks).ok());
-  ASSERT_TRUE(heap.AttachHubLabels(corpus.hub_labels).ok());
   Result<KpjInstance> mapped_result = KpjInstance::LoadMapped(path);
   ASSERT_TRUE(mapped_result.ok()) << mapped_result.status().ToString();
   KpjInstance mapped = std::move(mapped_result).value();

@@ -1,19 +1,16 @@
-// Shared conformance suite for every DistanceOracle implementation: the
-// solver layer consumes oracles only through the interface, so any bound
-// that is admissible + consistent here is safe for all seven algorithms.
-// Parameterized over the ALT (landmark) and hub-label oracles.
+// Conformance suite for the landmark (ALT) lower bounds: every solver that
+// bounds its search consumes them through LandmarkIndex::LowerBound and
+// LandmarkSetBound, so any bound that is admissible + consistent here is
+// safe for all seven algorithms.
 
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/instrumentation.h"
 #include "graph/graph_builder.h"
 #include "graph/reorder.h"
-#include "index/distance_oracle.h"
-#include "index/hub_label_index.h"
 #include "index/landmark_index.h"
 #include "index/target_bound.h"
 #include "sssp/dijkstra.h"
@@ -41,29 +38,17 @@ Graph RandomGraph(uint64_t seed, NodeId n, double p, bool bidir,
   return b.Build();
 }
 
-class OracleConformanceTest
-    : public ::testing::TestWithParam<OracleKind> {
- protected:
-  std::unique_ptr<DistanceOracle> MakeOracle(const Graph& g,
-                                             const Graph& rev) const {
-    if (GetParam() == OracleKind::kAlt) {
-      LandmarkIndexOptions opt;
-      opt.num_landmarks = 6;
-      return std::make_unique<LandmarkIndex>(
-          LandmarkIndex::Build(g, rev, opt));
-    }
-    return std::make_unique<HubLabelIndex>(HubLabelIndex::Build(g, rev));
-  }
+std::unique_ptr<LandmarkIndex> MakeOracle(const Graph& g, const Graph& rev) {
+  LandmarkIndexOptions opt;
+  opt.num_landmarks = 6;
+  return std::make_unique<LandmarkIndex>(LandmarkIndex::Build(g, rev, opt));
+}
 
-  bool IsExactOracle() const { return GetParam() == OracleKind::kHubLabel; }
-};
-
-TEST_P(OracleConformanceTest, PointBoundAdmissibleAndConsistent) {
+TEST(OracleConformanceTest, PointBoundAdmissibleAndConsistent) {
   for (uint64_t seed : {21u, 22u}) {
     Graph g = RandomGraph(seed, 40, 0.1, seed % 2 == 0);
     Graph rev = g.Reverse();
-    std::unique_ptr<DistanceOracle> oracle = MakeOracle(g, rev);
-    EXPECT_EQ(oracle->kind(), GetParam());
+    std::unique_ptr<LandmarkIndex> oracle = MakeOracle(g, rev);
     EXPECT_EQ(oracle->num_nodes(), g.NumNodes());
     for (NodeId t = 0; t < g.NumNodes(); t += 5) {
       SptResult to_t = SingleSourceShortestPaths(rev, t);
@@ -71,9 +56,6 @@ TEST_P(OracleConformanceTest, PointBoundAdmissibleAndConsistent) {
         PathLength lb = oracle->LowerBound(u, t);
         if (to_t.dist[u] != kInfLength) {
           ASSERT_LE(lb, to_t.dist[u]) << "u=" << u << " t=" << t;
-          if (IsExactOracle()) {
-            ASSERT_EQ(lb, to_t.dist[u]) << "u=" << u << " t=" << t;
-          }
         }
       }
       // Consistency: lb(u,t) <= w(u,v) + lb(v,t) along every arc. An
@@ -91,17 +73,16 @@ TEST_P(OracleConformanceTest, PointBoundAdmissibleAndConsistent) {
   }
 }
 
-TEST_P(OracleConformanceTest, SetBoundAdmissibleConsistentBothDirections) {
+TEST(OracleConformanceTest, SetBoundAdmissibleConsistentBothDirections) {
   Graph g = RandomGraph(23, 45, 0.1, false, /*min_weight=*/0);
   Graph rev = g.Reverse();
-  std::unique_ptr<DistanceOracle> oracle = MakeOracle(g, rev);
+  std::unique_ptr<LandmarkIndex> oracle = MakeOracle(g, rev);
   std::vector<NodeId> set = {3, 11, 29, 40};
 
   for (BoundDirection dir :
        {BoundDirection::kToSet, BoundDirection::kFromSet}) {
-    std::unique_ptr<Heuristic> bound = oracle->MakeSetBound(
-        oracle->ComputeSetAggregates(set, dir), dir,
-        /*scoring_node=*/0, /*max_active=*/0);
+    std::unique_ptr<Heuristic> bound = std::make_unique<LandmarkSetBound>(
+        oracle.get(), set, dir, /*scoring_node=*/0, /*max_active=*/0);
 
     // True node<->set distances, one Dijkstra per set member.
     std::vector<PathLength> truth(g.NumNodes(), kInfLength);
@@ -117,7 +98,6 @@ TEST_P(OracleConformanceTest, SetBoundAdmissibleConsistentBothDirections) {
       PathLength est = bound->Estimate(u);
       if (truth[u] != kInfLength) {
         ASSERT_LE(est, truth[u]) << "u=" << u;
-        if (IsExactOracle()) ASSERT_EQ(est, truth[u]) << "u=" << u;
       }
     }
     for (NodeId x : set) ASSERT_EQ(bound->Estimate(x), 0u);
@@ -140,26 +120,25 @@ TEST_P(OracleConformanceTest, SetBoundAdmissibleConsistentBothDirections) {
   }
 }
 
-TEST_P(OracleConformanceTest, VirtualNodesGetZeroBounds) {
+TEST(OracleConformanceTest, VirtualNodesGetZeroBounds) {
   // GKPJ augments the graph with a virtual super-source beyond num_nodes;
   // the only admissible offline bound for it is 0.
   Graph g = RandomGraph(24, 30, 0.12, true);
   Graph rev = g.Reverse();
-  std::unique_ptr<DistanceOracle> oracle = MakeOracle(g, rev);
+  std::unique_ptr<LandmarkIndex> oracle = MakeOracle(g, rev);
   const NodeId virtual_node = g.NumNodes() + 2;
   EXPECT_EQ(oracle->LowerBound(virtual_node, 5), 0u);
   EXPECT_EQ(oracle->LowerBound(5, virtual_node), 0u);
   std::vector<NodeId> set = {1, 7};
-  std::unique_ptr<Heuristic> bound = oracle->MakeSetBound(
-      oracle->ComputeSetAggregates(set, BoundDirection::kToSet),
-      BoundDirection::kToSet, kInvalidNode, 0);
+  std::unique_ptr<Heuristic> bound = std::make_unique<LandmarkSetBound>(
+      oracle.get(), set, BoundDirection::kToSet, kInvalidNode, 0);
   EXPECT_EQ(bound->Estimate(virtual_node), 0u);
 }
 
-TEST_P(OracleConformanceTest, CachedSetBoundMatchesUncached) {
+TEST(OracleConformanceTest, CachedSetBoundMatchesUncached) {
   Graph g = RandomGraph(25, 40, 0.1, true);
   Graph rev = g.Reverse();
-  std::unique_ptr<DistanceOracle> oracle = MakeOracle(g, rev);
+  std::unique_ptr<LandmarkIndex> oracle = MakeOracle(g, rev);
   std::vector<NodeId> set = {2, 18, 33};
   TargetBoundCache cache(1 << 20);
   AlgoStats algo;
@@ -178,42 +157,23 @@ TEST_P(OracleConformanceTest, CachedSetBoundMatchesUncached) {
   EXPECT_EQ(algo.bound_cache_hits, 1u);
 }
 
-TEST_P(OracleConformanceTest, IdentityIsStableAndContentBound) {
+TEST(OracleConformanceTest, IdentityIsStableAndContentBound) {
   Graph g = RandomGraph(26, 35, 0.1, true);
   Graph rev = g.Reverse();
-  std::unique_ptr<DistanceOracle> a = MakeOracle(g, rev);
-  std::unique_ptr<DistanceOracle> b = MakeOracle(g, rev);
+  std::unique_ptr<LandmarkIndex> a = MakeOracle(g, rev);
+  std::unique_ptr<LandmarkIndex> b = MakeOracle(g, rev);
   // Same build recipe => same identity (cache keys survive rebuilds)...
   EXPECT_EQ(a->Identity(), b->Identity());
   // ...different graph => different identity (no cross-content reuse).
   Graph other = RandomGraph(27, 35, 0.1, true);
-  std::unique_ptr<DistanceOracle> c = MakeOracle(other, other.Reverse());
+  std::unique_ptr<LandmarkIndex> c = MakeOracle(other, other.Reverse());
   EXPECT_NE(a->Identity(), c->Identity());
 }
 
-INSTANTIATE_TEST_SUITE_P(AllOracles, OracleConformanceTest,
-                         ::testing::Values(OracleKind::kAlt,
-                                           OracleKind::kHubLabel),
-                         [](const auto& info) {
-                           return std::string(OracleKindName(info.param));
-                         });
-
-TEST(OracleIdentityTest, DiffersAcrossOracleKinds) {
-  // Bound-cache keys lean on this: aggregates computed by one oracle kind
-  // must never be served to the other, even over the same graph.
-  Graph g = RandomGraph(28, 30, 0.12, true);
-  Graph rev = g.Reverse();
-  LandmarkIndexOptions opt;
-  opt.num_landmarks = 6;
-  LandmarkIndex alt = LandmarkIndex::Build(g, rev, opt);
-  HubLabelIndex hub = HubLabelIndex::Build(g, rev);
-  EXPECT_NE(alt.Identity(), hub.Identity());
-}
-
-TEST(OracleRemapTest, RemapRoundTripsForBothOracles) {
+TEST(OracleRemapTest, RemapRoundTrips) {
   // Remapping with a permutation and asking about remapped ids must give
   // the original answers — the instance layer relies on this when
-  // --reorder relabels a graph under an already-built oracle.
+  // --reorder relabels a graph under an already-built landmark index.
   Graph g = RandomGraph(29, 40, 0.1, false);
   Graph rev = g.Reverse();
   Permutation perm = ComputeReordering(g, ReorderStrategy::kDegree);
@@ -222,14 +182,11 @@ TEST(OracleRemapTest, RemapRoundTripsForBothOracles) {
   opt.num_landmarks = 5;
   LandmarkIndex alt = LandmarkIndex::Build(g, rev, opt);
   LandmarkIndex alt_remap = alt.Remap(perm);
-  HubLabelIndex hub = HubLabelIndex::Build(g, rev);
-  HubLabelIndex hub_remap = hub.Remap(perm);
 
   for (NodeId u = 0; u < g.NumNodes(); u += 3) {
     for (NodeId v = 0; v < g.NumNodes(); ++v) {
       NodeId pu = perm.ToNew(u), pv = perm.ToNew(v);
       ASSERT_EQ(alt_remap.LowerBound(pu, pv), alt.LowerBound(u, v));
-      ASSERT_EQ(hub_remap.LowerBound(pu, pv), hub.LowerBound(u, v));
     }
   }
 }

@@ -8,9 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -750,6 +754,85 @@ TEST(KpjServerTest, DestructorDrainsCleanlyWithOpenConnections) {
   ASSERT_TRUE(client.Query(MakeRequest({5}, {100}, 1)).ok());
   // Destroying the server with a live idle connection must not hang.
   server.reset();
+}
+
+/// Sends raw bytes, bypassing WriteFrame, so a test can stop mid-frame.
+void SendRaw(const Socket& socket, std::string_view bytes) {
+  ASSERT_EQ(::send(socket.fd(), bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+}
+
+/// The first bytes of a request frame: a length prefix announcing
+/// `payload` and a part of it.
+std::string FramePrefix(const std::string& payload, size_t keep) {
+  const uint32_t size = static_cast<uint32_t>(payload.size());
+  std::string bytes = {static_cast<char>(size >> 24),
+                       static_cast<char>(size >> 16),
+                       static_cast<char>(size >> 8), static_cast<char>(size)};
+  return bytes + payload.substr(0, keep);
+}
+
+TEST(KpjServerTest, DrainClosesAConnectionStalledMidFrame) {
+  // A peer that sends part of a frame and stalls must not hold the drain
+  // open: after kDrainMidFrameGrace the server closes the connection and
+  // Wait() returns.
+  const std::string path = GraphPath(2500, 21);
+  KpjServer server(SmallServerOptions(path));
+  ASSERT_TRUE(server.Start().ok());
+  Result<Socket> stalled = ConnectTcp("127.0.0.1", server.port());
+  ASSERT_TRUE(stalled.ok()) << stalled.status().ToString();
+  const std::string payload = api::SerializeRequest(api::RequestEnvelope{});
+  SendRaw(stalled.value(), FramePrefix(payload, 3));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  server.RequestDrain();
+  const auto drained_at = std::chrono::steady_clock::now();
+  std::future<void> waited =
+      std::async(std::launch::async, [&server] { server.Wait(); });
+  if (waited.wait_for(kDrainMidFrameGrace + std::chrono::seconds(3)) !=
+      std::future_status::ready) {
+    stalled.value().Close();  // Unblock the server so the test fails
+    waited.wait();            // instead of hanging.
+    FAIL() << "Wait() did not return within the drain grace";
+  }
+  // The peer got the whole grace, not an immediate hang-up.
+  EXPECT_GE(std::chrono::steady_clock::now() - drained_at,
+            kDrainMidFrameGrace - std::chrono::milliseconds(50));
+  // The server closed its end without answering the partial frame.
+  Result<Frame> after = ReadFrame(stalled.value(), 1 << 20);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_TRUE(after.value().eof);
+}
+
+TEST(KpjServerTest, FrameFinishedWithinTheDrainGraceIsAnswered) {
+  // The rest of a frame that arrives within the grace is read and answered
+  // like any pipelined request (with kUnavailable, since the server is
+  // draining) before the connection closes.
+  const std::string path = GraphPath(2500, 21);
+  KpjServer server(SmallServerOptions(path));
+  ASSERT_TRUE(server.Start().ok());
+  Result<Socket> slow = ConnectTcp("127.0.0.1", server.port());
+  ASSERT_TRUE(slow.ok()) << slow.status().ToString();
+  api::RequestEnvelope request;
+  request.id = 9;
+  request.type = api::RequestType::kQuery;
+  request.payload = api::ToJson(MakeRequest({5}, {100}, 1));
+  const std::string payload = api::SerializeRequest(request);
+  SendRaw(slow.value(), FramePrefix(payload, 5));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  server.RequestDrain();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  SendRaw(slow.value(), payload.substr(5));
+  Result<Frame> frame = ReadFrame(slow.value(), 1 << 20);
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  ASSERT_FALSE(frame.value().eof);
+  Result<api::ResponseEnvelope> response =
+      api::ParseResponse(frame.value().payload);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response.value().id, 9u);
+  EXPECT_EQ(response.value().status, api::StatusCode::kUnavailable);
+  server.Wait();
 }
 
 // ---------------------------------------------------------------------------

@@ -184,7 +184,7 @@ TEST_F(BoundCacheTest, LookupMissInsertHit) {
   EXPECT_EQ(cache.Lookup(id, 1, BoundDirection::kFromSet, set), nullptr);
   std::vector<NodeId> other = {5, 17, 41};
   EXPECT_EQ(cache.Lookup(id, 1, BoundDirection::kToSet, other), nullptr);
-  // A different oracle identity misses even with everything else equal.
+  // A different index identity misses even with everything else equal.
   EXPECT_EQ(cache.Lookup(id ^ 1, 1, BoundDirection::kToSet, set), nullptr);
 
   TargetBoundCacheStats stats = cache.StatsSnapshot();

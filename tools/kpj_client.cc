@@ -9,7 +9,6 @@
 //   kpj_client health  --port P
 //   kpj_client drain   --port P
 //   kpj_client swap    --port P --graph FILE [--landmarks FILE]
-//                      [--oracle alt|hublabel]
 //
 // --port-file FILE (written by kpjd --port-file) substitutes for --port.
 // Exit code: 0 on success, 1 on any error status (including 'overloaded').
@@ -57,7 +56,6 @@ void PrintHelp(std::ostream& out) {
          "  kpj_client health  --port P\n"
          "  kpj_client drain   --port P\n"
          "  kpj_client swap    --port P --graph FILE [--landmarks FILE]\n"
-         "                     [--oracle alt|hublabel]\n"
          "\n"
          "--host defaults to 127.0.0.1; --port-file FILE reads the port\n"
          "kpjd wrote with its own --port-file flag. Query files use the\n"
@@ -478,11 +476,6 @@ int CmdSwap(const api::ParsedArgs& args) {
   if (!graph.ok()) return Fail(graph.status());
   request.graph = graph.value();
   request.landmarks = args.Get("landmarks").value_or("");
-  if (auto oracle = args.Get("oracle"); oracle.has_value()) {
-    Result<kpj::OracleKind> kind = api::ParseOracleKind(*oracle);
-    if (!kind.ok()) return Fail(kind.status());
-    request.oracle = kind.value();
-  }
   Result<api::ResponseEnvelope> response =
       RoundTrip(args, api::RequestType::kSwap, api::ToJson(request));
   if (!response.ok()) return Fail(response.status());

@@ -9,7 +9,7 @@
 //
 //   kpjd --graph FILE [--landmarks FILE] [--host 127.0.0.1] [--port 0]
 //        [--port-file FILE] [--workers N] [--intra-threads N]
-//        [--cache-mb MB | --no-cache] [--oracle alt|hublabel]
+//        [--cache-mb MB | --no-cache]
 //        [--deadline-ms MS] [--slow-query-ms MS] [--algorithm NAME|auto]
 //        [--alpha A] [--max-queue N] [--backlog N]
 //        [--metrics-out FILE|-] [--metrics-format json|prom]
@@ -36,7 +36,7 @@ void PrintHelp(std::ostream& out) {
          "  kpjd --graph FILE [--landmarks FILE]\n"
          "       [--host 127.0.0.1] [--port 0] [--port-file FILE]\n"
          "       [--workers N] [--intra-threads N]\n"
-         "       [--cache-mb MB | --no-cache] [--oracle alt|hublabel]\n"
+         "       [--cache-mb MB | --no-cache]\n"
          "       [--deadline-ms MS] [--slow-query-ms MS]\n"
          "       [--algorithm NAME|auto] [--alpha A]\n"
          "       [--max-queue N] [--backlog N]\n"
