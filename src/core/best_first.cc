@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "core/spt_cache.h"
 
@@ -23,7 +24,8 @@ BestFirstFramework::BestFirstFramework(const Graph& graph,
       reverse_(reverse),
       options_(options),
       search_(graph),
-      iterative_bounding_(iterative_bounding) {
+      iterative_bounding_(iterative_bounding),
+      path_rank_(graph.NumNodes(), kUnranked) {
   KPJ_CHECK(options_.alpha > 1.0) << "alpha must exceed 1";
 }
 
@@ -108,11 +110,9 @@ bool BestFirstFramework::InitializeQuery(const PreparedQuery& query,
   return found;
 }
 
-double BestFirstFramework::CompLB(uint32_t v, EpochSet* forbidden,
+double BestFirstFramework::CompLB(uint32_t v, uint32_t limit,
                                   QueryStats* stats) {
   const PseudoTree::Vertex& vx = tree_.vertex(v);
-  forbidden->ClearAll();
-  tree_.MarkPrefix(v, forbidden);
 
   double lb = kInfinity;
   // The zero-length suffix plays the role of the virtual edge (u, t).
@@ -121,7 +121,7 @@ double BestFirstFramework::CompLB(uint32_t v, EpochSet* forbidden,
   }
   for (const OutEdge& e : graph_.OutEdges(vx.node)) {
     ++stats->edges_relaxed;
-    if (forbidden->Contains(e.to)) continue;
+    if (path_rank_.Get(e.to) <= limit) continue;  // On prefix(v).
     bool banned = false;
     for (NodeId b : vx.banned) {
       if (b == e.to) {
@@ -157,15 +157,16 @@ void BestFirstFramework::ExpandDivision(const DivisionResult& division,
     QueryStats stats;
   };
   std::vector<Slot> results(slots.size());
+  // Every lane reads the one rank array; nothing writes it in the round.
+  const uint32_t depth = RankDivisionPath(tree_, division, &path_rank_);
   RunDeviationRound(
-      intra_, slots.size(), &stats->algo, [&](size_t i, unsigned lane) {
+      intra_, slots.size(), &stats->algo, [&](size_t i, unsigned) {
         // Stolen tasks poll the token too: a dead query must not keep
         // computing bounds (the skipped lb only matters when cancelled,
         // where the main loop exits before using it).
         if (cancel_ != nullptr && cancel_->ShouldStop()) return;
-        EpochSet* forbidden =
-            lane == 0 ? &search_.forbidden() : lane_forbidden_[lane - 1].get();
-        results[i].lb = CompLB(slots[i], forbidden, &results[i].stats);
+        results[i].lb = CompLB(slots[i], depth + static_cast<uint32_t>(i),
+                               &results[i].stats);
       });
   for (size_t i = 0; i < results.size(); ++i) {
     stats->Accumulate(results[i].stats);
@@ -189,13 +190,6 @@ KpjResult BestFirstFramework::Run(const PreparedQuery& query) {
   intra_ = query.intra;
   tree_.Reset(query.source);
   search_.SetTargets(query.targets);
-  // One forbidden-set scratch per helper lane, provisioned up front so
-  // rounds never allocate into shared vectors. CompLB only depends on the
-  // set's *contents*, so lane scratch is byte-identical to the main one.
-  while (lane_forbidden_.size() + 1 < IntraLanes(intra_)) {
-    lane_forbidden_.push_back(
-        std::make_unique<EpochSet>(graph_.NumNodes()));
-  }
 
   SubspaceEntry initial;
   if (!InitializeQuery(query, &initial, &res.stats)) {

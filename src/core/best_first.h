@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "core/constraint.h"
 #include "core/intra.h"
@@ -27,8 +26,8 @@ namespace kpj {
 ///
 /// The CompLB calls of one division are independent reads of the pseudo
 /// tree and the per-query heuristic, so with an intra-query context each
-/// division runs as one parallel deviation round (per-lane forbidden
-/// sets, deterministic slot-order merge into the queue).
+/// division runs as one parallel deviation round (one shared rank array of
+/// the chosen path, deterministic slot-order merge into the queue).
 ///
 /// Derived classes choose the per-query heuristic and the initial shortest
 /// path via InitializeQuery.
@@ -70,9 +69,10 @@ class BestFirstFramework : public KpjSolver {
 
  private:
   /// Alg. 3: lightweight subspace lower bound from the first deviation
-  /// edge, using `forbidden` as prefix-marking scratch; +infinity means
-  /// the subspace is provably empty.
-  double CompLB(uint32_t v, EpochSet* forbidden, QueryStats* stats);
+  /// edge; prefix(v) is the set of nodes whose path_rank_ is <= `limit`
+  /// (see RankDivisionPath). +infinity means the subspace is provably
+  /// empty.
+  double CompLB(uint32_t v, uint32_t limit, QueryStats* stats);
 
   /// One deviation round of CompLB calls over the division's subspaces
   /// (revised first, created in order), merged into `queue` in that order.
@@ -82,9 +82,9 @@ class BestFirstFramework : public KpjSolver {
   const bool iterative_bounding_;
   /// Per-query intra-parallelism context (from PreparedQuery); set by Run.
   const IntraQueryContext* intra_ = nullptr;
-  /// Helper-lane forbidden-set scratch (lane L >= 1 uses
-  /// lane_forbidden_[L-1]; lane 0 uses search_.forbidden()).
-  std::vector<std::unique_ptr<EpochSet>> lane_forbidden_;
+  /// Ranks of the current division's chosen path (RankDivisionPath);
+  /// read by every lane of a CompLB round.
+  EpochArray<uint32_t> path_rank_;
 };
 
 /// BestFirst (paper Alg. 2 + Alg. 3): best-first subspace pruning with

@@ -77,4 +77,31 @@ DivisionResult DivideSubspace(PseudoTree& tree, const Graph& graph,
   return out;
 }
 
+uint32_t RankDivisionPath(const PseudoTree& tree,
+                          const DivisionResult& division,
+                          EpochArray<uint32_t>* rank) {
+  rank->NewEpoch();
+  uint32_t depth = 0;
+  for (uint32_t cur = division.revised; cur != PseudoTree::kNoVertex;
+       cur = tree.vertex(cur).parent) {
+    if (tree.vertex(cur).node != kInvalidNode) ++depth;
+  }
+  // Chosen paths are simple, so no node is ranked twice.
+  uint32_t r = depth;
+  for (uint32_t cur = division.revised; cur != PseudoTree::kNoVertex;
+       cur = tree.vertex(cur).parent) {
+    NodeId node = tree.vertex(cur).node;
+    if (node == kInvalidNode) continue;
+    KPJ_DCHECK(!rank->Stamped(node));
+    rank->Set(node, r--);
+  }
+  r = depth;
+  for (uint32_t v : division.created) {
+    NodeId node = tree.vertex(v).node;
+    KPJ_DCHECK(!rank->Stamped(node));
+    rank->Set(node, ++r);
+  }
+  return depth;
+}
+
 }  // namespace kpj

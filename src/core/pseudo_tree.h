@@ -115,6 +115,20 @@ DivisionResult DivideSubspace(PseudoTree& tree, const Graph& graph,
                               uint32_t u, std::span<const NodeId> suffix,
                               bool create_destination_vertex);
 
+/// Rank of a node that is not on the ranked path (EpochArray default).
+inline constexpr uint32_t kUnranked = UINT32_MAX;
+
+/// Ranks the chosen path of `division` in one O(l + depth) pass, so the
+/// division's CompLB round needs no prefix walk per subspace: the nodes of
+/// prefix(revised) get 1..D (root first, a virtual root skipped) and the
+/// node of created[i] gets D+1+i; every other node reads kUnranked. The
+/// prefix of slot j (0 = revised, j = created[j-1]) is then exactly the
+/// set of nodes whose rank is <= D + j. Starts a new epoch of `rank`
+/// (default kUnranked) and returns D.
+uint32_t RankDivisionPath(const PseudoTree& tree,
+                          const DivisionResult& division,
+                          EpochArray<uint32_t>* rank);
+
 }  // namespace kpj
 
 #endif  // KPJ_CORE_PSEUDO_TREE_H_

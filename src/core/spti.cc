@@ -35,6 +35,7 @@ IterBoundSptiSolver::IterBoundSptiSolver(const Graph& graph,
       use_landmarks_(use_landmarks),
       rev_search_(reverse),
       spti_(graph, &zero_),
+      path_rank_(reverse.NumNodes(), kUnranked),
       target_membership_(graph.NumNodes()) {
   KPJ_CHECK(options_.alpha > 1.0) << "alpha must exceed 1";
 }
@@ -53,13 +54,12 @@ void IterBoundSptiSolver::GrowTree(double tau, QueryStats* stats) {
   }
 }
 
-double IterBoundSptiSolver::CompLb(uint32_t v, const PreparedQuery& query,
-                                   EpochSet* forbidden_scratch,
+double IterBoundSptiSolver::CompLb(uint32_t v, uint32_t limit,
+                                   const PreparedQuery& query,
                                    QueryStats* stats) {
   const PseudoTree::Vertex& vx = tree_.vertex(v);
-  forbidden_scratch->ClearAll();
-  tree_.MarkPrefix(v, forbidden_scratch);
-  const EpochSet& forbidden = *forbidden_scratch;
+  // x lies on prefix(v) iff its path rank is within v's limit.
+  auto on_prefix = [&](NodeId x) { return path_rank_.Get(x) <= limit; };
 
   double lb = kInfinity;
   if (vx.node == kInvalidNode) {
@@ -73,7 +73,7 @@ double IterBoundSptiSolver::CompLb(uint32_t v, const PreparedQuery& query,
           break;
         }
       }
-      if (banned || forbidden.Contains(x)) continue;
+      if (banned || on_prefix(x)) continue;
       lb = std::min(lb, static_cast<double>(spti_.Distance(x)));
     }
     if (d_.size() < query.targets.size() && !spti_.Exhausted()) {
@@ -88,7 +88,7 @@ double IterBoundSptiSolver::CompLb(uint32_t v, const PreparedQuery& query,
   // Eq. (2) landmarks (or zero) outside.
   for (const OutEdge& e : reverse_.OutEdges(vx.node)) {
     ++stats->edges_relaxed;
-    if (forbidden.Contains(e.to)) continue;
+    if (on_prefix(e.to)) continue;
     bool banned = false;
     for (NodeId b : vx.banned) {
       if (b == e.to) {
@@ -124,15 +124,15 @@ void IterBoundSptiSolver::ExpandDivision(const DivisionResult& division,
     QueryStats stats;
   };
   std::vector<Slot> results(slots.size());
+  // Every lane reads the one rank array; nothing writes it in the round.
+  const uint32_t depth = RankDivisionPath(tree_, division, &path_rank_);
   RunDeviationRound(
-      intra_, slots.size(), &stats->algo, [&](size_t i, unsigned lane) {
+      intra_, slots.size(), &stats->algo, [&](size_t i, unsigned) {
         // Stolen tasks poll the token too; a skipped lb only matters when
         // cancelled, where the main loop exits before using it.
         if (cancel_ != nullptr && cancel_->ShouldStop()) return;
-        EpochSet* forbidden = lane == 0 ? &rev_search_.forbidden()
-                                        : lane_forbidden_[lane - 1].get();
-        results[i].lb = CompLb(slots[i], query, forbidden,
-                               &results[i].stats);
+        results[i].lb = CompLb(slots[i], depth + static_cast<uint32_t>(i),
+                               query, &results[i].stats);
       });
   for (size_t i = 0; i < results.size(); ++i) {
     stats->Accumulate(results[i].stats);
@@ -154,12 +154,6 @@ KpjResult IterBoundSptiSolver::Run(const PreparedQuery& query) {
   KpjResult res;
   cancel_ = query.cancel;
   intra_ = query.intra;
-  // One forbidden-set scratch (reverse-graph sized) per helper lane,
-  // provisioned up front so rounds never allocate into shared vectors.
-  while (lane_forbidden_.size() + 1 < IntraLanes(intra_)) {
-    lane_forbidden_.push_back(
-        std::make_unique<EpochSet>(reverse_.NumNodes()));
-  }
   spti_.SetCancelToken(cancel_);
   // res is stack storage: the pointer is cleared on every exit path below.
   spti_.SetAlgoStats(&res.stats.algo);

@@ -48,11 +48,11 @@ class IterBoundSptiSolver final : public KpjSolver {
   KpjResult Run(const PreparedQuery& query) override;
 
  private:
-  /// CompLB-SPT_I (Alg. 8), using `forbidden` as prefix-marking scratch;
-  /// +infinity means "provably empty subspace". Reads SPT_I state that
-  /// GrowTree only mutates *between* deviation rounds, so concurrent lane
-  /// calls are safe.
-  double CompLb(uint32_t v, const PreparedQuery& query, EpochSet* forbidden,
+  /// CompLB-SPT_I (Alg. 8); prefix(v) is the set of nodes whose
+  /// path_rank_ is <= `limit` (see RankDivisionPath). +infinity means
+  /// "provably empty subspace". Reads SPT_I state and ranks that are only
+  /// mutated *between* deviation rounds, so concurrent lane calls are safe.
+  double CompLb(uint32_t v, uint32_t limit, const PreparedQuery& query,
                 QueryStats* stats);
 
   /// One deviation round of CompLb calls over the division's subspaces
@@ -74,6 +74,9 @@ class IterBoundSptiSolver final : public KpjSolver {
   IncrementalSearch spti_;        // Bound to the forward graph.
   PseudoTree tree_;
   ZeroHeuristic zero_;
+  /// Ranks of the current division's chosen path (RankDivisionPath),
+  /// over the reverse graph; read by every lane of a CompLb round.
+  EpochArray<uint32_t> path_rank_;
 
   EpochSet target_membership_;
   std::vector<NodeId> d_;  // D: settled targets, in settle order.
@@ -87,9 +90,6 @@ class IterBoundSptiSolver final : public KpjSolver {
   const CancellationToken* cancel_ = nullptr;
   /// Per-query intra-parallelism context (from PreparedQuery); set by Run.
   const IntraQueryContext* intra_ = nullptr;
-  /// Helper-lane forbidden-set scratch over the reverse graph (lane
-  /// L >= 1 uses lane_forbidden_[L-1]; lane 0 uses rev_search_'s set).
-  std::vector<std::unique_ptr<EpochSet>> lane_forbidden_;
 };
 
 }  // namespace kpj

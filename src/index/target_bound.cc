@@ -76,6 +76,18 @@ void LandmarkSetBound::SelectActive(NodeId scoring_node,
     }
     std::sort(active_.begin(), active_.end());  // Cache-friendly order.
   }
+  // Kernel inputs for Estimate: a/b are the tables EstimateOne calls
+  // from_u/to_u (kToSet) or to_u/from_u (kFromSet); p/q the aggregates,
+  // exact in 32 bits because they are minima/maxima of table values.
+  const bool to_set = direction_ == BoundDirection::kToSet;
+  a_table_ = (to_set ? index_->dist_from() : index_->dist_to()).data();
+  b_table_ = (to_set ? index_->dist_to() : index_->dist_from()).data();
+  p_.assign(num, 0);
+  q_.assign(num, LandmarkIndex::kUnreachable32);
+  for (uint32_t l : active_) {
+    p_[l] = LandmarkIndex::Narrow(agg_->min_primary[l]);
+    q_[l] = LandmarkIndex::Narrow(agg_->max_secondary[l]);
+  }
 }
 
 PathLength LandmarkSetBound::EstimateOne(uint32_t l, NodeId u) const {
@@ -120,13 +132,30 @@ PathLength LandmarkSetBound::Estimate(NodeId u) const {
   // Virtual query nodes (GKPJ super-source, §6) are outside the offline
   // tables; 0 is the only admissible bound (they attach via 0-weight arcs).
   if (u >= index_->num_nodes()) return 0;
-  PathLength best = 0;
-  for (uint32_t l : active_) {
-    PathLength b = EstimateOne(l, u);
-    if (b == kInfLength) return kInfLength;
-    best = std::max(best, b);
+  // EstimateOne's two difference bounds, over 32-bit table values where
+  // kInf32 is infinity, without a branch: an infinite minuend (the "proof"
+  // case) turns the term into all ones, an infinite other operand (the
+  // bound does not apply) into 0. A finite difference is below kInf32, so
+  // a kInf32 maximum can only come from a proof. Inactive landmarks have
+  // p = 0, q = kInf32 and contribute 0. A plain loop: gcc vectorises it at
+  // -O3 with baseline SSE2.
+  constexpr uint32_t kInf32 = LandmarkIndex::kUnreachable32;
+  const size_t num = p_.size();
+  const uint32_t* a = a_table_ + static_cast<size_t>(u) * num;
+  const uint32_t* b = b_table_ + static_cast<size_t>(u) * num;
+  const uint32_t* p = p_.data();
+  const uint32_t* q = q_.data();
+  uint32_t best = 0;
+  for (size_t l = 0; l < num; ++l) {
+    const uint32_t t1 =
+        ((std::max(p[l], a[l]) - a[l]) | -uint32_t{p[l] == kInf32}) &
+        -uint32_t{a[l] != kInf32};
+    const uint32_t t2 =
+        ((std::max(b[l], q[l]) - q[l]) | -uint32_t{b[l] == kInf32}) &
+        -uint32_t{q[l] != kInf32};
+    best = std::max(best, std::max(t1, t2));
   }
-  return best;
+  return best == kInf32 ? kInfLength : best;
 }
 
 size_t TargetBoundCache::KeyHash::operator()(const Key& key) const {

@@ -49,7 +49,8 @@ struct LandmarkSetAggregates {
 ///
 /// Construction aggregates each landmark's distance to/from the set once —
 /// O(|L| * |S|), the paper's "computed only once for each query" — after
-/// which Estimate costs O(|L|).
+/// which Estimate costs O(|L|): one branch-free pass over u's node-major
+/// table rows.
 ///
 /// For kToSet with landmark w:
 ///   dist(u, S) >= min_{x in S} δ(w, x) - δ(w, u)   (Eq. (2))
@@ -103,10 +104,12 @@ class LandmarkSetBound final : public Heuristic {
   const std::vector<uint32_t>& active_landmarks() const { return active_; }
 
  private:
+  /// Picks active_ and fills the Estimate kernel inputs below.
   void SelectActive(NodeId scoring_node, uint32_t max_active);
 
   /// Bound contribution of landmark slot `l` at node `u`; kInfLength means
-  /// a proof that the set is unreachable from/to `u`.
+  /// a proof that the set is unreachable from/to `u`. The reference form
+  /// of Estimate's kernel; used to score landmarks in SelectActive.
   PathLength EstimateOne(uint32_t l, NodeId u) const;
 
   const LandmarkIndex* index_;
@@ -116,6 +119,14 @@ class LandmarkSetBound final : public Heuristic {
   // the one whose subtrahend is a set aggregate. See EstimateOne.
   std::shared_ptr<const LandmarkSetAggregates> agg_;
   std::vector<uint32_t> active_;          // Landmark slots to evaluate.
+  // Estimate kernel inputs, one entry per landmark slot: node-major rows
+  // a (subtrahend of the primary bound) and b (minuend of the secondary
+  // bound) in index_'s tables, and the aggregates narrowed to 32 bits;
+  // an inactive slot has p = 0, q = infinity, so it contributes 0.
+  const uint32_t* a_table_ = nullptr;
+  const uint32_t* b_table_ = nullptr;
+  std::vector<uint32_t> p_;
+  std::vector<uint32_t> q_;
 };
 
 /// Monotonic operation counters plus the current byte footprint.

@@ -18,8 +18,9 @@ namespace kpj {
 /// lower bound on the remaining distance from a node to the search target.
 ///
 /// Implementations: ZeroHeuristic (degenerates A* to Dijkstra, the
-/// "no landmark" mode of Section 6), LandmarkTargetBound (Eq. (2)),
-/// and the SPT-augmented bounds of Sections 5.2/5.3.
+/// "no landmark" mode of Section 6), LandmarkSetBound (Eq. (2),
+/// index/target_bound.h), and the SPT-augmented bounds of Sections
+/// 5.2/5.3.
 class Heuristic {
  public:
   virtual ~Heuristic() = default;

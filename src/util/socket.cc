@@ -1,6 +1,8 @@
 #include "util/socket.h"
 
 #include <arpa/inet.h>
+
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <netinet/in.h>
@@ -213,11 +215,16 @@ Result<Frame> ReadFrame(const Socket& socket, size_t max_bytes,
                                    " bytes exceeds the " +
                                    std::to_string(max_bytes) + "-byte limit");
   }
+  // The buffer grows as bytes arrive, one bounded chunk at a time: a peer
+  // that announces a large frame and stalls holds one chunk, not `size`.
+  constexpr size_t kReadChunk = 64 * 1024;
   Frame frame;
-  frame.payload.resize(size);
-  if (size > 0) {
+  while (frame.payload.size() < size) {
+    const size_t have = frame.payload.size();
+    const size_t want = std::min<size_t>(size - have, kReadChunk);
+    frame.payload.resize(have + want);
     KPJ_RETURN_IF_ERROR(
-        ReadAll(socket.fd(), frame.payload.data(), size, &got, wait));
+        ReadAll(socket.fd(), frame.payload.data() + have, want, &got, wait));
   }
   return frame;
 }

@@ -76,8 +76,9 @@ Status WriteFrame(const Socket& socket, std::string_view payload);
 using ReadWaiter = std::function<bool(int fd)>;
 
 /// Reads one frame (blocking). Frames longer than `max_bytes` are refused
-/// without reading the body, so a hostile prefix cannot make the server
-/// allocate unbounded memory. EOF before the first prefix byte returns
+/// without reading the body, and the payload buffer grows only as bytes
+/// arrive, so a hostile prefix cannot make the server allocate memory the
+/// peer never sends. EOF before the first prefix byte returns
 /// Frame{eof=true}; EOF mid-frame is an IoError. With a `wait`, a read it
 /// abandons fails the frame with kDeadlineExceeded.
 Result<Frame> ReadFrame(const Socket& socket, size_t max_bytes,

@@ -24,6 +24,7 @@
 #include "core/kpj_instance.h"
 #include "gen/road_gen.h"
 #include "graph/graph.h"
+#include "graph/graph_builder.h"
 #include "index/landmark_index.h"
 #include "util/concurrency.h"
 #include "util/rng.h"
@@ -249,6 +250,103 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, IntraIdentityTest,
                            }
                            return name;
                          });
+
+/// A ladder: two rails of `rungs` nodes (rail 0 = 0..rungs-1, rail 1 =
+/// rungs..2*rungs-1), both directions on every rail edge and rung, with
+/// seeded weights. Every path between the two ends has >= rungs-1 hops.
+Graph LadderGraph(NodeId rungs, uint64_t seed) {
+  Rng rng(seed);
+  GraphBuilder b(2 * rungs);
+  auto weight = [&] { return static_cast<Weight>(rng.NextInRange(1, 9)); };
+  for (NodeId i = 0; i < rungs; ++i) {
+    b.AddBidirectional(i, rungs + i, weight());
+    if (i + 1 < rungs) {
+      b.AddBidirectional(i, i + 1, weight());
+      b.AddBidirectional(rungs + i, rungs + i + 1, weight());
+    }
+  }
+  return b.Build();
+}
+
+TEST(IntraDeepPathTest, LongPrefixesIdenticalAcrossLanesAndEqualToDa) {
+  // Answers of >= 100 hops make every division rank a deep chosen path,
+  // and k = 30 makes many divisions share one rank array across lanes.
+  constexpr NodeId kRungs = 150;
+  KpjInstance instance =
+      KpjInstance::Wrap(LadderGraph(kRungs, 41), Permutation()).value();
+  LandmarkIndexOptions opt;
+  opt.num_landmarks = 4;
+  ASSERT_TRUE(instance
+                  .AttachLandmarks(LandmarkIndex::Build(
+                      instance.graph(), instance.reverse(), opt))
+                  .ok());
+  std::vector<KpjQuery> queries(2);
+  queries[0].sources = {0};
+  queries[0].targets = {kRungs - 1, 2 * kRungs - 1};
+  queries[1].sources = {kRungs};
+  queries[1].targets = {kRungs - 1, kRungs - 3, 2 * kRungs - 2};
+  for (KpjQuery& query : queries) query.k = 30;
+
+  // The work of each solver on these queries (pruned candidates,
+  // searches, bound tests, nodes settled), recorded when CompLB still
+  // walked every subspace's prefix: reading the prefixes from one rank
+  // array per division must bound exactly the same subspaces. A looser
+  // but still admissible bound keeps every answer and changes only these.
+  struct Work {
+    Algorithm algorithm;
+    uint64_t pruned[2], searches[2], tests[2], settled[2];
+  };
+  const Work kWork[] = {
+      {Algorithm::kIterBoundSptI, {43, 43}, {39, 29}, {39, 29}, {3926, 2771}},
+      {Algorithm::kIterBound, {35, 44}, {130, 30}, {129, 29}, {6376, 1004}},
+      {Algorithm::kIterBoundSptP, {36, 44}, {33, 30}, {32, 29}, {1340, 1004}},
+      {Algorithm::kBestFirst, {35, 44}, {130, 30}, {0, 0}, {6376, 1004}},
+  };
+
+  std::vector<KpjResult> da =
+      RunQueries(instance, queries, Algorithm::kDA, 1, 1);
+  for (const KpjResult& r : da) {
+    ASSERT_EQ(r.paths.size(), 30u);
+    for (const Path& path : r.paths) ASSERT_GE(path.nodes.size(), 101u);
+  }
+  for (const Work& work : kWork) {
+    const Algorithm algorithm = work.algorithm;
+    std::vector<KpjResult> reference =
+        RunQueries(instance, queries, algorithm, 1, 1);
+    for (size_t q = 0; q < queries.size(); ++q) {
+      std::string where = std::string(AlgorithmName(algorithm)) +
+                          " query=" + std::to_string(q);
+      const QueryStats& stats = reference[q].stats;
+      EXPECT_EQ(stats.algo.candidates_pruned, work.pruned[q]) << where;
+      EXPECT_EQ(stats.shortest_path_computations, work.searches[q]) << where;
+      EXPECT_EQ(stats.lower_bound_tests, work.tests[q]) << where;
+      EXPECT_EQ(stats.nodes_settled, work.settled[q]) << where;
+      ASSERT_EQ(reference[q].paths.size(), da[q].paths.size()) << where;
+      for (size_t p = 0; p < da[q].paths.size(); ++p) {
+        EXPECT_EQ(reference[q].paths[p].length, da[q].paths[p].length)
+            << where << " path=" << p;
+      }
+      // Every popped bound was a lower bound on the length found for it.
+      EXPECT_LE(stats.algo.lb_tightness_num, stats.algo.lb_tightness_den)
+          << where;
+    }
+    for (unsigned intra : {2u, 4u}) {
+      std::vector<KpjResult> got =
+          RunQueries(instance, queries, algorithm, intra + 1, intra);
+      for (size_t q = 0; q < queries.size(); ++q) {
+        std::string where = std::string(AlgorithmName(algorithm)) +
+                            " intra=" + std::to_string(intra) +
+                            " query=" + std::to_string(q);
+        ASSERT_EQ(reference[q].paths.size(), got[q].paths.size()) << where;
+        for (size_t p = 0; p < reference[q].paths.size(); ++p) {
+          EXPECT_EQ(reference[q].paths[p].nodes, got[q].paths[p].nodes)
+              << where << " path=" << p;
+        }
+        ExpectSameStats(reference[q].stats, got[q].stats, where);
+      }
+    }
+  }
+}
 
 TEST(IntraMetricsTest, RoundAndTaskCountersAreSchedulingIndependent) {
   Graph g = TestGraph(2000, 7);

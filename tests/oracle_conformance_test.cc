@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/instrumentation.h"
@@ -133,6 +135,106 @@ TEST(OracleConformanceTest, VirtualNodesGetZeroBounds) {
   std::unique_ptr<Heuristic> bound = std::make_unique<LandmarkSetBound>(
       oracle.get(), set, BoundDirection::kToSet, kInvalidNode, 0);
   EXPECT_EQ(bound->Estimate(virtual_node), 0u);
+}
+
+/// Eq. (2) written out per landmark, with the unreachability proofs of
+/// LandmarkSetBound's contract: the reference for its branch-free kernel.
+PathLength ReferenceSetBound(const LandmarkIndex& index,
+                             std::span<const NodeId> set,
+                             BoundDirection dir,
+                             const std::vector<uint32_t>& active, NodeId u,
+                             int* infinite_aggregates) {
+  if (u >= index.num_nodes()) return 0;
+  PathLength best = 0;
+  for (uint32_t l : active) {
+    // With near = δ(w, ·) and far = δ(·, w) for kToSet (swapped for
+    // kFromSet): lb >= min_x near(x) - near(u) and
+    // lb >= far(u) - max_x far(x).
+    auto near = [&](NodeId v) {
+      return dir == BoundDirection::kToSet ? index.DistFromLandmark(l, v)
+                                           : index.DistToLandmark(l, v);
+    };
+    auto far = [&](NodeId v) {
+      return dir == BoundDirection::kToSet ? index.DistToLandmark(l, v)
+                                           : index.DistFromLandmark(l, v);
+    };
+    PathLength min_near = kInfLength;
+    PathLength max_far = 0;
+    for (NodeId x : set) {
+      min_near = std::min(min_near, near(x));
+      max_far = std::max(max_far, far(x));
+    }
+    if (min_near == kInfLength || max_far == kInfLength) {
+      ++*infinite_aggregates;
+    }
+    if (near(u) != kInfLength) {
+      if (min_near == kInfLength) return kInfLength;
+      if (min_near > near(u)) best = std::max(best, min_near - near(u));
+    }
+    if (max_far != kInfLength) {
+      if (far(u) == kInfLength) return kInfLength;
+      if (far(u) > max_far) best = std::max(best, far(u) - max_far);
+    }
+  }
+  return best;
+}
+
+TEST(OracleConformanceTest, EstimateKernelEqualsScalarFormula) {
+  // A strongly connected core 0..23, a one-way chain 24..33 entered from
+  // node 5 that never leads back, and node 34 that reaches the core but
+  // is reached by nothing: unreachable table rows and infinite set
+  // aggregates both occur.
+  Rng rng(28);
+  GraphBuilder b(35);
+  b.EnsureNode(34);
+  for (NodeId u = 0; u < 24; ++u) {
+    b.AddBidirectional(u, (u + 1) % 24, 1 + u % 5);
+    NodeId v = static_cast<NodeId>(rng.NextBounded(24));
+    if (v != u) b.AddEdge(u, v, static_cast<Weight>(rng.NextInRange(0, 9)));
+  }
+  b.AddEdge(5, 24, 3);
+  for (NodeId u = 24; u < 33; ++u) b.AddEdge(u, u + 1, 2);
+  b.AddEdge(34, 0, 4);
+  Graph g = b.Build();
+  Graph rev = g.Reverse();
+  // Random selection spreads the landmarks over the core, the chain and
+  // node 34 (farthest-point selection stops at the chain's dead end).
+  LandmarkIndexOptions opt;
+  opt.num_landmarks = 8;
+  opt.selection = LandmarkSelection::kRandom;
+  LandmarkIndex index = LandmarkIndex::Build(g, rev, opt);
+  ASSERT_EQ(index.num_landmarks(), 8u);
+
+  const std::vector<std::vector<NodeId>> sets = {
+      {2, 9, 17}, {28, 31}, {3, 30}, {34}};
+  int infinite_aggregates = 0;
+  int infinite_bounds = 0;
+  for (const std::vector<NodeId>& set : sets) {
+    for (BoundDirection dir :
+         {BoundDirection::kToSet, BoundDirection::kFromSet}) {
+      for (uint32_t max_active : {0u, 3u}) {
+        for (NodeId scoring : {NodeId{0}, NodeId{26}}) {
+          LandmarkSetBound bound(&index, set, dir, scoring, max_active);
+          ASSERT_EQ(bound.active_landmarks().size(),
+                    max_active == 0 ? 8u : max_active);
+          for (NodeId u = 0; u < g.NumNodes() + 3; ++u) {
+            PathLength want =
+                ReferenceSetBound(index, set, dir, bound.active_landmarks(),
+                                  u, &infinite_aggregates);
+            ASSERT_EQ(bound.Estimate(u), want)
+                << "u=" << u << " dir=" << static_cast<int>(dir)
+                << " max_active=" << max_active << " scoring=" << scoring;
+            if (u >= g.NumNodes()) {
+              ASSERT_EQ(want, 0u);
+            }
+            if (want == kInfLength) ++infinite_bounds;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(infinite_aggregates, 0);
+  EXPECT_GT(infinite_bounds, 0);
 }
 
 TEST(OracleConformanceTest, CachedSetBoundMatchesUncached) {

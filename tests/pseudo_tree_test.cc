@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "graph/graph_builder.h"
 
 namespace kpj {
@@ -145,6 +147,52 @@ TEST(PseudoTreeTest, VirtualRootDivisionUsesZeroWeightFirstHop) {
   EXPECT_EQ(tree.vertex(div.created[0]).prefix_length, 0u);
   // Second child: reverse arc 3 -> 2 (weight of forward 2 -> 3 = 3).
   EXPECT_EQ(tree.vertex(div.created[1]).prefix_length, 3u);
+}
+
+/// Slot j of `div` (0 = revised, j = created[j-1]) must see exactly its
+/// MarkPrefix set as the nodes ranked <= D + j.
+void ExpectRanksMatchPrefixes(const PseudoTree& tree,
+                              const DivisionResult& div, NodeId num_nodes) {
+  EpochArray<uint32_t> rank(num_nodes, kUnranked);
+  const uint32_t depth = RankDivisionPath(tree, div, &rank);
+  std::vector<uint32_t> slots = {div.revised};
+  slots.insert(slots.end(), div.created.begin(), div.created.end());
+  for (uint32_t j = 0; j < slots.size(); ++j) {
+    EpochSet marks(num_nodes);
+    tree.MarkPrefix(slots[j], &marks);
+    for (NodeId x = 0; x < num_nodes; ++x) {
+      EXPECT_EQ(rank.Get(x) <= depth + j, marks.Contains(x))
+          << "slot " << j << " node " << x;
+    }
+  }
+}
+
+TEST(PseudoTreeTest, RankDivisionPathMatchesMarkPrefixPerSlot) {
+  Graph g = Chain();
+  PseudoTree tree;
+  tree.Reset(0);
+  std::vector<NodeId> first = {1, 2, 3};
+  DivisionResult root_div = DivideSubspace(tree, g, tree.root(), first,
+                                           /*create_destination_vertex=*/true);
+  ExpectRanksMatchPrefixes(tree, root_div, g.NumNodes());
+  // A deeper division: the subspace of vertex "0 -> 1" along 1 -> 4 -> 3.
+  std::vector<NodeId> second = {4, 3};
+  DivisionResult deep = DivideSubspace(tree, g, root_div.created[0], second,
+                                       /*create_destination_vertex=*/true);
+  EpochArray<uint32_t> rank(g.NumNodes(), kUnranked);
+  EXPECT_EQ(RankDivisionPath(tree, deep, &rank), 2u);
+  ExpectRanksMatchPrefixes(tree, deep, g.NumNodes());
+
+  // Reverse orientation: the virtual root has no node and no rank.
+  Graph rev = g.Reverse();
+  PseudoTree reverse_tree;
+  reverse_tree.Reset(kInvalidNode);
+  std::vector<NodeId> suffix = {3, 2, 1, 0};
+  DivisionResult rev_div =
+      DivideSubspace(reverse_tree, rev, reverse_tree.root(), suffix,
+                     /*create_destination_vertex=*/false);
+  EXPECT_EQ(RankDivisionPath(reverse_tree, rev_div, &rank), 0u);
+  ExpectRanksMatchPrefixes(reverse_tree, rev_div, g.NumNodes());
 }
 
 }  // namespace

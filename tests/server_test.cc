@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -415,7 +417,7 @@ api::QueryRequest HeavyRequest(uint32_t num_nodes) {
   // of work pinning the single engine slot.
   std::vector<NodeId> targets;
   for (uint32_t i = 1; i <= 16; ++i) targets.push_back(num_nodes - i);
-  return MakeRequest({0}, std::move(targets), 512);
+  return MakeRequest({0}, std::move(targets), 2048);
 }
 
 uint32_t HeavyGraphNodes() {
@@ -802,6 +804,45 @@ TEST(KpjServerTest, DrainClosesAConnectionStalledMidFrame) {
   Result<Frame> after = ReadFrame(stalled.value(), 1 << 20);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_TRUE(after.value().eof);
+}
+
+/// Resident set size of this process, from /proc/self/statm.
+size_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  size_t total_pages = 0;
+  size_t resident_pages = 0;
+  statm >> total_pages >> resident_pages;
+  return resident_pages * static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(KpjServerTest, AnnouncedFrameSizeIsNotAllocatedUpFront) {
+  // 32 peers each announce a maximal (16 MiB) frame and send one byte of
+  // it: the server must hold what arrived, not 512 MiB of announcements.
+  const std::string path = GraphPath(2500, 21);
+  KpjServerOptions options = SmallServerOptions(path);
+  ASSERT_EQ(options.max_frame_bytes, size_t{16} << 20);
+  KpjServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  const uint32_t size = static_cast<uint32_t>(options.max_frame_bytes);
+  const std::string announce = {
+      static_cast<char>(size >> 24), static_cast<char>(size >> 16),
+      static_cast<char>(size >> 8), static_cast<char>(size), '{'};
+  const size_t before = ResidentBytes();
+  std::vector<Socket> peers;
+  for (int i = 0; i < 32; ++i) {
+    Result<Socket> peer = ConnectTcp("127.0.0.1", server.port());
+    ASSERT_TRUE(peer.ok()) << peer.status().ToString();
+    SendRaw(peer.value(), announce);
+    peers.push_back(std::move(peer).value());
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const size_t after = ResidentBytes();
+  EXPECT_LT(after - std::min(after, before), size_t{64} << 20)
+      << "RSS " << before << " -> " << after << " bytes";
+  // The peers hang up mid-frame; the server keeps serving.
+  peers.clear();
+  Client client(server.port());
+  EXPECT_TRUE(client.Query(MakeRequest({5}, {100}, 1)).ok());
 }
 
 TEST(KpjServerTest, FrameFinishedWithinTheDrainGraceIsAnswered) {
