@@ -140,6 +140,7 @@ QueryResponse BuildQueryResponse(const Result<KpjResult>& result,
   response.nodes_settled = kr.stats.nodes_settled;
   response.algorithm_chosen = AlgorithmName(kr.algorithm_used);
   response.planner_reason = kr.planner_reason;
+  response.answer_cached = kr.stats.algo.answer_cache_hits != 0;
   return response;
 }
 

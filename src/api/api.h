@@ -140,6 +140,10 @@ struct QueryResponse {
   /// that never reached a solver (validation failures, shed queries).
   std::string algorithm_chosen;
   std::string planner_reason;
+  /// True when the engine served the paths from its answer cache and no
+  /// solver ran. Kept for the access log; not serialized (on the wire such
+  /// an answer shows nodes_settled 0 and sp_computations 0).
+  bool answer_cached = false;
 };
 
 /// An ordered batch; responses come back in request order. The batch-level

@@ -102,11 +102,6 @@ Result<KpjResult> KpjEngine::RunOne(const KpjQuery& query, double deadline_ms,
     metrics_.planner_choice[PlannerIndex(decision.algorithm)].Increment();
     if (decision.fallback) metrics_.planner_fallback.Increment();
   }
-  // Satellite of the planner work: algorithms whose measured SPT-cache
-  // hit benefit is negative must not pay the insert (sptp.cc skips the
-  // snapshot export and counts spt_cache_insert_skips).
-  cache_ctx.allow_sptp_insert =
-      QueryPlanner::SptInsertBeneficial(run_options.algorithm);
 
   // Resolve this query's intra-parallelism fan-out against the current
   // load *after* counting ourselves in, so a lone query sees active == 1
@@ -149,9 +144,13 @@ Result<KpjResult> KpjEngine::RunOne(const KpjQuery& query, double deadline_ms,
 
   if (planned && result.ok()) {
     // Feed the rolling profile (no-op for pinned planners) and stamp the
-    // decision provenance so api/server layers can report it.
-    planner_->RecordLatency(run_options.algorithm, planner_resident,
-                            planner_shape_fp, elapsed_ms);
+    // decision provenance so api/server layers can report it. An answer
+    // served from the cache says nothing about the solver's cost, so it
+    // is not a sample.
+    if (result.value().stats.algo.answer_cache_hits == 0) {
+      planner_->RecordLatency(run_options.algorithm, planner_resident,
+                              planner_shape_fp, elapsed_ms);
+    }
     result.value().planner_reason = planner_reason;
   }
 
@@ -191,6 +190,8 @@ Result<KpjResult> KpjEngine::RunOne(const KpjQuery& query, double deadline_ms,
     if (planned && r.planner_reason[0] != '\0') {
       log << " planner_reason=" << r.planner_reason;
     }
+    // The status message is free text, so it stays last.
+    log << " answer_cached=" << r.stats.algo.answer_cache_hits;
     if (!r.status.ok()) log << " status=" << r.status.ToString();
   }
   return result;

@@ -1,8 +1,11 @@
 #include "core/kpj_instance.h"
 
+#include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
+#include "core/spt_cache.h"
 #include "graph/serialize.h"
 #include "util/trace.h"
 
@@ -108,6 +111,24 @@ Result<KpjQuery> TranslateQuery(const KpjInstance& instance,
   return internal;
 }
 
+/// The answer-cache key of a prepared single-source query: the substrate
+/// key fields plus the solver that runs it and k. Knobs an engine fixes at
+/// construction (alpha) need no field: a cache belongs to one engine.
+SptCacheKey AnswerKey(const KpjInstance& instance, const KpjOptions& options,
+                      const PreparedQuery& pq, uint64_t epoch) {
+  SptCacheKey key;
+  key.kind = SptCacheKind::kAnswer;
+  key.epoch = epoch;
+  key.source = pq.source;
+  key.config = SptCacheConfig(
+      ResolveOptions(instance, options).oracle != nullptr,
+      options.max_active_landmarks);
+  key.targets = pq.targets;
+  key.algorithm = options.algorithm;
+  key.k = pq.k;
+  return key;
+}
+
 }  // namespace
 
 Result<PreparedQuery> PrepareQuery(const KpjInstance& instance,
@@ -147,10 +168,36 @@ Result<KpjResult> RunKpjOnInstance(const KpjInstance& instance,
   if (!pq.virtual_source) {
     KPJ_TRACE_SPAN("solver.run");
     pq.cache = cache;
-    if (pooled_solver != nullptr) {
-      result = pooled_solver->Run(pq);
-    } else {
-      result = MakeSolver(instance, options)->Run(pq);
+    // A given solver's answer is a pure function of the key, so an exact
+    // repeat is served whole: byte-identical, with zero work counters.
+    SptCache* answers = cache != nullptr ? cache->spt : nullptr;
+    SptCacheKey key;
+    if (answers != nullptr) {
+      key = AnswerKey(instance, options, pq, cache->epoch);
+      if (std::optional<SptCacheValue> hit = answers->Lookup(key)) {
+        result.paths = *hit->answer;
+        result.stats.algo.answer_cache_hits = 1;
+      }
+    }
+    if (result.stats.algo.answer_cache_hits == 0) {
+      if (pooled_solver != nullptr) {
+        result = pooled_solver->Run(pq);
+      } else {
+        result = MakeSolver(instance, options)->Run(pq);
+      }
+      if (answers != nullptr) {
+        result.stats.algo.answer_cache_misses = 1;
+        // Only complete answers are stored: a deadline-truncated prefix is
+        // not the answer. Nor is an entry larger than a whole shard.
+        if (result.status.ok()) {
+          SptCacheValue value;
+          value.answer =
+              std::make_shared<const std::vector<Path>>(result.paths);
+          if (answers->FitsInShard(key, value)) {
+            answers->Insert(std::move(key), std::move(value));
+          }
+        }
+      }
     }
   } else {
     // GKPJ (§6): a virtual super-source changes the graph, so the pooled

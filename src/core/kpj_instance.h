@@ -155,7 +155,10 @@ Result<PreparedQuery> PrepareQuery(const KpjInstance& instance,
 /// `cache` (may be null) enables cross-query reuse (core/spt_cache.h).
 /// It is threaded to single-source solvers only: GKPJ queries run on the
 /// augmented super-source graph, whose node space the caches do not
-/// describe. Results are byte-identical with or without a cache.
+/// describe. An exact repeat of a complete single-source answer of
+/// `options.algorithm` is served from the cache whole, with zero work
+/// counters and `answer_cache_hits` = 1. Results are byte-identical with
+/// or without a cache.
 ///
 /// `intra` (may be null) enables intra-query parallel deviation rounds
 /// (core/intra.h); it is threaded to both pooled and GKPJ solvers.

@@ -188,15 +188,6 @@ class QueryPlanner {
 
   const PlannerOptions& options() const { return options_; }
 
-  /// Whether inserting into the SPT cache pays off for `algorithm`'s
-  /// substrate. SPT_P's measured hit benefit is negative (BENCH_cache
-  /// speedup 0.98x: the snapshot export costs more than a restore saves),
-  /// so the engine clears QueryCacheContext::allow_sptp_insert for it and
-  /// the solver counts AlgoStats::spt_cache_insert_skips instead.
-  static bool SptInsertBeneficial(Algorithm algorithm) {
-    return algorithm != Algorithm::kIterBoundSptP;
-  }
-
  private:
   /// Distance quintile (0 = nearest .. 4 = farthest) of `lb` against the
   /// rolling scale; 2 (neutral) while the scale has no samples.

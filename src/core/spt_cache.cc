@@ -25,6 +25,8 @@ size_t SptCacheKey::Hash() const {
   h = HashMix(h, source);
   h = HashMix(h, config);
   for (NodeId t : targets) h = HashMix(h, t);
+  h = HashMix(h, static_cast<uint64_t>(algorithm));
+  h = HashMix(h, k);
   return h;
 }
 
@@ -41,6 +43,15 @@ size_t SptCacheValue::MemoryBytes() const {
              settled_targets->capacity() * sizeof(NodeId);
   }
   if (root_path != nullptr) total += root_path->MemoryBytes();
+  if (answer != nullptr) {
+    total += sizeof(std::vector<Path>) + answer->capacity() * sizeof(Path);
+    for (const Path& path : *answer) {
+      // Up to eight nodes live inline in the Path itself.
+      if (path.nodes.capacity() > 8) {
+        total += path.nodes.capacity() * sizeof(NodeId);
+      }
+    }
+  }
   return total;
 }
 

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/kpj_query.h"
 #include "sssp/incremental_search.h"
 #include "sssp/spt.h"
 #include "util/types.h"
@@ -20,12 +21,10 @@ namespace kpj {
 class TargetBoundCache;
 
 /// What kind of shortest-path substrate an SptCache entry holds. Each kind
-/// corresponds to one solver integration point; all four store values that
-/// are pure functions of the key, so adopting a cached value is
-/// byte-identical to recomputing it:
+/// corresponds to one integration point; all four store values that are
+/// pure functions of the key, so adopting a cached value is byte-identical
+/// to recomputing it:
 ///  * kReverseTargetSpt — DA-SPT's full reverse SPT from V_T (SptResult).
-///  * kReverseSptp      — SPT_P state right after the reverse search
-///                        settled the query source (SearchSnapshot).
 ///  * kForwardSpti      — SPT_I state at the end of phase 1, when the
 ///                        first target was settled (SearchSnapshot). The
 ///                        grown tree of the main loop is deliberately NOT
@@ -34,11 +33,13 @@ class TargetBoundCache;
 ///                        the byte-identical guarantee.
 ///  * kRootPath         — the initial shortest path of the best-first
 ///                        framework (DA / IterBound).
+///  * kAnswer           — a whole complete single-source answer of the
+///                        solver named in the key (RunKpjOnInstance).
 enum class SptCacheKind : uint8_t {
   kReverseTargetSpt = 0,
   kForwardSpti = 1,
-  kReverseSptp = 2,
-  kRootPath = 3,
+  kRootPath = 2,
+  kAnswer = 3,
 };
 
 /// Cache key: everything the cached computation depends on. `epoch` is the
@@ -47,14 +48,18 @@ enum class SptCacheKind : uint8_t {
 /// `config` packs the heuristic configuration (landmark availability and
 /// max_active_landmarks) because heuristic values reach the stored heap
 /// keys. `targets` is the canonical (sorted, deduplicated) target list of
-/// the prepared query. Equality is exact — hashing only picks the shard
-/// and bucket, so collisions cannot cross-contaminate results.
+/// the prepared query. `algorithm` and `k` are set for kAnswer only (an
+/// answer is a function of the solver that ran and of k; the substrate
+/// kinds are not). Equality is exact — hashing only picks the shard and
+/// bucket, so collisions cannot cross-contaminate results.
 struct SptCacheKey {
   SptCacheKind kind = SptCacheKind::kReverseTargetSpt;
   uint64_t epoch = 0;
   NodeId source = kInvalidNode;
   uint32_t config = 0;
   std::vector<NodeId> targets;
+  Algorithm algorithm = Algorithm::kAuto;
+  uint32_t k = 0;
 
   bool operator==(const SptCacheKey&) const = default;
   size_t Hash() const;
@@ -88,9 +93,10 @@ struct CachedRootPath {
 /// holds (or has adopted) the data.
 struct SptCacheValue {
   std::shared_ptr<const SptResult> full_spt;            // kReverseTargetSpt
-  std::shared_ptr<const SearchSnapshot> snapshot;       // kForwardSpti/Sptp
+  std::shared_ptr<const SearchSnapshot> snapshot;       // kForwardSpti
   std::shared_ptr<const std::vector<NodeId>> settled_targets;  // kForwardSpti
   std::shared_ptr<const CachedRootPath> root_path;      // kRootPath
+  std::shared_ptr<const std::vector<Path>> answer;      // kAnswer
 
   size_t MemoryBytes() const;
 };
@@ -105,9 +111,10 @@ struct SptCacheStats {
   size_t entries = 0;
 };
 
-/// Sharded LRU cache of shortest-path substrate, shared by all workers of
-/// a KpjEngine. Thread-safe; each shard has its own mutex, LRU list and
-/// byte budget (total budget / shard count). Epoch invalidation is lazy —
+/// Sharded LRU cache of shortest-path substrate and whole answers, shared
+/// by all workers of a KpjEngine. Thread-safe; each shard has its own
+/// mutex, LRU list and byte budget (total budget / shard count). Epoch
+/// invalidation is lazy —
 /// an entry with a stale epoch can never be looked up (the epoch is part
 /// of the key) — plus eager via PurgeOlderEpochs.
 ///
@@ -138,6 +145,12 @@ class SptCache {
   /// evicted by its own insert: a single oversized entry stays resident
   /// (and useful) until a later insert displaces it.
   void Insert(SptCacheKey key, SptCacheValue value);
+
+  /// True when the entry would fit one shard's byte budget, i.e. when an
+  /// Insert of it could ever share the shard with another entry.
+  bool FitsInShard(const SptCacheKey& key, const SptCacheValue& value) const {
+    return EntryBytes(key, value) <= shard_budget_;
+  }
 
   /// Eagerly removes every entry whose key epoch is older than
   /// `current_epoch`. Removed entries count as evictions.
@@ -187,13 +200,6 @@ struct QueryCacheContext {
   SptCache* spt = nullptr;
   TargetBoundCache* bounds = nullptr;
   uint64_t epoch = 0;
-  /// Insert policy for SPT_P's reverse-search snapshot (kReverseSptp).
-  /// The engine clears this for algorithms whose measured cache-hit
-  /// benefit is negative — exporting SPT_P's snapshot costs more than a
-  /// later hit saves (BENCH_cache.json: 0.98x) — so the solver skips the
-  /// export+insert and counts AlgoStats::spt_cache_insert_skips instead.
-  /// Lookups are unaffected: already-resident entries still serve hits.
-  bool allow_sptp_insert = true;
 };
 
 }  // namespace kpj

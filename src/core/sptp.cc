@@ -1,8 +1,6 @@
 #include "core/sptp.h"
 
 #include <algorithm>
-#include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -20,7 +18,6 @@ IterBoundSptpSolver::IterBoundSptpSolver(const Graph& graph,
 bool IterBoundSptpSolver::InitializeQuery(const PreparedQuery& query,
                                           SubspaceEntry* initial,
                                           QueryStats* stats) {
-  SptCache* spt_cache = query.cache != nullptr ? query.cache->spt : nullptr;
   TargetBoundCache* bound_cache =
       query.cache != nullptr ? query.cache->bounds : nullptr;
   const uint64_t epoch = query.cache != nullptr ? query.cache->epoch : 0;
@@ -38,34 +35,11 @@ bool IterBoundSptpSolver::InitializeQuery(const PreparedQuery& query,
   sptp_.SetHeuristic(guide);
   sptp_.SetCancelToken(query.cancel);
 
-  // Cross-query reuse: the post-initialization SPT_P (state right after the
-  // source settled) is a pure function of (targets, source, heuristic
-  // config), so a warm restore reproduces the cold state bit-for-bit and
-  // the AdvanceUntilSettled below early-returns.
-  SptCacheKey key;
-  bool restored = false;
-  if (spt_cache != nullptr) {
-    key.kind = SptCacheKind::kReverseSptp;
-    key.epoch = epoch;
-    key.source = query.source;
-    key.config = SptCacheConfig(options_.oracle != nullptr,
-                                options_.max_active_landmarks);
-    key.targets = query.targets;
-    if (std::optional<SptCacheValue> hit = spt_cache->Lookup(key)) {
-      sptp_.RestoreSnapshot(*hit->snapshot);
-      ++stats->algo.spt_cache_hits;
-      restored = true;
-    } else {
-      ++stats->algo.spt_cache_misses;
-    }
-  }
   sptp_.SetAlgoStats(&stats->algo);
-  if (!restored) {
-    std::vector<std::pair<NodeId, PathLength>> seeds;
-    seeds.reserve(query.targets.size());
-    for (NodeId t : query.targets) seeds.emplace_back(t, 0);
-    sptp_.Initialize(seeds);
-  }
+  std::vector<std::pair<NodeId, PathLength>> seeds;
+  seeds.reserve(query.targets.size());
+  for (NodeId t : query.targets) seeds.emplace_back(t, 0);
+  sptp_.Initialize(seeds);
   bool reached = sptp_.AdvanceUntilSettled(query.source);
   sptp_.SetAlgoStats(nullptr);  // stats points at caller stack storage.
   stats->nodes_settled += sptp_.stats().nodes_settled;
@@ -74,20 +48,6 @@ bool IterBoundSptpSolver::InitializeQuery(const PreparedQuery& query,
   // This initial computation answers the first shortest path; it is not a
   // separate CompSP (the SPT_P comes "without any extra cost").
   ++stats->shortest_path_computations;
-  if (!restored && spt_cache != nullptr && reached &&
-      (query.cancel == nullptr || !query.cancel->ShouldStop())) {
-    if (query.cache->allow_sptp_insert) {
-      auto snap = std::make_shared<SearchSnapshot>();
-      sptp_.ExportSnapshot(snap.get());
-      SptCacheValue value;
-      value.snapshot = std::move(snap);
-      spt_cache->Insert(std::move(key), std::move(value));
-    } else {
-      // The engine measured SPT_P's hit benefit as negative: the snapshot
-      // export here costs more than a later restore saves, so skip it.
-      ++stats->algo.spt_cache_insert_skips;
-    }
-  }
   if (!reached) return false;
 
   // lb(v, V_T): exact inside SPT_P, the oracle's Eq. (2) bound outside

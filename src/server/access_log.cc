@@ -89,6 +89,8 @@ void AccessLog::Write(const AccessLogEntry& entry) {
   line += std::to_string(entry.epoch);
   line += ",\"shed_reason\":";
   line += JsonEscape(entry.shed_reason);
+  line += ",\"answer_cached\":";
+  line += entry.answer_cached ? "true" : "false";
   line += "}\n";
 
   std::lock_guard<std::mutex> lock(mu_);

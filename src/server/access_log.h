@@ -32,6 +32,8 @@ struct AccessLogEntry {
   api::StatusCode status = api::StatusCode::kOk;
   uint64_t epoch = 0;          ///< Serving-state epoch that answered.
   std::string shed_reason;     ///< Non-empty when admission shed the request.
+  bool answer_cached = false;  ///< Served from the engine's answer cache
+                               ///< (batch: every answer was).
 };
 
 struct AccessLogOptions {

@@ -471,6 +471,7 @@ api::ResponseEnvelope KpjServer::HandleQuery(
   entry.exec_ms = response.elapsed_ms;
   entry.status = response.status;
   entry.epoch = response.epoch;
+  entry.answer_cached = response.answer_cached;
   if (shed) entry.shed_reason = response.message;
   LogAccess(std::move(entry));
 
@@ -593,11 +594,13 @@ api::ResponseEnvelope KpjServer::HandleBatch(
   if (drain_.triggered()) metrics_.server_drained.Add(queries.size());
 
   response.results.reserve(results.size());
+  entry.answer_cached = !results.empty();
   for (const Result<KpjResult>& result : results) {
     // Batch entries carry no per-query wall time (they ran concurrently);
     // queue_ms is the shared admission wait.
     response.results.push_back(api::BuildQueryResponse(
         result, serving->epoch, /*elapsed_ms=*/0.0, queue_ms));
+    entry.answer_cached &= response.results.back().answer_cached;
   }
   // One request event in the rolling window: stats count requests, and a
   // batch is one request (matching StatsInfo's documented semantics).

@@ -2,13 +2,16 @@
 // test compares full node sequences (not just lengths) between cache-off
 // and cache-on runs — the byte-identical guarantee of DESIGN.md
 // "Cross-query reuse" — including under eviction thrash, multi-worker
-// interleaving, and epoch invalidation.
+// interleaving, and epoch invalidation. The answer entries (exact repeats
+// served whole) are tested for what they key on and what they never
+// store.
 //
 // The cache budget can be forced down with KPJ_CACHE_TEST_MB (check.sh
 // uses 1 MiB under ASan to exercise eviction paths under the sanitizer).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "core/kpj_instance.h"
 #include "gen/road_gen.h"
 #include "graph/graph.h"
+#include "graph/graph_builder.h"
 #include "index/landmark_index.h"
 #include "util/rng.h"
 
@@ -40,7 +44,10 @@ Graph TestGraph(uint32_t nodes = 3000, uint64_t seed = 21) {
 }
 
 /// A zipf-ish batch: few sources repeat often (cache-friendly), the rest
-/// are one-shot; all queries share one target category.
+/// are one-shot; all queries share one target category. k alternates
+/// between 8 and 9, so a hot source comes back both as an exact repeat
+/// (served from the answer cache) and at the other k (run by the solver
+/// on warm SPT state).
 std::vector<KpjQuery> RepeatingBatch(NodeId num_nodes, size_t count,
                                      uint64_t seed) {
   Rng rng(seed);
@@ -59,7 +66,7 @@ std::vector<KpjQuery> RepeatingBatch(NodeId num_nodes, size_t count,
                         : static_cast<NodeId>(rng.NextBounded(num_nodes));
     queries[i].sources = {source};
     queries[i].targets = targets;
-    queries[i].k = 8;
+    queries[i].k = 8 + i % 2;
   }
   return queries;
 }
@@ -89,19 +96,22 @@ std::vector<std::vector<std::vector<NodeId>>> RunAll(
   return flattened;
 }
 
+/// The default test graph with six landmarks attached.
+KpjInstance* NewLandmarkedInstance() {
+  auto* instance =
+      new KpjInstance(KpjInstance::Wrap(TestGraph(), Permutation()).value());
+  LandmarkIndexOptions opt;
+  opt.num_landmarks = 6;
+  EXPECT_TRUE(instance
+                  ->AttachLandmarks(LandmarkIndex::Build(
+                      instance->graph(), instance->reverse(), opt))
+                  .ok());
+  return instance;
+}
+
 class CacheReuseTest : public ::testing::TestWithParam<Algorithm> {
  protected:
-  static void SetUpTestSuite() {
-    Graph g = TestGraph();
-    instance_ = new KpjInstance(
-        KpjInstance::Wrap(std::move(g), Permutation()).value());
-    LandmarkIndexOptions opt;
-    opt.num_landmarks = 6;
-    ASSERT_TRUE(instance_
-                    ->AttachLandmarks(LandmarkIndex::Build(
-                        instance_->graph(), instance_->reverse(), opt))
-                    .ok());
-  }
+  static void SetUpTestSuite() { instance_ = NewLandmarkedInstance(); }
   static void TearDownTestSuite() {
     delete instance_;
     instance_ = nullptr;
@@ -159,25 +169,32 @@ TEST_P(CacheReuseTest, RepeatedSourcesActuallyHitTheCache) {
   KpjEngine engine(*instance_, config.ToEngineOptions());
   engine.RunBatch(batch);
   EngineMetricsSnapshot snap = engine.MetricsSnapshot();
-  // DA has no cacheable substrate; every other algorithm must both miss
-  // (first sight of a source) and hit (the repeats) — except SPT_P,
-  // whose measured hit benefit is negative (BENCH_cache 0.98x), so the
-  // engine suppresses its inserts (QueryPlanner::SptInsertBeneficial)
-  // and the solver counts the skips instead: it probes (misses) but
-  // never populates.
+  // Every solver serves the exact repeats whole, labelled by itself.
+  const AlgoStats& own = snap.algo_by_algorithm[PlannerIndex(GetParam())];
+  EXPECT_GT(snap.algo.answer_cache_hits, 0u);
+  EXPECT_GT(snap.algo.answer_cache_misses, 0u);
+  EXPECT_EQ(own.answer_cache_hits, snap.algo.answer_cache_hits);
+  EXPECT_EQ(own.answer_cache_misses, snap.algo.answer_cache_misses);
+  EXPECT_EQ(snap.algo.answer_cache_hits + snap.algo.answer_cache_misses,
+            batch.size());
+  // Each miss here is a complete, small answer, so each one is inserted:
+  // the insertions beyond the answer misses are SPT substrate.
+  const uint64_t spt_insertions =
+      snap.spt_cache_insertions - snap.algo.answer_cache_misses;
+  // DA has no cacheable substrate, and SPT_P caches none: it makes no SPT
+  // lookup and inserts nothing but its answers. Every other algorithm
+  // must both miss (first sight of a source) and hit (the same source at
+  // the other k).
   if (GetParam() == Algorithm::kIterBoundSptP) {
     EXPECT_EQ(snap.algo.spt_cache_hits, 0u);
-    EXPECT_GT(snap.algo.spt_cache_misses, 0u);
-    EXPECT_EQ(snap.spt_cache_insertions, 0u);
-    EXPECT_GT(snap.algo.spt_cache_insert_skips, 0u);
-    EXPECT_GT(snap.cache_bytes, 0u);  // set bounds still cache
+    EXPECT_EQ(snap.algo.spt_cache_misses, 0u);
+    EXPECT_EQ(spt_insertions, 0u);
   } else if (GetParam() != Algorithm::kDA) {
     EXPECT_GT(snap.algo.spt_cache_hits, 0u);
     EXPECT_GT(snap.algo.spt_cache_misses, 0u);
-    EXPECT_GT(snap.spt_cache_insertions, 0u);
-    EXPECT_GT(snap.cache_bytes, 0u);
-    EXPECT_EQ(snap.algo.spt_cache_insert_skips, 0u);
+    EXPECT_GT(spt_insertions, 0u);
   }
+  EXPECT_GT(snap.cache_bytes, 0u);
   // Only the landmark-driven engines build set bounds at all; DA works
   // without bounds, DA-SPT bounds off its own SPT, and the -NL variant
   // deliberately skips landmarks.
@@ -261,6 +278,256 @@ TEST(CacheInvalidationTest, AttachLandmarksBumpsEpochAndDropsEntries) {
   for (size_t i = 0; i < before.size(); ++i) {
     EXPECT_EQ(before[i], after_cold[i]) << "query " << i;
   }
+}
+
+// --- Answer entries -------------------------------------------------------
+
+std::vector<std::vector<NodeId>> NodesOf(const Result<KpjResult>& result) {
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  std::vector<std::vector<NodeId>> paths;
+  if (!result.ok()) return paths;
+  for (const Path& p : result.value().paths) {
+    paths.emplace_back(p.nodes.begin(), p.nodes.end());
+  }
+  return paths;
+}
+
+KpjEngineOptions EngineOptions(Algorithm algorithm, size_t cache_mb) {
+  api::EngineConfig config;
+  config.workers = 1;
+  config.algorithm = algorithm;
+  config.cache_mb = cache_mb;
+  return config.ToEngineOptions();
+}
+
+class AnswerCacheTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() { instance_ = NewLandmarkedInstance(); }
+  static void TearDownTestSuite() {
+    delete instance_;
+    instance_ = nullptr;
+  }
+
+  /// A single-source query against six targets.
+  static KpjQuery Query(uint32_t k = 8) {
+    KpjQuery q = RepeatingBatch(instance_->NumNodes(), 1, 5).front();
+    q.k = k;
+    return q;
+  }
+
+  static KpjInstance* instance_;
+};
+
+KpjInstance* AnswerCacheTest::instance_ = nullptr;
+
+TEST_F(AnswerCacheTest, RepeatIsServedWholeAndEqualsCacheOff) {
+  const KpjQuery query = Query();
+  for (Algorithm algorithm : kAllAlgorithms) {
+    SCOPED_TRACE(AlgorithmName(algorithm));
+    KpjEngine cold(*instance_, EngineOptions(algorithm, 0));
+    KpjEngine warm(*instance_, EngineOptions(algorithm, CacheMbFromEnv(16)));
+    Result<KpjResult> reference = cold.Submit(query).get();
+    Result<KpjResult> first = warm.Submit(query).get();
+    Result<KpjResult> repeat = warm.Submit(query).get();
+    ASSERT_TRUE(first.ok() && repeat.ok());
+    EXPECT_EQ(first.value().stats.algo.answer_cache_misses, 1u);
+    EXPECT_GT(first.value().stats.nodes_settled, 0u);
+
+    const KpjResult& hit = repeat.value();
+    EXPECT_TRUE(hit.status.ok());
+    EXPECT_EQ(hit.algorithm_used, algorithm);
+    EXPECT_EQ(hit.stats.algo.answer_cache_hits, 1u);
+    EXPECT_EQ(hit.stats.algo.answer_cache_misses, 0u);
+    EXPECT_EQ(hit.stats.nodes_settled, 0u);
+    EXPECT_EQ(hit.stats.shortest_path_computations, 0u);
+    EXPECT_EQ(hit.stats.algo.node_expansions, 0u);
+    EXPECT_EQ(NodesOf(repeat), NodesOf(reference));
+    EXPECT_EQ(NodesOf(first), NodesOf(reference));
+    // A cache-off engine never looks.
+    EXPECT_EQ(reference.value().stats.algo.answer_cache_misses, 0u);
+  }
+}
+
+TEST_F(AnswerCacheTest, KeyCoversKAndAlgorithmButNotTargetOrder) {
+  KpjEngine engine(*instance_,
+                   EngineOptions(Algorithm::kIterBoundSptI,
+                                 CacheMbFromEnv(16)));
+  const KpjQuery query = Query();
+  ASSERT_TRUE(engine.Submit(query).get().ok());
+  auto hits = [](const Result<KpjResult>& r) {
+    EXPECT_TRUE(r.ok());
+    return r.ok() ? r.value().stats.algo.answer_cache_hits : 0u;
+  };
+
+  // Another k is another answer.
+  EXPECT_EQ(hits(engine.Submit(Query(9)).get()), 0u);
+  // Another solver is another answer, even though the paths agree.
+  QueryContext other;
+  other.algorithm = Algorithm::kIterBound;
+  Result<KpjResult> by_other = engine.Submit(query, 0.0, other).get();
+  EXPECT_EQ(hits(by_other), 0u);
+  EXPECT_EQ(by_other.value().algorithm_used, Algorithm::kIterBound);
+  // The same target set in another order, with duplicates, is the same
+  // canonical query.
+  KpjQuery shuffled = query;
+  std::reverse(shuffled.targets.begin(), shuffled.targets.end());
+  shuffled.targets.push_back(shuffled.targets.front());
+  Result<KpjResult> same = engine.Submit(shuffled).get();
+  EXPECT_EQ(hits(same), 1u);
+  EXPECT_EQ(NodesOf(same), NodesOf(engine.Submit(query).get()));
+}
+
+TEST(AnswerCacheEpochTest, AttachLandmarksMakesOldAnswersUnreachable) {
+  KpjInstance instance =
+      KpjInstance::Wrap(TestGraph(1500, 5), Permutation()).value();
+  LandmarkIndexOptions small;
+  small.num_landmarks = 2;
+  ASSERT_TRUE(instance
+                  .AttachLandmarks(LandmarkIndex::Build(
+                      instance.graph(), instance.reverse(), small))
+                  .ok());
+  KpjEngine engine(instance, EngineOptions(Algorithm::kIterBoundSptI, 16));
+  const KpjQuery query = RepeatingBatch(instance.NumNodes(), 1, 3).front();
+  ASSERT_TRUE(engine.Submit(query).get().ok());
+  ASSERT_EQ(engine.Submit(query).get().value().stats.algo.answer_cache_hits,
+            1u);
+
+  LandmarkIndexOptions bigger;
+  bigger.num_landmarks = 6;
+  ASSERT_TRUE(instance
+                  .AttachLandmarks(LandmarkIndex::Build(
+                      instance.graph(), instance.reverse(), bigger))
+                  .ok());
+  Result<KpjResult> after = engine.Submit(query).get();
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after.value().stats.algo.answer_cache_hits, 0u);
+  EXPECT_EQ(after.value().stats.algo.answer_cache_misses, 1u);
+  KpjEngine cold(instance, EngineOptions(Algorithm::kIterBoundSptI, 0));
+  EXPECT_EQ(NodesOf(after), NodesOf(cold.Submit(query).get()));
+}
+
+TEST_F(AnswerCacheTest, DeadlineTruncatedAnswerIsNeverStored) {
+  KpjEngine engine(*instance_,
+                   EngineOptions(Algorithm::kIterBoundSptI,
+                                 CacheMbFromEnv(16)));
+  const KpjQuery query = Query(40);
+  Result<KpjResult> truncated = engine.Submit(query, 1e-6).get();
+  ASSERT_TRUE(truncated.ok());
+  ASSERT_EQ(truncated.value().status.code(), StatusCode::kDeadlineExceeded);
+  ASSERT_LT(truncated.value().paths.size(), query.k);
+
+  Result<KpjResult> full = engine.Submit(query, 0.0).get();
+  ASSERT_TRUE(full.ok());
+  EXPECT_TRUE(full.value().status.ok());
+  EXPECT_EQ(full.value().paths.size(), query.k);
+  EXPECT_EQ(full.value().stats.algo.answer_cache_hits, 0u);
+  KpjEngine cold(*instance_, EngineOptions(Algorithm::kIterBoundSptI, 0));
+  EXPECT_EQ(NodesOf(full), NodesOf(cold.Submit(query).get()));
+}
+
+TEST_F(AnswerCacheTest, GkpjAnswersAreNeverCached) {
+  KpjEngine engine(*instance_,
+                   EngineOptions(Algorithm::kIterBoundSptI,
+                                 CacheMbFromEnv(16)));
+  KpjQuery query = Query();
+  NodeId second = query.sources.front();
+  do {
+    second = (second + 1) % instance_->NumNodes();
+  } while (std::count(query.targets.begin(), query.targets.end(), second));
+  query.sources.push_back(second);
+  Result<KpjResult> first = engine.Submit(query).get();
+  Result<KpjResult> repeat = engine.Submit(query).get();
+  ASSERT_TRUE(first.ok() && repeat.ok());
+  EXPECT_GT(repeat.value().stats.nodes_settled, 0u);
+  EXPECT_EQ(NodesOf(repeat), NodesOf(first));
+  EngineMetricsSnapshot snap = engine.MetricsSnapshot();
+  EXPECT_EQ(snap.algo.answer_cache_hits, 0u);
+  EXPECT_EQ(snap.algo.answer_cache_misses, 0u);
+  EXPECT_EQ(snap.spt_cache_insertions, 0u);
+}
+
+/// A chain of `diamonds` diamonds, u -> {upper, lower} -> next u: every
+/// source-to-end path has 2 * diamonds + 1 nodes, and there are
+/// 2^diamonds of them.
+Graph DiamondChain(NodeId diamonds) {
+  GraphBuilder builder(3 * diamonds + 1);
+  for (NodeId d = 0; d < diamonds; ++d) {
+    NodeId u = 3 * d, upper = u + 1, lower = u + 2, next = u + 3;
+    builder.AddEdge(u, upper, 1);
+    builder.AddEdge(upper, next, 1);
+    builder.AddEdge(u, lower, 1 + d % 3);
+    builder.AddEdge(lower, next, 1);
+  }
+  return builder.Build();
+}
+
+TEST(AnswerCacheBudgetTest, AnswerLargerThanAShardIsNotInserted) {
+  // The smallest budget the engine takes (1 MiB, whatever
+  // KPJ_CACHE_TEST_MB says) has shards of at most 128 KiB; eight paths of
+  // 6001 nodes are ~188 KiB of node ids alone.
+  constexpr NodeId kDiamonds = 3000;
+  KpjInstance instance =
+      KpjInstance::Wrap(DiamondChain(kDiamonds), Permutation()).value();
+  KpjEngine engine(instance, EngineOptions(Algorithm::kIterBoundSptI, 1));
+  KpjQuery large;
+  large.sources = {0};
+  large.targets = {3 * kDiamonds};
+  large.k = 8;
+
+  Result<KpjResult> first = engine.Submit(large).get();
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(first.value().paths.size(), large.k);
+  size_t node_bytes = 0;
+  for (const Path& p : first.value().paths) {
+    node_bytes += p.nodes.size() * sizeof(NodeId);
+  }
+  ASSERT_GT(node_bytes, (size_t{1} << 20) / 8);
+  const uint64_t insertions = engine.MetricsSnapshot().spt_cache_insertions;
+
+  Result<KpjResult> repeat = engine.Submit(large).get();
+  ASSERT_TRUE(repeat.ok());
+  EXPECT_EQ(repeat.value().stats.algo.answer_cache_hits, 0u);
+  EXPECT_EQ(repeat.value().stats.algo.answer_cache_misses, 1u);
+  EXPECT_EQ(NodesOf(repeat), NodesOf(first));
+  // The repeat re-adopted its SPT state and inserted nothing new.
+  EXPECT_EQ(engine.MetricsSnapshot().spt_cache_insertions, insertions);
+
+  // A one-path answer on the same engine fits and is served.
+  large.k = 1;
+  ASSERT_TRUE(engine.Submit(large).get().ok());
+  EXPECT_EQ(engine.Submit(large).get().value().stats.algo.answer_cache_hits,
+            1u);
+}
+
+TEST_F(AnswerCacheTest, HitsDoNotFeedThePlanner) {
+  const KpjQuery query = Query();
+  KpjEngineOptions options = EngineOptions(Algorithm::kAuto, 16);
+
+  // Pinned: every decision is a pure function of the query, so the repeat
+  // runs the same solver and is served whole, with the decision still
+  // counted and reported.
+  KpjEngine pinned(*instance_, options);
+  pinned.planner().PinProfile(PlannerProfile::StaticPrior());
+  Result<KpjResult> first = pinned.Submit(query).get();
+  Result<KpjResult> repeat = pinned.Submit(query).get();
+  ASSERT_TRUE(first.ok() && repeat.ok());
+  EXPECT_EQ(repeat.value().algorithm_used, first.value().algorithm_used);
+  EXPECT_EQ(repeat.value().stats.algo.answer_cache_hits, 1u);
+  EXPECT_STRNE(repeat.value().planner_reason, "");
+  uint64_t decisions = 0;
+  for (uint64_t c : pinned.MetricsSnapshot().planner_choice) decisions += c;
+  EXPECT_EQ(decisions, 2u);
+
+  // Live: the miss is a latency sample, the hit is not.
+  KpjEngine live(*instance_, options);
+  const PlannerProfile before = live.planner().ProfileSnapshot();
+  ASSERT_TRUE(live.Submit(query).get().ok());
+  const PlannerProfile sampled = live.planner().ProfileSnapshot();
+  EXPECT_NE(sampled, before);
+  Result<KpjResult> hit = live.Submit(query).get();
+  ASSERT_TRUE(hit.ok());
+  ASSERT_EQ(hit.value().stats.algo.answer_cache_hits, 1u);
+  EXPECT_EQ(live.planner().ProfileSnapshot(), sampled);
 }
 
 }  // namespace

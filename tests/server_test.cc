@@ -933,6 +933,43 @@ TEST(KpjServerTest, ClientTraceIdStitchesServerAndEngineSpans) {
   }
 }
 
+TEST(KpjServerTest, TracedAnswerCacheHitKeepsOneSolverSpan) {
+  // An exact repeat is served from the engine's answer cache inside the
+  // solver.run span, so per-layer splits still find exactly one solver
+  // span per traced response.
+  const std::string path = GraphPath(1500, 33);
+  KpjServer server(SmallServerOptions(path));
+  ASSERT_TRUE(server.Start().ok());
+  api::QueryRequest query = MakeRequest({2}, {40, 90, 130}, 4);
+
+  Client client(server.port());
+  std::vector<api::QueryResponse> answers;
+  for (uint64_t i = 1; i <= 2; ++i) {
+    Result<api::ResponseEnvelope> envelope =
+        client.RoundTrip(api::RequestType::kQuery, api::ToJson(query), i,
+                         /*trace_id=*/0x7000u + i, /*collect=*/true);
+    ASSERT_TRUE(envelope.ok()) << envelope.status().ToString();
+    const std::vector<api::TraceSpanWire>& spans =
+        envelope.value().trace_spans;
+    EXPECT_EQ(CountSpans(spans, "solver.run"), 1u) << "request " << i;
+    EXPECT_EQ(CountSpans(spans, "engine.query"), 1u) << "request " << i;
+    Result<api::QueryResponse> response =
+        api::QueryResponseFromJson(envelope.value().payload);
+    ASSERT_TRUE(response.ok());
+    answers.push_back(std::move(response).value());
+  }
+  EXPECT_GT(answers[0].nodes_settled, 0u);
+  // The repeat was served whole: no solver work, the same paths.
+  EXPECT_EQ(answers[1].nodes_settled, 0u);
+  EXPECT_EQ(answers[1].sp_computations, 0u);
+  ASSERT_EQ(answers[1].paths.size(), answers[0].paths.size());
+  for (size_t i = 0; i < answers[0].paths.size(); ++i) {
+    EXPECT_EQ(answers[1].paths[i].length, answers[0].paths[i].length);
+    EXPECT_EQ(answers[1].paths[i].nodes, answers[0].paths[i].nodes);
+  }
+  EXPECT_EQ(server.MetricsSnapshot().algo.answer_cache_hits, 1u);
+}
+
 TEST(KpjServerTest, PipelinedAndConcurrentTracesNeverInterleaveSpans) {
   const std::string path = GraphPath(1500, 33);
   KpjServer server(SmallServerOptions(path));
@@ -1063,6 +1100,7 @@ TEST(KpjServerTest, DrainFlushesBufferedAccessLogLines) {
     if (!line.empty()) lines.push_back(line);
   }
   ASSERT_EQ(lines.size(), static_cast<size_t>(kQueries));
+  bool first_line = true;
   for (const std::string& text : lines) {
     Result<api::JsonValue> parsed = api::JsonValue::Parse(text);
     ASSERT_TRUE(parsed.ok()) << text;
@@ -1077,6 +1115,12 @@ TEST(KpjServerTest, DrainFlushesBufferedAccessLogLines) {
     EXPECT_TRUE(api::GetDouble(entry, "exec_ms", -1.0).value() >= 0.0);
     EXPECT_EQ(api::GetInt(entry, "epoch", 0).value(), 1);
     EXPECT_EQ(api::GetInt(entry, "k", 0).value(), 2);
+    // The same query five times: the first ran the solver, the repeats
+    // were served from the answer cache.
+    Result<bool> cached = api::GetBool(entry, "answer_cached", first_line);
+    ASSERT_TRUE(cached.ok());
+    EXPECT_EQ(cached.value(), !first_line);
+    first_line = false;
   }
   // Lines keep arrival order, and the trace ids join against the wire.
   Result<std::string> first_id =

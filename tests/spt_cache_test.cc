@@ -58,17 +58,24 @@ TEST(SptCacheTest, MissThenInsertThenHit) {
 TEST(SptCacheTest, KeysDifferingInAnyFieldDoNotCollide) {
   SptCache cache(1 << 20);
   cache.Insert(RootKey(1, 0, 9), RootValue(0, 9));
-  // Same (source, target), different epoch / kind / config / targets: all
-  // misses — equality is exact, hashing only places the bucket.
+  // Same (source, target), different epoch / kind / config / targets /
+  // algorithm / k: all misses — equality is exact, hashing only places
+  // the bucket.
   EXPECT_FALSE(cache.Lookup(RootKey(2, 0, 9)).has_value());
   EXPECT_FALSE(cache.Lookup(RootKey(1, 1, 9)).has_value());
   EXPECT_FALSE(cache.Lookup(RootKey(1, 0, 8)).has_value());
   SptCacheKey other_kind = RootKey(1, 0, 9);
-  other_kind.kind = SptCacheKind::kReverseSptp;
+  other_kind.kind = SptCacheKind::kAnswer;
   EXPECT_FALSE(cache.Lookup(other_kind).has_value());
   SptCacheKey other_config = RootKey(1, 0, 9);
   other_config.config = SptCacheConfig(true, 4);
   EXPECT_FALSE(cache.Lookup(other_config).has_value());
+  SptCacheKey other_algorithm = RootKey(1, 0, 9);
+  other_algorithm.algorithm = Algorithm::kDA;
+  EXPECT_FALSE(cache.Lookup(other_algorithm).has_value());
+  SptCacheKey other_k = RootKey(1, 0, 9);
+  other_k.k = 8;
+  EXPECT_FALSE(cache.Lookup(other_k).has_value());
   EXPECT_TRUE(cache.Lookup(RootKey(1, 0, 9)).has_value());
 }
 

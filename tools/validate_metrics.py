@@ -220,6 +220,7 @@ def check_prom(text, server=False):
 ACCESS_LOG_STRING_KEYS = [
     "trace_id", "peer", "type", "algorithm", "status", "shed_reason"]
 ACCESS_LOG_NUMBER_KEYS = ["ts_ms", "k", "queue_ms", "exec_ms", "epoch"]
+ACCESS_LOG_BOOL_KEYS = ["answer_cached"]
 TRACE_ID_RE = re.compile(r"^[0-9a-f]{16}$")
 
 # Rolling-window gauge payload served by the kpjd `stats` request
@@ -252,6 +253,10 @@ def check_access_log(text):
             if key not in entry:
                 fail(f"access log line {line_no} missing key {key!r}")
             check_number(f"access log line {line_no}:", key, entry[key])
+        for key in ACCESS_LOG_BOOL_KEYS:
+            if not isinstance(entry.get(key), bool):
+                fail(f"access log line {line_no}: {key!r} must be a bool, "
+                     f"got {entry.get(key)!r}")
         if not TRACE_ID_RE.match(entry["trace_id"]):
             fail(f"access log line {line_no}: trace_id is not 16-hex: "
                  f"{entry['trace_id']!r}")
