@@ -10,10 +10,11 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "sssp/dijkstra.h"
+#include "sssp/incremental_search.h"
 #include "util/rng.h"
 
 namespace {
@@ -40,13 +41,16 @@ int main() {
                               /*num_landmarks=*/0);
     // Sampled all-pairs distance population.
     Rng rng(31);
-    Dijkstra forward(ds.graph);
+    ZeroHeuristic zero;
+    IncrementalSearch forward(ds.graph, &zero);
     std::vector<double> population;
     // Subsample recorded distances on big graphs to bound memory.
     size_t stride = std::max<size_t>(1, ds.graph.NumNodes() / 100000);
     for (int s = 0; s < kPopulationSources; ++s) {
       NodeId src = static_cast<NodeId>(rng.NextBounded(ds.graph.NumNodes()));
-      forward.Run(src);
+      const std::pair<NodeId, PathLength> seed[] = {{src, 0}};
+      forward.Initialize(seed);
+      forward.AdvanceToBound(kInfLength);
       for (NodeId v = 0; v < ds.graph.NumNodes(); v += stride) {
         PathLength d = forward.Distance(v);
         if (d != kInfLength) population.push_back(static_cast<double>(d));

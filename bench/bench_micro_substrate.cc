@@ -1,18 +1,17 @@
-// google-benchmark microbenchmarks for the substrate: priority queues,
-// Dijkstra / A* engines, landmark bound evaluation, and graph plumbing.
+// google-benchmark microbenchmarks for the substrate: the priority queue,
+// the shortest-path engine (IncrementalSearch as Dijkstra and as landmark
+// A*), landmark bound evaluation, and graph plumbing.
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
 #include <vector>
 
 #include "gen/road_gen.h"
 #include "index/landmark_index.h"
 #include "index/target_bound.h"
-#include "sssp/astar.h"
-#include "sssp/dijkstra.h"
-#include "sssp/monotone_dijkstra.h"
+#include "sssp/incremental_search.h"
 #include "util/indexed_heap.h"
-#include "util/radix_heap.h"
 #include "util/rng.h"
 
 namespace kpj {
@@ -51,60 +50,33 @@ void BM_IndexedHeapPushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexedHeapPushPop)->Arg(1024)->Arg(65536);
 
-void BM_RadixHeapMonotone(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(2);
-  std::vector<uint64_t> deltas(n);
-  for (auto& d : deltas) d = rng.NextBounded(64);
-  for (auto _ : state) {
-    RadixHeap heap;
-    uint64_t last = 0;
-    // Interleave pushes and pops as Dijkstra does.
-    for (uint32_t i = 0; i < n; ++i) {
-      heap.Push(i, last + deltas[i]);
-      if (i % 2 == 1) last = heap.Pop().second;
-    }
-    while (!heap.empty()) benchmark::DoNotOptimize(heap.Pop());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_RadixHeapMonotone)->Arg(1024)->Arg(65536);
-
 void BM_DijkstraFullSssp(benchmark::State& state) {
   const Graph& g = Network().graph;
-  Dijkstra engine(g);
+  ZeroHeuristic zero;
+  IncrementalSearch engine(g, &zero);
   Rng rng(3);
   for (auto _ : state) {
-    engine.Run(static_cast<NodeId>(rng.NextBounded(g.NumNodes())));
+    const std::pair<NodeId, PathLength> source[] = {
+        {static_cast<NodeId>(rng.NextBounded(g.NumNodes())), 0}};
+    engine.Initialize(source);
+    engine.AdvanceToBound(kInfLength);
     benchmark::DoNotOptimize(engine.Distance(0));
   }
   state.SetItemsProcessed(state.iterations() * g.NumNodes());
 }
 BENCHMARK(BM_DijkstraFullSssp);
 
-void BM_MonotoneDijkstraFullSssp(benchmark::State& state) {
-  // The radix-heap SSSP used by the landmark index build;
-  // same sources as BM_DijkstraFullSssp for a like-for-like comparison
-  // against the IndexedHeap engine.
-  const Graph& g = Network().graph;
-  MonotoneDijkstra engine(g);
-  Rng rng(3);
-  for (auto _ : state) {
-    engine.Run(static_cast<NodeId>(rng.NextBounded(g.NumNodes())));
-    benchmark::DoNotOptimize(engine.Distance(0));
-  }
-  state.SetItemsProcessed(state.iterations() * g.NumNodes());
-}
-BENCHMARK(BM_MonotoneDijkstraFullSssp);
-
 void BM_PointToPointDijkstra(benchmark::State& state) {
   const Graph& g = Network().graph;
-  Dijkstra engine(g);
+  ZeroHeuristic zero;
+  IncrementalSearch engine(g, &zero);
   Rng rng(4);
   for (auto _ : state) {
     NodeId s = static_cast<NodeId>(rng.NextBounded(g.NumNodes()));
     NodeId t = static_cast<NodeId>(rng.NextBounded(g.NumNodes()));
-    benchmark::DoNotOptimize(engine.RunToTarget(s, t));
+    const std::pair<NodeId, PathLength> source[] = {{s, 0}};
+    engine.Initialize(source);
+    benchmark::DoNotOptimize(engine.AdvanceUntilSettled(t));
   }
 }
 BENCHMARK(BM_PointToPointDijkstra);
@@ -114,14 +86,16 @@ void BM_PointToPointAStarLandmarks(benchmark::State& state) {
   const LandmarkIndex& landmarks = Landmarks();
   Rng rng(4);  // Same seed: same (s, t) pairs as the Dijkstra bench.
   ZeroHeuristic zero;
-  AStar astar(g, &zero);
+  IncrementalSearch astar(g, &zero);
   for (auto _ : state) {
     NodeId s = static_cast<NodeId>(rng.NextBounded(g.NumNodes()));
     NodeId t = static_cast<NodeId>(rng.NextBounded(g.NumNodes()));
     std::vector<NodeId> set = {t};
     LandmarkSetBound bound(&landmarks, set, BoundDirection::kToSet);
     astar.SetHeuristic(&bound);
-    benchmark::DoNotOptimize(astar.RunToTarget(s, t));
+    const std::pair<NodeId, PathLength> source[] = {{s, 0}};
+    astar.Initialize(source);
+    benchmark::DoNotOptimize(astar.AdvanceUntilSettled(t));
   }
 }
 BENCHMARK(BM_PointToPointAStarLandmarks);

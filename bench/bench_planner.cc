@@ -19,6 +19,8 @@
 // shuffled query sequence on a fresh engine per round (fresh caches, fresh
 // planner profile — the planner must re-learn from its static priors every
 // round, so the artifact measures adaptation, not a lucky warm start).
+// Rounds interleave the configurations (round r runs all five, starting at
+// the r-th) and each configuration reports its fastest round.
 // Correctness is checked at two levels: every configuration must return
 // the same rank-ordered length profile per query (the repo-wide contract —
 // path identities may differ between solver families under ties, see
@@ -257,94 +259,108 @@ int Main() {
   std::vector<std::pair<std::string, uint64_t>> auto_choices;
   uint64_t auto_fallbacks = 0;
 
-  auto run_config = [&](Algorithm algorithm) {
-    Row row;
-    row.algorithm = algorithm;
-    row.name = AlgorithmName(algorithm);
-    for (int round = 0; round < kRounds; ++round) {
-      // Fresh engine per round: fresh caches and (for auto) a fresh
-      // planner profile — each round re-learns from the static priors.
-      api::EngineConfig config;
-      config.workers = 1;
-      config.clamp_to_hardware = false;
-      config.algorithm = algorithm;
-      config.cache_mb = kCacheMb;
-      KpjEngine engine(instance, config.ToEngineOptions());
+  // One round of one configuration; a row keeps its fastest round.
+  auto run_round = [&](Row& row, int round) {
+    const Algorithm algorithm = row.algorithm;
+    // Fresh engine per round: fresh caches and (for auto) a fresh
+    // planner profile — each round re-learns from the static priors.
+    api::EngineConfig config;
+    config.workers = 1;
+    config.clamp_to_hardware = false;
+    config.algorithm = algorithm;
+    config.cache_mb = kCacheMb;
+    KpjEngine engine(instance, config.ToEngineOptions());
 
-      std::vector<Result<KpjResult>> results;
-      results.reserve(workload.size());
-      double stratum_ms[kNumStrata] = {0.0, 0.0, 0.0};
-      for (const TaggedQuery& tq : workload) {
-        Timer timer;
-        results.push_back(engine.Submit(tq.query).get());
-        stratum_ms[tq.stratum] += timer.ElapsedMillis();
-      }
-      double total = stratum_ms[0] + stratum_ms[1] + stratum_ms[2];
+    std::vector<Result<KpjResult>> results;
+    results.reserve(workload.size());
+    double stratum_ms[kNumStrata] = {0.0, 0.0, 0.0};
+    for (const TaggedQuery& tq : workload) {
+      Timer timer;
+      results.push_back(engine.Submit(tq.query).get());
+      stratum_ms[tq.stratum] += timer.ElapsedMillis();
+    }
+    double total = stratum_ms[0] + stratum_ms[1] + stratum_ms[2];
 
-      std::vector<std::string> paths;
-      std::vector<std::string> lengths;
-      std::vector<Algorithm> chosen;
-      paths.reserve(results.size());
-      lengths.reserve(results.size());
-      chosen.reserve(results.size());
-      for (const Result<KpjResult>& res : results) {
-        paths.push_back(CanonicalPaths(res));
-        lengths.push_back(CanonicalLengths(res));
-        chosen.push_back(res.value().algorithm_used);
-      }
-      // The length profile is invariant across rounds for every
-      // configuration. Full answers are invariant for a fixed algorithm;
-      // under auto the live profile learns from measured latencies, so the
-      // planner may pick differently round to round and path identities may
-      // shift under ties — the reported (best) round is what gets verified
-      // against per-choice fixed solves below.
+    std::vector<std::string> paths;
+    std::vector<std::string> lengths;
+    std::vector<Algorithm> chosen;
+    paths.reserve(results.size());
+    lengths.reserve(results.size());
+    chosen.reserve(results.size());
+    for (const Result<KpjResult>& res : results) {
+      paths.push_back(CanonicalPaths(res));
+      lengths.push_back(CanonicalLengths(res));
+      chosen.push_back(res.value().algorithm_used);
+    }
+    // The length profile is invariant across rounds for every
+    // configuration. Full answers are invariant for a fixed algorithm;
+    // under auto the live profile learns from measured latencies, so the
+    // planner may pick differently round to round and path identities may
+    // shift under ties — the reported (best) round is what gets verified
+    // against per-choice fixed solves below.
+    if (round == 0) {
+      row.lengths = std::move(lengths);
+    } else {
+      KPJ_CHECK(lengths == row.lengths)
+          << row.name << ": length profile diverges across rounds";
+    }
+    if (algorithm != Algorithm::kAuto) {
       if (round == 0) {
-        row.lengths = std::move(lengths);
+        row.paths = std::move(paths);
+        row.chosen = std::move(chosen);
       } else {
-        KPJ_CHECK(lengths == row.lengths)
-            << row.name << ": length profile diverges across rounds";
-      }
-      if (algorithm != Algorithm::kAuto) {
-        if (round == 0) {
-          row.paths = std::move(paths);
-          row.chosen = std::move(chosen);
-        } else {
-          KPJ_CHECK(paths == row.paths)
-              << row.name << ": answers diverge across rounds";
-        }
-      }
-      if (total < row.total_ms) {
-        row.total_ms = total;
-        for (size_t s = 0; s < kNumStrata; ++s) {
-          row.stratum_ms[s] = stratum_ms[s];
-        }
-        if (algorithm == Algorithm::kAuto) {
-          row.paths = std::move(paths);
-          row.chosen = std::move(chosen);
-          EngineMetricsSnapshot snap = engine.MetricsSnapshot();
-          auto_choices.clear();
-          for (Algorithm a : kAllAlgorithms) {
-            uint64_t count = snap.planner_choice[PlannerIndex(a)];
-            if (count > 0) auto_choices.emplace_back(AlgorithmName(a), count);
-          }
-          auto_fallbacks = snap.planner_fallback;
-        }
-      }
-      if (algorithm != Algorithm::kAuto) {
-        // A fixed algorithm must never consult the planner.
-        EngineMetricsSnapshot snap = engine.MetricsSnapshot();
-        uint64_t consulted = snap.planner_fallback;
-        for (uint64_t c : snap.planner_choice) consulted += c;
-        KPJ_CHECK(consulted == 0)
-            << row.name << ": planner consulted on a fixed-algorithm engine";
+        KPJ_CHECK(paths == row.paths)
+            << row.name << ": answers diverge across rounds";
       }
     }
-    return row;
+    if (total < row.total_ms) {
+      row.total_ms = total;
+      for (size_t s = 0; s < kNumStrata; ++s) {
+        row.stratum_ms[s] = stratum_ms[s];
+      }
+      if (algorithm == Algorithm::kAuto) {
+        row.paths = std::move(paths);
+        row.chosen = std::move(chosen);
+        EngineMetricsSnapshot snap = engine.MetricsSnapshot();
+        auto_choices.clear();
+        for (Algorithm a : kAllAlgorithms) {
+          uint64_t count = snap.planner_choice[PlannerIndex(a)];
+          if (count > 0) auto_choices.emplace_back(AlgorithmName(a), count);
+        }
+        auto_fallbacks = snap.planner_fallback;
+      }
+    }
+    if (algorithm != Algorithm::kAuto) {
+      // A fixed algorithm must never consult the planner.
+      EngineMetricsSnapshot snap = engine.MetricsSnapshot();
+      uint64_t consulted = snap.planner_fallback;
+      for (uint64_t c : snap.planner_choice) consulted += c;
+      KPJ_CHECK(consulted == 0)
+          << row.name << ": planner consulted on a fixed-algorithm engine";
+    }
   };
 
-  std::vector<Row> fixed_rows;
-  for (Algorithm algorithm : kFixed) fixed_rows.push_back(run_config(algorithm));
-  Row auto_row = run_config(Algorithm::kAuto);
+  // Rounds are the outer loop: each round runs every configuration once,
+  // starting one configuration later than the round before, so slow
+  // phases of a shared machine spread across configurations instead of
+  // landing on whichever one ran during them.
+  std::vector<Row> rows;
+  for (Algorithm algorithm : kFixed) {
+    rows.emplace_back();
+    rows.back().algorithm = algorithm;
+    rows.back().name = AlgorithmName(algorithm);
+  }
+  rows.emplace_back();
+  rows.back().algorithm = Algorithm::kAuto;
+  rows.back().name = AlgorithmName(Algorithm::kAuto);
+  for (int round = 0; round < kRounds; ++round) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      run_round(rows[(round + i) % rows.size()], round);
+    }
+  }
+  const Row auto_row = std::move(rows.back());
+  rows.pop_back();
+  const std::vector<Row> fixed_rows = std::move(rows);
 
   // Cross-algorithm contract: every configuration returns the same
   // rank-ordered length profile for every query (path identities may differ

@@ -40,8 +40,6 @@
 #include "graph/graph_builder.h"
 #include "graph/reorder.h"
 #include "index/landmark_index.h"
-#include "sssp/astar.h"
-#include "sssp/dijkstra.h"
 #include "sssp/incremental_search.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -110,10 +108,16 @@ struct StrategyRow {
 /// warm-up run excluded from the mean, as in bench_common).
 double MeanDijkstraMillis(const Graph& graph,
                           const std::vector<NodeId>& sources) {
-  Dijkstra engine(graph);
-  engine.Run(sources.front());
+  ZeroHeuristic zero;
+  IncrementalSearch engine(graph, &zero);
+  auto run = [&](NodeId s) {
+    const std::pair<NodeId, PathLength> seed[] = {{s, 0}};
+    engine.Initialize(seed);
+    engine.AdvanceToBound(kInfLength);
+  };
+  run(sources.front());
   Timer timer;
-  for (NodeId s : sources) engine.Run(s);
+  for (NodeId s : sources) run(s);
   return timer.ElapsedMillis() / static_cast<double>(sources.size());
 }
 

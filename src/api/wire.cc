@@ -1,6 +1,7 @@
 #include "api/wire.h"
 
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "util/trace.h"
@@ -106,6 +107,10 @@ Result<QueryRequest> QueryRequestFromJson(const JsonValue& json) {
   request.targets = std::move(targets).value();
   Result<uint32_t> k = GetUint<uint32_t>(json, "k", 1);
   if (!k.ok()) return k.status();
+  if (k.value() > kMaxK) {
+    return Status::InvalidArgument("field 'k' exceeds the maximum of " +
+                                   std::to_string(kMaxK));
+  }
   request.k = k.value();
   Result<double> deadline = GetDouble(json, "deadline_ms", -1.0);
   if (!deadline.ok()) return deadline.status();

@@ -12,6 +12,13 @@
 
 namespace kpj::api {
 
+/// Largest `k` a wire query may ask for. A peer's k sizes the solver's
+/// candidate queue and result, so an unbounded k is unbounded work and
+/// memory; QueryRequestFromJson rejects k above this with
+/// kInvalidArgument. 4096 is 8x the paper's largest k (500). In-process
+/// callers (KpjEngine, kpj_cli) are not capped.
+inline constexpr uint32_t kMaxK = 4096;
+
 /// The request types kpjd serves (docs/PROTOCOL.md).
 enum class RequestType : uint32_t {
   kQuery = 0,    ///< One KpjQuery -> QueryResponse.

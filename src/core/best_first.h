@@ -11,7 +11,7 @@
 #include "core/solver.h"
 #include "core/subspace.h"
 #include "index/target_bound.h"
-#include "sssp/astar.h"
+#include "sssp/heuristic.h"
 
 namespace kpj {
 

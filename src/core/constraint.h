@@ -7,7 +7,6 @@
 
 #include "core/kpj_query.h"
 #include "graph/graph.h"
-#include "sssp/astar.h"
 #include "sssp/incremental_search.h"
 #include "util/arena.h"
 #include "util/epoch_array.h"

@@ -10,7 +10,7 @@
 #include "core/pseudo_tree.h"
 #include "core/solver.h"
 #include "core/subspace.h"
-#include "sssp/astar.h"
+#include "sssp/heuristic.h"
 
 namespace kpj {
 

@@ -15,7 +15,7 @@ DaSptSolver::DaSptSolver(const Graph& graph, const Graph& reverse,
     : graph_(graph),
       reverse_(reverse),
       search_(graph),
-      reverse_dijkstra_(reverse) {
+      reverse_search_(reverse, &zero_) {
   (void)options;  // DA-SPT uses neither landmarks nor alpha.
 }
 
@@ -190,13 +190,14 @@ KpjResult DaSptSolver::Run(const PreparedQuery& query) {
     std::vector<std::pair<NodeId, PathLength>> seeds;
     seeds.reserve(query.targets.size());
     for (NodeId t : query.targets) seeds.emplace_back(t, 0);
-    reverse_dijkstra_.SetCancelToken(cancel_);
-    reverse_dijkstra_.SetAlgoStats(&res.stats.algo);
-    reverse_dijkstra_.RunMultiSource(seeds);
-    reverse_dijkstra_.SetAlgoStats(nullptr);  // res is stack storage.
-    res.stats.nodes_settled += reverse_dijkstra_.stats().nodes_settled;
-    res.stats.edges_relaxed += reverse_dijkstra_.stats().edges_relaxed;
-    res.stats.spt_nodes = reverse_dijkstra_.stats().nodes_settled;
+    reverse_search_.SetCancelToken(cancel_);
+    reverse_search_.SetAlgoStats(&res.stats.algo);
+    reverse_search_.Initialize(seeds);
+    reverse_search_.AdvanceToBound(kInfLength);
+    reverse_search_.SetAlgoStats(nullptr);  // res is stack storage.
+    res.stats.nodes_settled += reverse_search_.stats().nodes_settled;
+    res.stats.edges_relaxed += reverse_search_.stats().edges_relaxed;
+    res.stats.spt_nodes = reverse_search_.stats().nodes_settled;
     if (cancel_ != nullptr && cancel_->ShouldStop()) {
       // A truncated SPT has unusable distances; stop before any candidate
       // and never cache it.
@@ -204,7 +205,7 @@ KpjResult DaSptSolver::Run(const PreparedQuery& query) {
       return res;
     }
     full_spt_ =
-        std::make_shared<const SptResult>(reverse_dijkstra_.Snapshot());
+        std::make_shared<const SptResult>(reverse_search_.ExportDense());
     if (cache != nullptr) {
       SptCacheValue value;
       value.full_spt = full_spt_;

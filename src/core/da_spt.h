@@ -11,7 +11,7 @@
 #include "core/pseudo_tree.h"
 #include "core/solver.h"
 #include "core/subspace.h"
-#include "sssp/dijkstra.h"
+#include "sssp/incremental_search.h"
 
 namespace kpj {
 
@@ -57,7 +57,10 @@ class DaSptSolver final : public KpjSolver {
   const Graph& graph_;
   const Graph& reverse_;
   ConstrainedSearch search_;
-  Dijkstra reverse_dijkstra_;
+  ZeroHeuristic zero_;
+  /// Plain Dijkstra (zero heuristic) on the reverse graph, run to
+  /// exhaustion from all of V_T to build full_spt_.
+  IncrementalSearch reverse_search_;
   PseudoTree tree_;
   /// Full SPT toward the query's targets; rebuilt per query or adopted
   /// from the cross-query cache (the SPT is a pure function of the target

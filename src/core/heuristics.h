@@ -1,7 +1,7 @@
 #ifndef KPJ_CORE_HEURISTICS_H_
 #define KPJ_CORE_HEURISTICS_H_
 
-#include "sssp/astar.h"
+#include "sssp/heuristic.h"
 #include "sssp/incremental_search.h"
 #include "sssp/spt.h"
 #include "util/types.h"

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
-#include "sssp/dijkstra.h"
+#include "sssp/incremental_search.h"
 #include "util/logging.h"
 #include "util/rng.h"
 

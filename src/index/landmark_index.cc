@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <fstream>
 #include <memory>
+#include <utility>
 
-#include "sssp/monotone_dijkstra.h"
+#include "sssp/incremental_search.h"
 #include "util/logging.h"
 #include "util/concurrency.h"
 #include "util/thread_pool.h"
@@ -33,6 +34,14 @@ LandmarkIndex LandmarkIndex::Build(const Graph& graph,
 
   Rng rng(options.seed);
   const bool farthest = options.selection == LandmarkSelection::kFarthest;
+  // Every run below is a full SSSP: the zero heuristic makes the engine
+  // plain Dijkstra, and AdvanceToBound(kInfLength) runs it to exhaustion.
+  ZeroHeuristic zero;
+  auto run = [](IncrementalSearch& engine, NodeId source) {
+    std::pair<NodeId, PathLength> seed[] = {{source, 0}};
+    engine.Initialize(seed);
+    engine.AdvanceToBound(kInfLength);
+  };
 
   if (!farthest) {
     for (uint64_t v : rng.SampleDistinct(num, n)) {
@@ -48,9 +57,9 @@ LandmarkIndex LandmarkIndex::Build(const Graph& graph,
     // depends on the SSSP of landmark l — so it runs on one thread; the
     // forward distances it computes are kept, and only the remaining
     // (independent) per-landmark runs are parallelized below.
-    MonotoneDijkstra forward(graph);
+    IncrementalSearch forward(graph, &zero);
     NodeId start = static_cast<NodeId>(rng.NextBounded(n));
-    forward.Run(start);
+    run(forward, start);
     NodeId first = start;
     PathLength best = 0;
     for (NodeId v = 0; v < n; ++v) {
@@ -65,7 +74,7 @@ LandmarkIndex LandmarkIndex::Build(const Graph& graph,
     NodeId next = first;
     for (uint32_t l = 0; l < num; ++l) {
       index.landmarks_.push_back(next);
-      forward.Run(next);
+      run(forward, next);
       for (NodeId v = 0; v < n; ++v) {
         PathLength df = forward.Distance(v);
         from_table[static_cast<size_t>(v) * num + l] = Narrow(df);
@@ -92,20 +101,22 @@ LandmarkIndex LandmarkIndex::Build(const Graph& graph,
   // byte-identical to the serial build for any thread count.
   const uint32_t actual_count = static_cast<uint32_t>(index.landmarks_.size());
   struct Workspace {
-    std::unique_ptr<MonotoneDijkstra> forward;
-    std::unique_ptr<MonotoneDijkstra> backward;
+    std::unique_ptr<IncrementalSearch> forward;
+    std::unique_ptr<IncrementalSearch> backward;
   };
   const unsigned workers = EffectiveWorkers(options.threads);
   std::vector<Workspace> workspaces(workers);
   auto fill = [&](size_t l, unsigned worker) {
     Workspace& ws = workspaces[worker];
     if (ws.backward == nullptr) {
-      ws.backward = std::make_unique<MonotoneDijkstra>(reverse_graph);
-      if (!farthest) ws.forward = std::make_unique<MonotoneDijkstra>(graph);
+      ws.backward = std::make_unique<IncrementalSearch>(reverse_graph, &zero);
+      if (!farthest) {
+        ws.forward = std::make_unique<IncrementalSearch>(graph, &zero);
+      }
     }
     const NodeId landmark = index.landmarks_[l];
-    ws.backward->Run(landmark);
-    if (!farthest) ws.forward->Run(landmark);
+    run(*ws.backward, landmark);
+    if (!farthest) run(*ws.forward, landmark);
     for (NodeId v = 0; v < n; ++v) {
       to_table[static_cast<size_t>(v) * num + l] =
           Narrow(ws.backward->Distance(v));

@@ -13,7 +13,7 @@
 
 #include "core/instrumentation.h"
 #include "index/landmark_index.h"
-#include "sssp/astar.h"
+#include "sssp/heuristic.h"
 #include "util/types.h"
 
 namespace kpj {

@@ -141,6 +141,18 @@ void IncrementalSearch::RestoreSnapshot(const SearchSnapshot& snap) {
   num_settled_ = snap.num_settled;
 }
 
+SptResult IncrementalSearch::ExportDense() const {
+  SptResult out;
+  const NodeId n = graph_.NumNodes();
+  out.dist.resize(n);
+  out.parent.resize(n);
+  for (NodeId u = 0; u < n; ++u) {
+    out.dist[u] = dist_.Get(u);
+    out.parent[u] = parent_.Get(u);
+  }
+  return out;
+}
+
 std::vector<NodeId> IncrementalSearch::PathTo(NodeId u) const {
   std::vector<NodeId> path;
   if (!Settled(u)) return path;
@@ -152,6 +164,27 @@ std::vector<NodeId> IncrementalSearch::PathTo(NodeId u) const {
   }
   std::reverse(path.begin(), path.end());
   return path;
+}
+
+SptResult SingleSourceShortestPaths(const Graph& graph, NodeId source) {
+  ZeroHeuristic zero;
+  IncrementalSearch engine(graph, &zero);
+  std::pair<NodeId, PathLength> seed[] = {{source, 0}};
+  engine.Initialize(seed);
+  engine.AdvanceToBound(kInfLength);
+  return engine.ExportDense();
+}
+
+SptResult DistancesToSet(const Graph& reverse_graph,
+                         std::span<const NodeId> targets) {
+  ZeroHeuristic zero;
+  IncrementalSearch engine(reverse_graph, &zero);
+  std::vector<std::pair<NodeId, PathLength>> seeds;
+  seeds.reserve(targets.size());
+  for (NodeId t : targets) seeds.emplace_back(t, 0);
+  engine.Initialize(seeds);
+  engine.AdvanceToBound(kInfLength);
+  return engine.ExportDense();
 }
 
 }  // namespace kpj

@@ -6,8 +6,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/instrumentation.h"
 #include "graph/graph.h"
-#include "sssp/astar.h"
+#include "sssp/heuristic.h"
 #include "sssp/spt.h"
 #include "util/cancellation.h"
 #include "util/epoch_array.h"
@@ -42,7 +43,14 @@ struct SearchSnapshot {
 
 /// Resumable best-first (A*) search whose frontier survives between calls.
 ///
-/// This is the engine behind both online index structures of Section 5:
+/// It is the one shortest-path engine outside the subspace searches
+/// (core/constraint.h): with a ZeroHeuristic it is plain Dijkstra, run to
+/// exhaustion with `AdvanceToBound(kInfLength)` or stopped early at a target
+/// or target set; with a landmark bound it is A*. Workspace (labels,
+/// parents, heap) is epoch-reset by Initialize, so thousands of per-query
+/// searches cost O(touched) each rather than O(n).
+///
+/// It is also the engine behind both online index structures of Section 5:
 ///  * SPT_P (Alg. 6) initializes it on the reverse graph from all of `V_T`
 ///    and advances until the query source is settled — the settled set IS
 ///    the partial shortest path tree.
@@ -108,6 +116,10 @@ class IncrementalSearch {
   /// Root-first path to a settled node (empty if unsettled).
   std::vector<NodeId> PathTo(NodeId u) const;
 
+  /// Dense distance/parent arrays of the current labels (O(n)): final for
+  /// settled nodes, kInfLength / kInvalidNode for untouched ones.
+  SptResult ExportDense() const;
+
   /// Minimum key in the frontier, kInfLength when exhausted.
   PathLength FrontierKey() const {
     return heap_.empty() ? kInfLength : heap_.TopKey();
@@ -151,6 +163,16 @@ class IncrementalSearch {
   const CancellationToken* cancel_ = nullptr;
   AlgoStats* algo_ = nullptr;
 };
+
+/// One-shot convenience: full SSSP from `source`, densely exported.
+SptResult SingleSourceShortestPaths(const Graph& graph, NodeId source);
+
+/// One-shot convenience: distances from every node TO the target set, i.e.
+/// a multi-source run over `graph.Reverse()` supplied by the caller as
+/// `reverse_graph`. dist[u] is the length of the shortest path u -> any
+/// target in the forward graph.
+SptResult DistancesToSet(const Graph& reverse_graph,
+                         std::span<const NodeId> targets);
 
 }  // namespace kpj
 

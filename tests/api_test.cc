@@ -202,6 +202,28 @@ TEST(WireTest, QueryRequestRejectsBadFields) {
   }
 }
 
+TEST(WireTest, QueryRequestCapsKAtTheWire) {
+  QueryRequest request;
+  request.sources = {1};
+  request.targets = {2};
+  request.k = kMaxK;
+  Result<QueryRequest> at_cap = QueryRequestFromJson(ToJson(request));
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap.value().k, 4096u);
+
+  request.k = kMaxK + 1;
+  Result<QueryRequest> over = QueryRequestFromJson(ToJson(request));
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), kpj::StatusCode::kInvalidArgument);
+  EXPECT_NE(over.status().message().find("4096"), std::string::npos)
+      << over.status().message();
+
+  // A batch entry goes through the same parser.
+  BatchRequest batch;
+  batch.queries.push_back(request);
+  EXPECT_FALSE(BatchRequestFromJson(ToJson(batch)).ok());
+}
+
 TEST(WireTest, QueryResponseRoundTrips) {
   QueryResponse response;
   response.status = StatusCode::kDeadlineExceeded;

@@ -10,7 +10,6 @@
 #include "graph/graph_builder.h"
 #include "index/landmark_index.h"
 #include "index/target_bound.h"
-#include "sssp/dijkstra.h"
 #include "sssp/incremental_search.h"
 #include "util/rng.h"
 

@@ -10,7 +10,7 @@
 #include "graph/graph_builder.h"
 #include "index/landmark_index.h"
 #include "index/target_bound.h"
-#include "sssp/dijkstra.h"
+#include "sssp/incremental_search.h"
 #include "util/rng.h"
 
 namespace kpj {
@@ -131,9 +131,11 @@ TEST(LandmarkIndexTest, SetBoundFromSetIsAdmissible) {
   std::vector<NodeId> set = {2, 9};
   LandmarkSetBound bound(&index, set, BoundDirection::kFromSet);
   // dist(set, u) via forward multi-source Dijkstra.
-  Dijkstra engine(g);
+  ZeroHeuristic zero;
+  IncrementalSearch engine(g, &zero);
   std::vector<std::pair<NodeId, PathLength>> seeds = {{2, 0}, {9, 0}};
-  engine.RunMultiSource(seeds);
+  engine.Initialize(seeds);
+  engine.AdvanceToBound(kInfLength);
   for (NodeId u = 0; u < g.NumNodes(); ++u) {
     PathLength truth = engine.Distance(u);
     if (truth != kInfLength) {

@@ -15,7 +15,7 @@
 #include "graph/reorder.h"
 #include "index/landmark_index.h"
 #include "index/target_bound.h"
-#include "sssp/dijkstra.h"
+#include "sssp/incremental_search.h"
 #include "util/rng.h"
 
 namespace kpj {

@@ -18,7 +18,7 @@
 #include "graph/serialize.h"
 #include "index/category_index.h"
 #include "index/landmark_index.h"
-#include "sssp/dijkstra.h"
+#include "sssp/incremental_search.h"
 #include "util/rng.h"
 
 namespace kpj {

@@ -353,6 +353,33 @@ TEST(KpjServerTest, MalformedAndInvalidRequestsAreRejected) {
   }
 }
 
+TEST(KpjServerTest, HostileKIsRejectedWithinASecond) {
+  // A k of 2e9 asks for unbounded solver work and memory; the wire parser
+  // rejects any k above api::kMaxK before admission.
+  const std::string path = GraphPath(2500, 21);
+  KpjServer server(SmallServerOptions(path));
+  ASSERT_TRUE(server.Start().ok());
+  Client client(server.port());
+
+  auto start = std::chrono::steady_clock::now();
+  Result<api::ResponseEnvelope> hostile = client.RoundTrip(
+      api::RequestType::kQuery,
+      api::ToJson(MakeRequest({5}, {100}, 2000000000u)));
+  auto waited = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(hostile.ok()) << hostile.status().ToString();
+  EXPECT_EQ(hostile.value().status, api::StatusCode::kInvalidArgument);
+  EXPECT_NE(hostile.value().message.find(std::to_string(api::kMaxK)),
+            std::string::npos)
+      << hostile.value().message;
+  EXPECT_LT(waited, std::chrono::seconds(1));
+  EXPECT_EQ(server.MetricsSnapshot().queries_served, 0u);
+
+  Result<api::ResponseEnvelope> health =
+      client.RoundTrip(api::RequestType::kHealth, api::JsonValue::Null());
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health.value().status, api::StatusCode::kOk);
+}
+
 TEST(KpjServerTest, HealthAndMetricsReportServerState) {
   const std::string path = GraphPath(2500, 21);
   KpjServer server(SmallServerOptions(path));

@@ -1,15 +1,17 @@
-// Tests for the shortest-path substrate: Dijkstra, A*, and the resumable
-// incremental search. Ground truth is Bellman-Ford.
+// Tests for the shortest-path engine: the resumable incremental search as
+// plain Dijkstra (zero heuristic) and as A* (landmark bound), and the
+// one-shot helpers built on it. Ground truth is Bellman-Ford.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/graph_builder.h"
 #include "index/landmark_index.h"
 #include "index/target_bound.h"
-#include "sssp/astar.h"
-#include "sssp/dijkstra.h"
 #include "sssp/incremental_search.h"
 #include "util/rng.h"
 
@@ -49,26 +51,46 @@ Graph RandomGraph(uint64_t seed, NodeId n, double p) {
   return b.Build();
 }
 
-TEST(DijkstraTest, MatchesBellmanFordOnRandomGraphs) {
-  for (uint64_t seed = 0; seed < 10; ++seed) {
-    Graph g = RandomGraph(seed, 40, 0.1);
-    Dijkstra engine(g);
-    engine.Run(0);
+/// Seeds `engine` with `sources` and runs it to exhaustion.
+void RunFull(IncrementalSearch& engine,
+             std::span<const std::pair<NodeId, PathLength>> sources) {
+  engine.Initialize(sources);
+  engine.AdvanceToBound(kInfLength);
+}
+
+TEST(IncrementalSearchTest, FullyAdvancedMatchesBellmanFord) {
+  struct Case {
+    uint64_t seed;
+    double p;
+  };
+  std::vector<Case> cases = {{31, 0.12}};
+  for (uint64_t seed = 0; seed < 10; ++seed) cases.push_back({seed, 0.1});
+  for (const auto& [seed, p] : cases) {
+    Graph g = RandomGraph(seed, 40, p);
+    ZeroHeuristic zero;
+    IncrementalSearch inc(g, &zero);
+    std::pair<NodeId, PathLength> source[] = {{0, 0}};
+    RunFull(inc, source);
+    EXPECT_TRUE(inc.Exhausted());
     std::vector<PathLength> expected = BellmanFord(g, 0);
     for (NodeId v = 0; v < g.NumNodes(); ++v) {
-      EXPECT_EQ(engine.Distance(v), expected[v]) << "seed " << seed
-                                                 << " node " << v;
+      EXPECT_EQ(inc.Settled(v), expected[v] != kInfLength)
+          << "seed " << seed << " node " << v;
+      EXPECT_EQ(inc.Distance(v), expected[v])
+          << "seed " << seed << " node " << v;
     }
   }
 }
 
-TEST(DijkstraTest, PathToReconstructsConsistentPath) {
+TEST(IncrementalSearchTest, PathToReconstructsConsistentPath) {
   Graph g = RandomGraph(3, 30, 0.15);
-  Dijkstra engine(g);
-  engine.Run(0);
+  ZeroHeuristic zero;
+  IncrementalSearch inc(g, &zero);
+  std::pair<NodeId, PathLength> source[] = {{0, 0}};
+  RunFull(inc, source);
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    if (!engine.Settled(v)) continue;
-    std::vector<NodeId> path = engine.PathTo(v);
+    if (!inc.Settled(v)) continue;
+    std::vector<NodeId> path = inc.PathTo(v);
     ASSERT_FALSE(path.empty());
     EXPECT_EQ(path.front(), 0u);
     EXPECT_EQ(path.back(), v);
@@ -78,89 +100,148 @@ TEST(DijkstraTest, PathToReconstructsConsistentPath) {
       ASSERT_NE(w, kInfLength);
       len += w;
     }
-    EXPECT_EQ(len, engine.Distance(v));
+    EXPECT_EQ(len, inc.Distance(v));
   }
 }
 
-TEST(DijkstraTest, MultiSourceIsMinOverSources) {
+TEST(IncrementalSearchTest, MultiSourceIsMinOverSources) {
   Graph g = RandomGraph(7, 35, 0.12);
-  Dijkstra engine(g);
+  ZeroHeuristic zero;
+  IncrementalSearch inc(g, &zero);
   std::vector<std::pair<NodeId, PathLength>> seeds = {{3, 0}, {11, 0}, {20, 0}};
-  engine.RunMultiSource(seeds);
+  RunFull(inc, seeds);
   std::vector<PathLength> d3 = BellmanFord(g, 3);
   std::vector<PathLength> d11 = BellmanFord(g, 11);
   std::vector<PathLength> d20 = BellmanFord(g, 20);
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     PathLength expected = std::min({d3[v], d11[v], d20[v]});
-    EXPECT_EQ(engine.Distance(v), expected);
+    EXPECT_EQ(inc.Distance(v), expected);
   }
 }
 
-TEST(DijkstraTest, MultiSourceInitialOffsets) {
+TEST(IncrementalSearchTest, MultiSourceInitialOffsets) {
   // Virtual-node emulation: seeding with nonzero offsets.
   GraphBuilder b(3);
   b.AddEdge(0, 2, 10);
   b.AddEdge(1, 2, 10);
   Graph g = b.Build();
-  Dijkstra engine(g);
+  ZeroHeuristic zero;
+  IncrementalSearch inc(g, &zero);
   std::vector<std::pair<NodeId, PathLength>> seeds = {{0, 5}, {1, 1}};
-  engine.RunMultiSource(seeds);
-  EXPECT_EQ(engine.Distance(2), 11u);  // Via node 1.
-  EXPECT_EQ(engine.Parent(2), 1u);
+  RunFull(inc, seeds);
+  EXPECT_EQ(inc.Distance(2), 11u);  // Via node 1.
+  EXPECT_EQ(inc.Parent(2), 1u);
 }
 
-TEST(DijkstraTest, RunToTargetEarlyStopsWithExactDistance) {
-  Graph g = RandomGraph(9, 50, 0.1);
-  Dijkstra engine(g);
-  std::vector<PathLength> expected = BellmanFord(g, 0);
-  for (NodeId t : {5u, 17u, 42u}) {
-    EXPECT_EQ(engine.RunToTarget(0, t), expected[t]);
-  }
-}
-
-TEST(DijkstraTest, RunToAnyTargetReturnsNearest) {
-  Graph g = RandomGraph(12, 50, 0.1);
-  Dijkstra engine(g);
-  EpochSet targets(g.NumNodes());
-  targets.Insert(10);
-  targets.Insert(20);
-  targets.Insert(30);
-  NodeId hit = engine.RunToAnyTarget(0, targets);
-  std::vector<PathLength> expected = BellmanFord(g, 0);
-  PathLength best = std::min({expected[10], expected[20], expected[30]});
-  if (best == kInfLength) {
-    EXPECT_EQ(hit, kInvalidNode);
-  } else {
-    ASSERT_NE(hit, kInvalidNode);
-    EXPECT_EQ(engine.Distance(hit), best);
-  }
-}
-
-TEST(DijkstraTest, UnreachableNodesStayInfinite) {
-  GraphBuilder b(3);
-  b.AddEdge(0, 1, 1);
-  b.EnsureNode(2);
-  Graph g = b.Build();
-  Dijkstra engine(g);
-  engine.Run(0);
-  EXPECT_EQ(engine.Distance(2), kInfLength);
-  EXPECT_FALSE(engine.Settled(2));
-  EXPECT_TRUE(engine.PathTo(2).empty());
-}
-
-TEST(DijkstraTest, ReusableAcrossRuns) {
-  Graph g = RandomGraph(4, 30, 0.15);
-  Dijkstra engine(g);
-  for (NodeId s : {0u, 5u, 9u}) {
-    engine.Run(s);
-    std::vector<PathLength> expected = BellmanFord(g, s);
-    for (NodeId v = 0; v < g.NumNodes(); ++v) {
-      EXPECT_EQ(engine.Distance(v), expected[v]);
+TEST(IncrementalSearchTest, AdvanceUntilSettledStopsWithExactDistance) {
+  struct Case {
+    uint64_t graph_seed;
+    NodeId n;
+    double p;
+    NodeId source;
+    std::vector<NodeId> stops;
+  };
+  const Case cases[] = {{9, 50, 0.1, 0, {5, 17, 42}},
+                        {21, 40, 0.12, 2, {0, 9, 33}}};
+  for (const Case& c : cases) {
+    Graph g = RandomGraph(c.graph_seed, c.n, c.p);
+    ZeroHeuristic zero;
+    IncrementalSearch inc(g, &zero);
+    std::vector<PathLength> expected = BellmanFord(g, c.source);
+    for (NodeId t : c.stops) {
+      std::pair<NodeId, PathLength> source[] = {{c.source, 0}};
+      inc.Initialize(source);
+      EXPECT_EQ(inc.AdvanceUntilSettled(t), expected[t] != kInfLength);
+      if (expected[t] != kInfLength) {
+        EXPECT_EQ(inc.Distance(t), expected[t]);
+      }
+      // Early stop: nothing farther than the stop was settled.
+      for (NodeId v = 0; v < g.NumNodes(); ++v) {
+        if (inc.Settled(v)) {
+          EXPECT_LE(expected[v], expected[t]);
+        }
+      }
     }
   }
 }
 
-TEST(DijkstraTest, DistancesToSetHelper) {
+TEST(IncrementalSearchTest, LandmarkHeuristicIsExactAndAdmissible) {
+  Graph g = RandomGraph(23, 50, 0.1);
+  Graph rev = g.Reverse();
+  LandmarkIndexOptions lopt;
+  lopt.num_landmarks = 6;
+  LandmarkIndex landmarks = LandmarkIndex::Build(g, rev, lopt);
+  std::vector<NodeId> targets = {13};
+  LandmarkSetBound bound(&landmarks, targets, BoundDirection::kToSet);
+  IncrementalSearch astar(g, &bound);
+  for (NodeId s = 0; s < g.NumNodes(); ++s) {
+    std::vector<PathLength> expected = BellmanFord(g, s);
+    EXPECT_LE(bound.Estimate(s), expected[13]) << "source " << s;
+    std::pair<NodeId, PathLength> source[] = {{s, 0}};
+    astar.Initialize(source);
+    EXPECT_EQ(astar.AdvanceUntilSettled(13), expected[13] != kInfLength)
+        << "source " << s;
+    if (expected[13] != kInfLength) {
+      EXPECT_EQ(astar.Distance(13), expected[13]) << "source " << s;
+    }
+  }
+}
+
+TEST(IncrementalSearchTest, ExportDenseMatchesBellmanFordWithTightParents) {
+  // A random graph plus two isolated nodes, so some labels stay infinite.
+  Graph base = RandomGraph(17, 45, 0.08);
+  GraphBuilder b(base.NumNodes() + 2);
+  b.EnsureNode(base.NumNodes() + 1);
+  for (NodeId u = 0; u < base.NumNodes(); ++u) {
+    for (const OutEdge& e : base.OutEdges(u)) b.AddEdge(u, e.to, e.weight);
+  }
+  Graph g = b.Build();
+  ZeroHeuristic zero;
+  IncrementalSearch inc(g, &zero);
+  std::vector<std::pair<NodeId, PathLength>> seeds = {{0, 0}, {30, 0}};
+  RunFull(inc, seeds);
+  SptResult spt = inc.ExportDense();
+  ASSERT_EQ(spt.dist.size(), g.NumNodes());
+  ASSERT_EQ(spt.parent.size(), g.NumNodes());
+  std::vector<PathLength> d0 = BellmanFord(g, 0);
+  std::vector<PathLength> d30 = BellmanFord(g, 30);
+  size_t unreached = 0;
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    EXPECT_EQ(spt.dist[v], std::min(d0[v], d30[v])) << "node " << v;
+    NodeId p = spt.parent[v];
+    if (p == kInvalidNode) {
+      // Roots carry their seed offset; unreached nodes stay infinite.
+      EXPECT_TRUE(spt.dist[v] == 0 || spt.dist[v] == kInfLength)
+          << "node " << v;
+      unreached += spt.dist[v] == kInfLength ? 1 : 0;
+      continue;
+    }
+    PathLength w = g.EdgeWeight(p, v);
+    ASSERT_NE(w, kInfLength) << "parent " << p << " of " << v;
+    EXPECT_EQ(spt.dist[p] + w, spt.dist[v]) << "node " << v;
+  }
+  EXPECT_GE(unreached, 2u);
+  // The one-shot helper is the same run, exported.
+  SptResult single = SingleSourceShortestPaths(g, 0);
+  EXPECT_EQ(single.dist, d0);
+}
+
+TEST(IncrementalSearchTest, UnreachableNodesStayInfinite) {
+  GraphBuilder b(3);
+  b.AddEdge(0, 1, 1);
+  b.EnsureNode(2);
+  Graph g = b.Build();
+  ZeroHeuristic zero;
+  IncrementalSearch inc(g, &zero);
+  std::pair<NodeId, PathLength> source[] = {{0, 0}};
+  RunFull(inc, source);
+  EXPECT_EQ(inc.Distance(2), kInfLength);
+  EXPECT_FALSE(inc.Settled(2));
+  EXPECT_TRUE(inc.PathTo(2).empty());
+  EXPECT_FALSE(inc.AdvanceUntilSettled(2));
+}
+
+TEST(IncrementalSearchTest, DistancesToSetHelper) {
   Graph g = RandomGraph(15, 40, 0.12);
   Graph rev = g.Reverse();
   std::vector<NodeId> targets = {7, 22};
@@ -169,71 +250,6 @@ TEST(DijkstraTest, DistancesToSetHelper) {
     // dist(v -> targets) in g equals reverse multi-source distance.
     std::vector<PathLength> dv = BellmanFord(g, v);
     EXPECT_EQ(spt.dist[v], std::min(dv[7], dv[22]));
-  }
-}
-
-TEST(AStarTest, ZeroHeuristicMatchesDijkstra) {
-  Graph g = RandomGraph(21, 40, 0.12);
-  ZeroHeuristic zero;
-  AStar astar(g, &zero);
-  std::vector<PathLength> expected = BellmanFord(g, 2);
-  for (NodeId t : {0u, 9u, 33u}) {
-    EXPECT_EQ(astar.RunToTarget(2, t), expected[t]);
-  }
-}
-
-TEST(AStarTest, LandmarkHeuristicIsExactAndAdmissible) {
-  Graph g = RandomGraph(23, 50, 0.1);
-  Graph rev = g.Reverse();
-  LandmarkIndexOptions lopt;
-  lopt.num_landmarks = 6;
-  LandmarkIndex landmarks = LandmarkIndex::Build(g, rev, lopt);
-  std::vector<NodeId> targets = {13};
-  LandmarkSetBound bound(&landmarks, targets, BoundDirection::kToSet);
-  AStar astar(g, &bound);
-  for (NodeId s = 0; s < g.NumNodes(); ++s) {
-    std::vector<PathLength> expected = BellmanFord(g, s);
-    EXPECT_EQ(astar.RunToTarget(s, 13), expected[13]) << "source " << s;
-  }
-}
-
-TEST(AStarTest, MultiSourceToTargetSet) {
-  Graph g = RandomGraph(29, 40, 0.12);
-  ZeroHeuristic zero;
-  AStar astar(g, &zero);
-  EpochSet targets(g.NumNodes());
-  targets.Insert(31);
-  targets.Insert(4);
-  std::vector<std::pair<NodeId, PathLength>> seeds = {{0, 0}, {17, 0}};
-  NodeId hit = astar.RunToAnyTarget(seeds, targets);
-  std::vector<PathLength> d0 = BellmanFord(g, 0);
-  std::vector<PathLength> d17 = BellmanFord(g, 17);
-  PathLength best =
-      std::min({d0[31], d0[4], d17[31], d17[4]});
-  if (best == kInfLength) {
-    EXPECT_EQ(hit, kInvalidNode);
-  } else {
-    ASSERT_NE(hit, kInvalidNode);
-    EXPECT_EQ(astar.Distance(hit), best);
-  }
-}
-
-TEST(IncrementalSearchTest, FullyAdvancedMatchesDijkstra) {
-  Graph g = RandomGraph(31, 40, 0.12);
-  ZeroHeuristic zero;
-  IncrementalSearch inc(g, &zero);
-  std::pair<NodeId, PathLength> seed[] = {{0, 0}};
-  inc.Initialize(seed);
-  inc.AdvanceToBound(kInfLength);
-  EXPECT_TRUE(inc.Exhausted());
-  std::vector<PathLength> expected = BellmanFord(g, 0);
-  for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    if (expected[v] == kInfLength) {
-      EXPECT_FALSE(inc.Settled(v));
-    } else {
-      EXPECT_TRUE(inc.Settled(v));
-      EXPECT_EQ(inc.Distance(v), expected[v]);
-    }
   }
 }
 
@@ -280,44 +296,58 @@ TEST(IncrementalSearchTest, SettleCallbackSeesEveryNodeOnce) {
 }
 
 TEST(IncrementalSearchTest, AdvanceUntilAnySettledStopsAtNearest) {
-  Graph g = RandomGraph(43, 40, 0.12);
-  ZeroHeuristic zero;
-  IncrementalSearch inc(g, &zero);
-  std::pair<NodeId, PathLength> seed[] = {{0, 0}};
-  inc.Initialize(seed);
-  EpochSet stops(g.NumNodes());
-  stops.Insert(9);
-  stops.Insert(27);
-  NodeId hit = inc.AdvanceUntilAnySettled(stops);
-  std::vector<PathLength> expected = BellmanFord(g, 0);
-  PathLength best = std::min(expected[9], expected[27]);
-  if (best == kInfLength) {
-    EXPECT_EQ(hit, kInvalidNode);
-  } else {
-    ASSERT_NE(hit, kInvalidNode);
-    EXPECT_EQ(inc.Distance(hit), best);
+  // Single- and multi-source runs, each stopped at the nearest stop node.
+  struct Case {
+    uint64_t graph_seed;
+    NodeId n;
+    double p;
+    std::vector<NodeId> sources;
+    std::vector<NodeId> stops;
+  };
+  const Case cases[] = {{43, 40, 0.12, {0}, {9, 27}},
+                        {12, 50, 0.1, {0}, {10, 20, 30}},
+                        {29, 40, 0.12, {0, 17}, {31, 4}}};
+  for (const Case& c : cases) {
+    Graph g = RandomGraph(c.graph_seed, c.n, c.p);
+    ZeroHeuristic zero;
+    IncrementalSearch inc(g, &zero);
+    std::vector<std::pair<NodeId, PathLength>> seeds;
+    for (NodeId s : c.sources) seeds.emplace_back(s, 0);
+    inc.Initialize(seeds);
+    EpochSet stops(g.NumNodes());
+    for (NodeId t : c.stops) stops.Insert(t);
+    NodeId hit = inc.AdvanceUntilAnySettled(stops);
+    PathLength best = kInfLength;
+    for (NodeId s : c.sources) {
+      std::vector<PathLength> expected = BellmanFord(g, s);
+      for (NodeId t : c.stops) best = std::min(best, expected[t]);
+    }
+    if (best == kInfLength) {
+      EXPECT_EQ(hit, kInvalidNode) << "graph " << c.graph_seed;
+    } else {
+      ASSERT_NE(hit, kInvalidNode) << "graph " << c.graph_seed;
+      EXPECT_TRUE(stops.Contains(hit));
+      EXPECT_EQ(inc.Distance(hit), best) << "graph " << c.graph_seed;
+    }
   }
 }
 
 TEST(IncrementalSearchTest, ReinitializeResetsState) {
+  // One engine reused across runs: each Initialize forgets the last run.
   Graph g = RandomGraph(47, 30, 0.15);
   ZeroHeuristic zero;
   IncrementalSearch inc(g, &zero);
-  std::pair<NodeId, PathLength> seed0[] = {{0, 0}};
-  inc.Initialize(seed0);
-  inc.AdvanceToBound(kInfLength);
-  size_t settled_from_0 = inc.num_settled();
-  std::pair<NodeId, PathLength> seed1[] = {{5, 0}};
-  inc.Initialize(seed1);
-  EXPECT_EQ(inc.num_settled(), 0u);
-  inc.AdvanceToBound(kInfLength);
-  std::vector<PathLength> expected = BellmanFord(g, 5);
-  for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    if (expected[v] != kInfLength) {
-      EXPECT_EQ(inc.Distance(v), expected[v]);
+  for (NodeId s : {0u, 5u, 9u, 0u}) {
+    std::pair<NodeId, PathLength> source[] = {{s, 0}};
+    inc.Initialize(source);
+    EXPECT_EQ(inc.num_settled(), 0u);
+    inc.AdvanceToBound(kInfLength);
+    std::vector<PathLength> expected = BellmanFord(g, s);
+    for (NodeId v = 0; v < g.NumNodes(); ++v) {
+      EXPECT_EQ(inc.Distance(v), expected[v]) << "source " << s;
+      EXPECT_EQ(inc.Settled(v), expected[v] != kInfLength) << "source " << s;
     }
   }
-  (void)settled_from_0;
 }
 
 }  // namespace

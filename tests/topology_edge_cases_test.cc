@@ -7,7 +7,7 @@
 #include "core/kpj_instance.h"
 #include "core/verifier.h"
 #include "graph/graph_builder.h"
-#include "sssp/dijkstra.h"
+#include "sssp/incremental_search.h"
 
 namespace kpj {
 namespace {
