@@ -17,6 +17,13 @@
 // cache-on queries served whole from the answer cache; the rest of the
 // speedup is SPT and bound reuse.
 //
+// The 64 MiB rows never evict. The `eviction_pressure` object runs the
+// same passes on IterBoundI with a 2 MiB budget, below the batch's working
+// set (`working_set_bytes`: both caches of the unbounded engine), so the
+// eviction policy decides what each round finds resident. It reports the
+// answer hit share and the nodes settled (deterministic at one worker)
+// beside the unbounded engine's, under the same identity gates.
+//
 // Output: a table plus a JSON summary written to the path in
 // KPJ_BENCH_JSON, or to stdout when the variable is unset.
 
@@ -165,21 +172,39 @@ int Main() {
   std::vector<Row> rows;
   std::string cache_metrics_json;
 
+  auto make_engine = [&](Algorithm algorithm, size_t cache_mb,
+                         unsigned threads) {
+    api::EngineConfig config;
+    config.workers = threads;
+    config.clamp_to_hardware = false;
+    config.algorithm = algorithm;
+    config.cache_mb = cache_mb;
+    return std::make_unique<KpjEngine>(instance, config.ToEngineOptions());
+  };
+  auto round_queries = [&](int round) {
+    std::vector<KpjQuery> batch = queries;
+    for (KpjQuery& q : batch) q.k = kK + 1 + round;
+    return batch;
+  };
+  auto answer_hit_ratio = [](const AlgoStats& before,
+                             const AlgoStats& after) {
+    const uint64_t hits = after.answer_cache_hits - before.answer_cache_hits;
+    const uint64_t misses =
+        after.answer_cache_misses - before.answer_cache_misses;
+    return static_cast<double>(hits) / static_cast<double>(hits + misses);
+  };
+  // Working set and work of the unbounded IterBoundI engine, for the
+  // eviction-pressure comparison.
+  size_t working_set_bytes = 0;
+  uint64_t unbounded_nodes = 0;
+
   for (Algorithm algorithm : kAlgorithms) {
     Row row;
     row.algorithm = algorithm;
 
-    auto make_engine = [&](size_t cache_mb, unsigned threads) {
-      api::EngineConfig config;
-      config.workers = threads;
-      config.clamp_to_hardware = false;
-      config.algorithm = algorithm;
-      config.cache_mb = cache_mb;
-      return std::make_unique<KpjEngine>(instance, config.ToEngineOptions());
-    };
-    auto off = make_engine(0, 1);
-    auto on = make_engine(kCacheMb, 1);
-    auto on4 = make_engine(kCacheMb, 4);
+    auto off = make_engine(algorithm, 0, 1);
+    auto on = make_engine(algorithm, kCacheMb, 1);
+    auto on4 = make_engine(algorithm, kCacheMb, 4);
 
     // Correctness gate + warm-up in one: cold reference vs cache-on at 1
     // and 4 workers, full node sequences.
@@ -193,29 +218,64 @@ int Main() {
 
     const AlgoStats before = on->MetricsSnapshot().algo;
     for (int round = 0; round < kRounds; ++round) {
-      std::vector<KpjQuery> round_queries = queries;
-      for (KpjQuery& q : round_queries) q.k = kK + 1 + round;
+      const std::vector<KpjQuery> batch = round_queries(round);
       Timer timer;
-      std::vector<Result<KpjResult>> cold = off->RunBatch(round_queries);
+      std::vector<Result<KpjResult>> cold = off->RunBatch(batch);
       row.cache_off_ms = std::min(row.cache_off_ms, timer.ElapsedMillis());
       timer.Restart();
-      std::vector<Result<KpjResult>> warm = on->RunBatch(round_queries);
+      std::vector<Result<KpjResult>> warm = on->RunBatch(batch);
       row.cache_on_ms = std::min(row.cache_on_ms, timer.ElapsedMillis());
       KPJ_CHECK(Canonicalize(warm) == Canonicalize(cold))
           << AlgorithmName(algorithm) << ": cache-on diverges in round "
           << round;
     }
-    const AlgoStats after = on->MetricsSnapshot().algo;
-    const uint64_t hits = after.answer_cache_hits - before.answer_cache_hits;
-    const uint64_t misses =
-        after.answer_cache_misses - before.answer_cache_misses;
-    row.answer_hit_ratio =
-        static_cast<double>(hits) / static_cast<double>(hits + misses);
+    const EngineMetricsSnapshot after = on->MetricsSnapshot();
+    row.answer_hit_ratio = answer_hit_ratio(before, after.algo);
     if (algorithm == Algorithm::kDaSpt) {
       cache_metrics_json = on->MetricsJson();
     }
+    if (algorithm == Algorithm::kIterBoundSptI) {
+      working_set_bytes = static_cast<size_t>(after.cache_bytes);
+      unbounded_nodes = after.algo.node_expansions - before.node_expansions;
+    }
     rows.push_back(row);
   }
+
+  // Eviction pressure: the same warm-up pass and rounds on IterBoundI with
+  // a budget below the working set, gated byte-identical at 1 and 4
+  // workers like the rows above.
+  const size_t kPressureMb = 2;
+  bool pressure_identical_1t = true;
+  bool pressure_identical_4t = true;
+  AlgoStats pressure_before;
+  EngineMetricsSnapshot pressure_after;
+  {
+    const Algorithm algorithm = Algorithm::kIterBoundSptI;
+    auto off = make_engine(algorithm, 0, 1);
+    auto tight = make_engine(algorithm, kPressureMb, 1);
+    auto tight4 = make_engine(algorithm, kPressureMb, 4);
+    for (int round = -1; round < kRounds; ++round) {
+      const std::vector<KpjQuery> batch =
+          round < 0 ? queries : round_queries(round);
+      if (round == 0) pressure_before = tight->MetricsSnapshot().algo;
+      const std::string reference = Canonicalize(off->RunBatch(batch));
+      pressure_identical_1t &=
+          Canonicalize(tight->RunBatch(batch)) == reference;
+      pressure_identical_4t &=
+          Canonicalize(tight4->RunBatch(batch)) == reference;
+    }
+    pressure_after = tight->MetricsSnapshot();
+    KPJ_CHECK(pressure_after.spt_cache_evictions > 0)
+        << "the pressure budget must sit below the working set";
+    KPJ_CHECK(pressure_identical_1t)
+        << "IterBoundI under eviction pressure diverges at 1 thread";
+    KPJ_CHECK(pressure_identical_4t)
+        << "IterBoundI under eviction pressure diverges at 4 threads";
+  }
+  const double pressure_hit_ratio =
+      answer_hit_ratio(pressure_before, pressure_after.algo);
+  const uint64_t pressure_nodes =
+      pressure_after.algo.node_expansions - pressure_before.node_expansions;
 
   Table table("Cross-query cache on road_240k (" +
                   std::to_string(num_queries) + " zipf queries, " +
@@ -228,6 +288,15 @@ int Main() {
                   row.cache_off_ms / row.cache_on_ms, row.answer_hit_ratio});
   }
   table.Print();
+  std::fprintf(stderr,
+               "[bench_cache] eviction pressure (IterBoundI, %zu MiB, working "
+               "set %zu bytes): answer hits %.3f, nodes settled %llu "
+               "(unbounded %llu), %llu evictions\n",
+               kPressureMb, working_set_bytes, pressure_hit_ratio,
+               static_cast<unsigned long long>(pressure_nodes),
+               static_cast<unsigned long long>(unbounded_nodes),
+               static_cast<unsigned long long>(
+                   pressure_after.spt_cache_evictions));
 
   std::ostringstream json;
   json << "{\"bench\":\"bench_cache\",\"dataset\":\"road_240k\""
@@ -246,7 +315,16 @@ int Main() {
          << ",\"identical_4t\":" << (row.identical_4t ? "true" : "false")
          << "}";
   }
-  json << "],\"da_spt_cache_on_metrics\":" << cache_metrics_json << "}";
+  json << "],\"eviction_pressure\":{\"algorithm\":\"IterBoundI\""
+       << ",\"cache_mb\":" << kPressureMb
+       << ",\"working_set_bytes\":" << working_set_bytes
+       << ",\"answer_hit_ratio\":" << pressure_hit_ratio
+       << ",\"nodes_settled\":" << pressure_nodes
+       << ",\"unbounded_nodes_settled\":" << unbounded_nodes
+       << ",\"spt_cache_evictions\":" << pressure_after.spt_cache_evictions
+       << ",\"identical_1t\":" << (pressure_identical_1t ? "true" : "false")
+       << ",\"identical_4t\":" << (pressure_identical_4t ? "true" : "false")
+       << "},\"da_spt_cache_on_metrics\":" << cache_metrics_json << "}";
 
   if (const char* path = std::getenv("KPJ_BENCH_JSON");
       path != nullptr && *path != '\0') {

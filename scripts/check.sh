@@ -11,8 +11,8 @@
 #   scripts/check.sh --tsan          # opt-in ThreadSanitizer run of the
 #                                    # concurrency suite (engine, pool,
 #                                    # landmark build, intra, trace,
-#                                    # observability, cache reuse, api,
-#                                    # socket, server) only
+#                                    # observability, cache reuse, SPT
+#                                    # cache, api, socket, server) only
 #   scripts/check.sh --bench-gate    # opt-in perf gate: re-run bench_cache
 #                                    # and bench_intra and
 #                                    # diff against the checked-in
@@ -69,7 +69,7 @@ elif [[ "${1:-}" == "--tsan" || "${KPJ_CHECK_TSAN:-0}" == "1" ]]; then
   cmake_flags+=("-DCMAKE_CXX_FLAGS=-fsanitize=thread -fno-sanitize-recover=all")
   # landmark_index_test is in the list for its multi-threaded
   # byte-identical-build property, not for raw coverage.
-  ctest_flags+=("-R" "engine_test|thread_pool_test|intra_test|trace_test|observability_test|cache_reuse_test|landmark_index_test|api_test|socket_test|server_test")
+  ctest_flags+=("-R" "engine_test|thread_pool_test|intra_test|trace_test|observability_test|cache_reuse_test|spt_cache_test|landmark_index_test|api_test|socket_test|server_test")
 elif [[ "${1:-}" == "--bench-gate" || "${KPJ_CHECK_BENCH_GATE:-0}" == "1" ]]; then
   mode=bench-gate
 fi
@@ -80,7 +80,7 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" "${ctest_flags[@]}"
 
 if [[ "$mode" == "asan" ]]; then
   # Re-run the cache determinism suite with a deliberately tiny (1 MiB)
-  # budget so constant LRU eviction runs under the sanitizer, not just the
+  # budget so constant eviction runs under the sanitizer, not just the
   # comfortable default the ctest pass uses.
   KPJ_CACHE_TEST_MB=1 "$build_dir/tests/cache_reuse_test"
   echo "asan tiny-cache eviction pass OK"

@@ -94,6 +94,7 @@ bool BestFirstFramework::InitializeQuery(const PreparedQuery& query,
     ++stats->algo.spt_cache_misses;
   }
 
+  const uint64_t settled_before = stats->nodes_settled;
   bool found = ComputeRootPath(query, initial, stats);
   if (spt_cache != nullptr &&
       (query.cancel == nullptr || !query.cancel->ShouldStop())) {
@@ -105,6 +106,7 @@ bool BestFirstFramework::InitializeQuery(const PreparedQuery& query,
     }
     SptCacheValue value;
     value.root_path = std::move(root);
+    value.cost = stats->nodes_settled - settled_before;
     spt_cache->Insert(std::move(key), std::move(value));
   }
   return found;

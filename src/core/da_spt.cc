@@ -209,6 +209,7 @@ KpjResult DaSptSolver::Run(const PreparedQuery& query) {
     if (cache != nullptr) {
       SptCacheValue value;
       value.full_spt = full_spt_;
+      value.cost = res.stats.spt_nodes;
       cache->Insert(std::move(key), std::move(value));
     }
   }

@@ -273,6 +273,7 @@ EngineMetricsSnapshot KpjEngine::MetricsSnapshot() const {
     snap.spt_cache_evictions = spt.evictions;
     snap.bound_cache_evictions = bounds.evictions;
     snap.cache_bytes = static_cast<double>(spt.bytes + bounds.bytes);
+    snap.spt_cache_answer_bytes = static_cast<double>(spt.answer_bytes);
   }
   return snap;
 }

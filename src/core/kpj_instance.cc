@@ -193,6 +193,7 @@ Result<KpjResult> RunKpjOnInstance(const KpjInstance& instance,
           SptCacheValue value;
           value.answer =
               std::make_shared<const std::vector<Path>>(result.paths);
+          value.cost = result.stats.nodes_settled;
           if (answers->FitsInShard(key, value)) {
             answers->Insert(std::move(key), std::move(value));
           }

@@ -1,5 +1,6 @@
 #include "core/spt_cache.h"
 
+#include <algorithm>
 #include <atomic>
 
 namespace kpj {
@@ -61,57 +62,85 @@ SptCache::SptCache(size_t budget_bytes)
 
 size_t SptCache::EntryBytes(const SptCacheKey& key,
                             const SptCacheValue& value) {
-  // The key is stored twice (LRU list and index); add a flat allowance for
-  // node and bucket overhead.
+  // The key is stored twice (order entry and index); add a flat allowance
+  // for node and bucket overhead.
   return 2 * key.MemoryBytes() + value.MemoryBytes() + 128;
 }
 
-SptCache::Shard& SptCache::ShardFor(const SptCacheKey& key) {
-  // The bottom bits feed the unordered_map buckets; take top bits for the
-  // shard so the two partitions stay independent.
-  return shards_[(key.Hash() >> 56) % kNumShards];
+SptCache::Rank SptCache::NextRank(Shard& shard, const Entry& entry) {
+  const double cost = static_cast<double>(std::max<uint64_t>(
+      entry.value.cost, 1));
+  return {shard.inflation + static_cast<double>(entry.freq) * cost /
+                                static_cast<double>(entry.bytes),
+          ++shard.clock};
+}
+
+void SptCache::Rerank(Shard& shard, Index::iterator at) {
+  auto node = shard.order.extract(at->second);
+  node.key() = NextRank(shard, node.mapped());
+  at->second = shard.order.insert(std::move(node)).position;
+}
+
+void SptCache::Account(Shard& shard, const Entry& entry, bool add) {
+  const size_t answer =
+      entry.key.kind == SptCacheKind::kAnswer ? entry.bytes : 0;
+  if (add) {
+    shard.bytes += entry.bytes;
+    shard.answer_bytes += answer;
+  } else {
+    shard.bytes -= entry.bytes;
+    shard.answer_bytes -= answer;
+  }
 }
 
 std::optional<SptCacheValue> SptCache::Lookup(const SptCacheKey& key) {
-  Shard& shard = ShardFor(key);
+  Shard& shard = shards_[ShardOf(key)];
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
+  auto at = shard.index.find(key);
+  if (at == shard.index.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  ++at->second->second.freq;
+  Rerank(shard, at);
   hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second->second;
+  return at->second->second.value;
 }
 
 bool SptCache::Contains(const SptCacheKey& key) const {
-  const Shard& shard = shards_[(key.Hash() >> 56) % kNumShards];
+  const Shard& shard = shards_[ShardOf(key)];
   std::lock_guard<std::mutex> lock(shard.mu);
   return shard.index.find(key) != shard.index.end();
 }
 
 void SptCache::Insert(SptCacheKey key, SptCacheValue value) {
-  Shard& shard = ShardFor(key);
-  size_t bytes = EntryBytes(key, value);
+  Shard& shard = shards_[ShardOf(key)];
+  const size_t bytes = EntryBytes(key, value);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
-    shard.bytes -= EntryBytes(it->second->first, it->second->second);
-    shard.bytes += bytes;
-    it->second->second = std::move(value);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  auto at = shard.index.find(key);
+  if (at != shard.index.end()) {
+    Entry& entry = at->second->second;
+    Account(shard, entry, false);
+    entry.value = std::move(value);
+    entry.bytes = bytes;
+    Account(shard, entry, true);
+    Rerank(shard, at);
   } else {
-    shard.lru.emplace_front(std::move(key), std::move(value));
-    shard.index.emplace(shard.lru.front().first, shard.lru.begin());
-    shard.bytes += bytes;
+    Entry entry{std::move(key), std::move(value), bytes, /*freq=*/1};
+    const Rank rank = NextRank(shard, entry);
+    auto it = shard.order.emplace(rank, std::move(entry)).first;
+    Account(shard, it->second, true);
+    at = shard.index.emplace(it->second.key, it).first;
   }
   insertions_.fetch_add(1, std::memory_order_relaxed);
-  while (shard.bytes > shard_budget_ && shard.lru.size() > 1) {
-    auto& victim = shard.lru.back();
-    shard.bytes -= EntryBytes(victim.first, victim.second);
-    shard.index.erase(victim.first);
-    shard.lru.pop_back();
+  const Order::iterator inserted = at->second;
+  while (shard.bytes > shard_budget_ && shard.order.size() > 1) {
+    auto victim = shard.order.begin();
+    if (victim == inserted) ++victim;
+    shard.inflation = std::max(shard.inflation, victim->first.priority);
+    Account(shard, victim->second, false);
+    shard.index.erase(victim->second.key);
+    shard.order.erase(victim);
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -119,11 +148,11 @@ void SptCache::Insert(SptCacheKey key, SptCacheValue value) {
 void SptCache::PurgeOlderEpochs(uint64_t current_epoch) {
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-      if (it->first.epoch < current_epoch) {
-        shard.bytes -= EntryBytes(it->first, it->second);
-        shard.index.erase(it->first);
-        it = shard.lru.erase(it);
+    for (auto it = shard.order.begin(); it != shard.order.end();) {
+      if (it->second.key.epoch < current_epoch) {
+        Account(shard, it->second, false);
+        shard.index.erase(it->second.key);
+        it = shard.order.erase(it);
         evictions_.fetch_add(1, std::memory_order_relaxed);
       } else {
         ++it;
@@ -141,7 +170,8 @@ SptCacheStats SptCache::StatsSnapshot() const {
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     stats.bytes += shard.bytes;
-    stats.entries += shard.lru.size();
+    stats.answer_bytes += shard.answer_bytes;
+    stats.entries += shard.order.size();
   }
   return stats;
 }

@@ -3,7 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -90,33 +90,47 @@ struct CachedRootPath {
 
 /// One cached value; exactly the field matching the key's kind is set.
 /// Values sit behind shared_ptr so eviction is safe while a worker still
-/// holds (or has adopted) the data.
+/// holds (or has adopted) the data. `cost` is the work a hit saves: the
+/// nodes the computation that produced the value settled (at least 1).
 struct SptCacheValue {
   std::shared_ptr<const SptResult> full_spt;            // kReverseTargetSpt
   std::shared_ptr<const SearchSnapshot> snapshot;       // kForwardSpti
   std::shared_ptr<const std::vector<NodeId>> settled_targets;  // kForwardSpti
   std::shared_ptr<const CachedRootPath> root_path;      // kRootPath
   std::shared_ptr<const std::vector<Path>> answer;      // kAnswer
+  uint64_t cost = 1;
 
   size_t MemoryBytes() const;
 };
 
-/// Monotonic operation counters plus the current byte footprint.
+/// Monotonic operation counters plus the current byte footprint
+/// (`answer_bytes` is the kAnswer share of `bytes`).
 struct SptCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t insertions = 0;
   uint64_t evictions = 0;
   size_t bytes = 0;
+  size_t answer_bytes = 0;
   size_t entries = 0;
 };
 
-/// Sharded LRU cache of shortest-path substrate and whole answers, shared
-/// by all workers of a KpjEngine. Thread-safe; each shard has its own
-/// mutex, LRU list and byte budget (total budget / shard count). Epoch
-/// invalidation is lazy —
-/// an entry with a stale epoch can never be looked up (the epoch is part
-/// of the key) — plus eager via PurgeOlderEpochs.
+/// Sharded cache of shortest-path substrate and whole answers, shared by
+/// all workers of a KpjEngine. Thread-safe; each shard has its own mutex,
+/// eviction order and byte budget (total budget / shard count).
+///
+/// Eviction is GreedyDual-Size-Frequency (Cao & Irani 1997, plus a
+/// frequency term): each entry ranks at `L + freq * cost / bytes`, where
+/// `cost` is the nodes a hit saves settling, `freq` counts the insert and
+/// every hit, and `L` is the shard's inflation — the rank of its last
+/// victim. A hit re-ranks the entry at the current `L`; an eviction takes
+/// the lowest rank (ties: least recently ranked first) and raises `L` to
+/// it, so entries that go unused age out however costly they were. With
+/// equal cost per byte the order is LRU.
+///
+/// Epoch invalidation is lazy — an entry with a stale epoch can never be
+/// looked up (the epoch is part of the key) — plus eager via
+/// PurgeOlderEpochs.
 ///
 /// Lookup returns a *copy* of the stored value, so the snapshot a query
 /// adopts is private to that query: once copied into solver state it may
@@ -130,18 +144,19 @@ class SptCache {
   SptCache(const SptCache&) = delete;
   SptCache& operator=(const SptCache&) = delete;
 
-  /// Returns the cached value and refreshes its LRU position, or nullopt.
-  /// Counts a hit or a miss.
+  /// Returns the cached value, bumping its frequency and re-ranking it, or
+  /// nullopt. Counts a hit or a miss.
   std::optional<SptCacheValue> Lookup(const SptCacheKey& key);
 
-  /// True when `key` is resident, with no side effects: no LRU refresh, no
+  /// True when `key` is resident, with no side effects: no re-rank, no
   /// hit/miss counting. A planner probe, not an access — a later Lookup by
-  /// the chosen solver observes exactly the counters and recency order it
+  /// the chosen solver observes exactly the counters and eviction order it
   /// would have seen had the probe never happened.
   bool Contains(const SptCacheKey& key) const;
 
-  /// Inserts or replaces. Evicts least-recently-used entries of the shard
-  /// while it exceeds its byte budget. The just-inserted entry is never
+  /// Inserts or replaces (a replaced entry keeps its frequency and is
+  /// re-ranked). Evicts the lowest-ranked entries of the shard while it
+  /// exceeds its byte budget. The just-inserted entry is never
   /// evicted by its own insert: a single oversized entry stays resident
   /// (and useful) until a later insert displaces it.
   void Insert(SptCacheKey key, SptCacheValue value);
@@ -164,25 +179,61 @@ class SptCache {
 
   size_t budget_bytes() const { return budget_bytes_; }
 
- private:
   static constexpr size_t kNumShards = 8;
 
+  /// The shard `key` lives in; only keys of one shard compete for its
+  /// budget.
+  static size_t ShardOf(const SptCacheKey& key) {
+    // The bottom bits feed the unordered_map buckets; take top bits for
+    // the shard so the two partitions stay independent.
+    return (key.Hash() >> 56) % kNumShards;
+  }
+
+ private:
   struct KeyHash {
     size_t operator()(const SptCacheKey& key) const { return key.Hash(); }
   };
 
-  using LruList = std::list<std::pair<SptCacheKey, SptCacheValue>>;
+  /// Eviction rank: GDSF priority, then the shard clock at ranking time,
+  /// so equal priorities go least recently ranked first.
+  struct Rank {
+    double priority;
+    uint64_t tick;
+    auto operator<=>(const Rank&) const = default;
+  };
+
+  struct Entry {
+    SptCacheKey key;
+    SptCacheValue value;
+    size_t bytes;
+    uint64_t freq;
+  };
+
+  using Order = std::map<Rank, Entry>;  // begin() = next victim
+  using Index = std::unordered_map<SptCacheKey, Order::iterator, KeyHash>;
 
   struct Shard {
     mutable std::mutex mu;
-    LruList lru;  // front = most recently used
-    std::unordered_map<SptCacheKey, LruList::iterator, KeyHash> index;
+    Order order;
+    Index index;
     size_t bytes = 0;
+    size_t answer_bytes = 0;
+    double inflation = 0;  // L: the rank of the last victim
+    uint64_t clock = 0;
   };
 
   static size_t EntryBytes(const SptCacheKey& key, const SptCacheValue& value);
 
-  Shard& ShardFor(const SptCacheKey& key);
+  /// The rank `entry` takes now: the shard's inflation plus its
+  /// frequency-weighted cost per byte, stamped with the next tick.
+  static Rank NextRank(Shard& shard, const Entry& entry);
+
+  /// Re-ranks the entry behind index slot `at` at the shard's current
+  /// inflation, keeping the slot pointing at it.
+  static void Rerank(Shard& shard, Index::iterator at);
+
+  /// Adds an entry's bytes to the shard totals (`add`), or removes them.
+  static void Account(Shard& shard, const Entry& entry, bool add);
 
   size_t budget_bytes_;
   size_t shard_budget_;

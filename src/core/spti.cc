@@ -231,6 +231,7 @@ KpjResult IterBoundSptiSolver::Run(const PreparedQuery& query) {
       value.snapshot = std::move(snap);
       value.settled_targets =
           std::make_shared<const std::vector<NodeId>>(d_);
+      value.cost = spti_.stats().nodes_settled;
       spt_cache->Insert(std::move(key), std::move(value));
     }
   }

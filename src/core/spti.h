@@ -70,10 +70,12 @@ class IterBoundSptiSolver final : public KpjSolver {
   const KpjOptions options_;
   const bool use_landmarks_;
 
+  // Declared before spti_, whose constructor takes &zero_: members are
+  // built in declaration order.
+  ZeroHeuristic zero_;
   ConstrainedSearch rev_search_;  // Bound to the reverse graph.
   IncrementalSearch spti_;        // Bound to the forward graph.
   PseudoTree tree_;
-  ZeroHeuristic zero_;
   /// Ranks of the current division's chosen path (RankDivisionPath),
   /// over the reverse graph; read by every lane of a CompLb round.
   EpochArray<uint32_t> path_rank_;

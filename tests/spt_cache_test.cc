@@ -1,11 +1,14 @@
-// Cross-query reuse caches: LRU/byte accounting, epoch invalidation, and
-// the cached-set-bound construction being byte-identical to the plain one.
+// Cross-query reuse caches: GDSF eviction order and byte accounting, epoch
+// invalidation, concurrent use, and the cached-set-bound construction being
+// byte-identical to the plain one.
 
 #include "core/spt_cache.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "graph/graph_builder.h"
@@ -24,7 +27,8 @@ SptCacheKey RootKey(uint64_t epoch, NodeId source, NodeId target) {
   return key;
 }
 
-SptCacheValue RootValue(NodeId source, NodeId target, size_t padding = 0) {
+SptCacheValue RootValue(NodeId source, NodeId target, size_t padding = 0,
+                        uint64_t cost = 1) {
   auto path = std::make_shared<CachedRootPath>();
   path->found = true;
   path->suffix = {source, target};
@@ -32,7 +36,33 @@ SptCacheValue RootValue(NodeId source, NodeId target, size_t padding = 0) {
   path->suffix_length = 1;
   SptCacheValue value;
   value.root_path = std::move(path);
+  value.cost = cost;
   return value;
+}
+
+// Root-path keys (epoch 1, target = source + 1) that all land in one shard,
+// so they compete for one budget and their eviction order is observable.
+std::vector<SptCacheKey> SameShardKeys(size_t count) {
+  std::vector<SptCacheKey> keys;
+  const size_t shard = SptCache::ShardOf(RootKey(1, 0, 1));
+  for (NodeId s = 0; keys.size() < count; ++s) {
+    SptCacheKey key = RootKey(1, s, s + 1);
+    if (SptCache::ShardOf(key) == shard) keys.push_back(std::move(key));
+  }
+  return keys;
+}
+
+// A budget whose shards hold exactly `entries` root values of `padding`.
+size_t BudgetFor(size_t entries, size_t padding) {
+  SptCache probe(1 << 20);
+  probe.Insert(RootKey(1, 0, 1), RootValue(0, 1, padding));
+  const size_t entry_bytes = probe.StatsSnapshot().bytes;
+  return SptCache::kNumShards * (entries * entry_bytes + entry_bytes / 2);
+}
+
+SptCacheValue ValueFor(const SptCacheKey& key, size_t padding,
+                       uint64_t cost) {
+  return RootValue(key.source, key.targets.front(), padding, cost);
 }
 
 TEST(SptCacheTest, MissThenInsertThenHit) {
@@ -109,6 +139,122 @@ TEST(SptCacheTest, LruRefreshOnLookupProtectsHotEntries) {
   EXPECT_GT(cache.StatsSnapshot().evictions, 0u);
 }
 
+TEST(SptCacheTest, HighCostPerByteOutlivesNewerCheapEntries) {
+  // GDSF: an old entry whose hit saves much work per byte stays resident
+  // while newer cheap entries stream through the shard and are evicted.
+  constexpr size_t kPadding = 256;
+  SptCache cache(BudgetFor(4, kPadding));
+  std::vector<SptCacheKey> keys = SameShardKeys(40);
+  cache.Insert(keys[0], ValueFor(keys[0], kPadding, /*cost=*/1000));
+  for (size_t i = 1; i < keys.size(); ++i) {
+    cache.Insert(keys[i], ValueFor(keys[i], kPadding, /*cost=*/1));
+  }
+  EXPECT_TRUE(cache.Contains(keys[0]));
+  EXPECT_FALSE(cache.Contains(keys[1]));  // Newer, but cheap: evicted.
+  EXPECT_TRUE(cache.Contains(keys.back()));
+  SptCacheStats stats = cache.StatsSnapshot();
+  EXPECT_EQ(stats.entries, 4u);
+  EXPECT_EQ(stats.evictions, keys.size() - 4);
+}
+
+TEST(SptCacheTest, UnusedCostlyEntriesAgeOut) {
+  // Each eviction raises the shard's inflation, so a costly entry nobody
+  // asks for again sinks below the newer cheap ones and is evicted.
+  constexpr size_t kPadding = 256;
+  SptCache cache(BudgetFor(4, kPadding));
+  std::vector<SptCacheKey> keys = SameShardKeys(400);
+  cache.Insert(keys[0], ValueFor(keys[0], kPadding, /*cost=*/50));
+  for (size_t i = 1; i < keys.size(); ++i) {
+    cache.Insert(keys[i], ValueFor(keys[i], kPadding, /*cost=*/1));
+  }
+  EXPECT_FALSE(cache.Contains(keys[0]));
+  EXPECT_TRUE(cache.Contains(keys.back()));
+}
+
+TEST(SptCacheTest, FrequentHitsOutweighRecency) {
+  // Each hit adds the entry's cost per byte again: an entry hit ten times
+  // outlives a later one that was never hit, where LRU would evict it.
+  constexpr size_t kPadding = 256;
+  SptCache cache(BudgetFor(4, kPadding));
+  std::vector<SptCacheKey> keys = SameShardKeys(12);
+  cache.Insert(keys[0], ValueFor(keys[0], kPadding, 1));
+  for (int hit = 0; hit < 10; ++hit) {
+    ASSERT_TRUE(cache.Lookup(keys[0]).has_value());
+  }
+  for (size_t i = 1; i < keys.size(); ++i) {
+    cache.Insert(keys[i], ValueFor(keys[i], kPadding, 1));
+  }
+  EXPECT_TRUE(cache.Contains(keys[0]));
+  EXPECT_FALSE(cache.Contains(keys[1]));
+}
+
+TEST(SptCacheTest, EqualCostPerByteEvictsOldestFirst) {
+  // With every entry worth the same per byte the order is LRU: each
+  // eviction takes the oldest resident entry.
+  constexpr size_t kPadding = 256;
+  SptCache cache(BudgetFor(4, kPadding));
+  std::vector<SptCacheKey> keys = SameShardKeys(12);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    cache.Insert(keys[i], ValueFor(keys[i], kPadding, /*cost=*/7));
+    for (size_t j = 0; j <= i; ++j) {
+      EXPECT_EQ(cache.Contains(keys[j]), j + 4 > i)
+          << "after insert " << i << ", key " << j;
+    }
+  }
+}
+
+TEST(SptCacheTest, ReinsertReranksWithoutLeakingBytes) {
+  constexpr size_t kPadding = 256;
+  std::vector<SptCacheKey> keys = SameShardKeys(5);
+
+  // Replacing a value charges the new footprint and frees the old one.
+  SptCache sized(1 << 20);
+  sized.Insert(keys[0], ValueFor(keys[0], kPadding, 1));
+  const size_t big_bytes = sized.StatsSnapshot().bytes;
+  SptCache replaced(1 << 20);
+  replaced.Insert(keys[0], ValueFor(keys[0], 0, 1));
+  replaced.Insert(keys[0], ValueFor(keys[0], kPadding, 1));
+  replaced.Insert(keys[0], ValueFor(keys[0], kPadding, 1));
+  SptCacheStats stats = replaced.StatsSnapshot();
+  EXPECT_EQ(stats.bytes, big_bytes);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.insertions, 3u);
+
+  // A re-insert ranks the entry afresh: keys[0] becomes the most recent
+  // of four equal entries, so the next eviction takes keys[1].
+  SptCache cache(BudgetFor(4, kPadding));
+  for (size_t i = 0; i < 4; ++i) {
+    cache.Insert(keys[i], ValueFor(keys[i], kPadding, 1));
+  }
+  const size_t full_bytes = cache.StatsSnapshot().bytes;
+  cache.Insert(keys[0], ValueFor(keys[0], kPadding, 1));
+  EXPECT_EQ(cache.StatsSnapshot().bytes, full_bytes);
+  EXPECT_EQ(cache.StatsSnapshot().evictions, 0u);
+  cache.Insert(keys[4], ValueFor(keys[4], kPadding, 1));
+  EXPECT_TRUE(cache.Contains(keys[0]));
+  EXPECT_FALSE(cache.Contains(keys[1]));
+  EXPECT_EQ(cache.StatsSnapshot().bytes, full_bytes);
+}
+
+TEST(SptCacheTest, AnswerBytesTrackAnswerEntries) {
+  SptCache cache(1 << 20);
+  cache.Insert(RootKey(1, 0, 9), RootValue(0, 9));
+  EXPECT_EQ(cache.StatsSnapshot().answer_bytes, 0u);
+  SptCacheKey answer_key = RootKey(1, 0, 9);
+  answer_key.kind = SptCacheKind::kAnswer;
+  answer_key.k = 2;
+  SptCacheValue answer;
+  answer.answer = std::make_shared<const std::vector<Path>>(2);
+  cache.Insert(answer_key, answer);
+  SptCacheStats stats = cache.StatsSnapshot();
+  EXPECT_GT(stats.answer_bytes, 0u);
+  EXPECT_LT(stats.answer_bytes, stats.bytes);
+  cache.PurgeOlderEpochs(2);
+  stats = cache.StatsSnapshot();
+  EXPECT_EQ(stats.answer_bytes, 0u);
+  EXPECT_EQ(stats.bytes, 0u);
+}
+
 TEST(SptCacheTest, PurgeOlderEpochsDropsStaleKeepsCurrent) {
   SptCache cache(1 << 20);
   cache.Insert(RootKey(1, 0, 9), RootValue(0, 9));
@@ -122,6 +268,83 @@ TEST(SptCacheTest, PurgeOlderEpochsDropsStaleKeepsCurrent) {
   SptCacheStats stats = cache.StatsSnapshot();
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.evictions, 2u);
+}
+
+TEST(SptCacheTest, PurgeEverythingThenRefillKeepsEvictionIndexConsistent) {
+  constexpr size_t kPadding = 256;
+  SptCache cache(BudgetFor(4, kPadding));
+  for (NodeId i = 0; i < 100; ++i) {
+    cache.Insert(RootKey(1, i, i + 1), RootValue(i, i + 1, kPadding, i + 1));
+    cache.Lookup(RootKey(1, i / 2, i / 2 + 1));
+  }
+  ASSERT_GT(cache.StatsSnapshot().evictions, 0u);
+  cache.PurgeOlderEpochs(2);
+  SptCacheStats stats = cache.StatsSnapshot();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.bytes, 0u);
+
+  // The same keys under the new epoch: inserts, hits and evictions all
+  // work on the emptied shards, and the accounting adds up again.
+  cache.ResetStats();
+  for (NodeId i = 0; i < 100; ++i) {
+    cache.Insert(RootKey(2, i, i + 1), RootValue(i, i + 1, kPadding));
+    ASSERT_TRUE(cache.Lookup(RootKey(2, i, i + 1)).has_value());
+    EXPECT_FALSE(cache.Contains(RootKey(1, i, i + 1)));
+  }
+  stats = cache.StatsSnapshot();
+  EXPECT_EQ(stats.hits, 100u);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_EQ(stats.entries + stats.evictions, 100u);
+  EXPECT_LE(stats.bytes, cache.budget_bytes());
+}
+
+TEST(SptCacheTest, ConcurrentInsertLookupPurgeStayConsistent) {
+  // Workers insert and look up over a small key space under a tight budget
+  // while another thread bumps the epoch and purges: run under
+  // ThreadSanitizer (scripts/check.sh --tsan) this checks the shard
+  // locking; every lookup counts exactly once and the totals add up.
+  constexpr size_t kPadding = 64;
+  constexpr int kWorkers = 3;
+  constexpr int kOps = 2000;
+  SptCache cache(BudgetFor(6, kPadding));
+  constexpr int kPurges = 20;
+  std::atomic<uint64_t> epoch{1};
+  std::atomic<int> hits{0};
+  std::atomic<int> ops_done{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWorkers; ++w) {
+    threads.emplace_back([&, w] {
+      for (int i = 0; i < kOps; ++i, ops_done.fetch_add(1)) {
+        const uint64_t e = epoch.load();
+        const NodeId s = static_cast<NodeId>((i * 7 + w) % 97);
+        SptCacheKey key = RootKey(e, s, s + 1);
+        if (std::optional<SptCacheValue> hit = cache.Lookup(key)) {
+          EXPECT_EQ(hit->root_path->suffix.front(), s);
+          hits.fetch_add(1);
+        } else {
+          cache.Insert(key, RootValue(s, s + 1, kPadding, s + 1));
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    // Spread the purges over the workers' run so they interleave.
+    for (int round = 1; round <= kPurges; ++round) {
+      while (ops_done.load() < round * kWorkers * kOps / (kPurges + 1)) {
+        std::this_thread::yield();
+      }
+      cache.PurgeOlderEpochs(epoch.fetch_add(1) + 1);
+    }
+  });
+  for (std::thread& t : threads) t.join();
+
+  SptCacheStats stats = cache.StatsSnapshot();
+  EXPECT_EQ(stats.hits + stats.misses, uint64_t{kWorkers} * kOps);
+  EXPECT_EQ(stats.hits, static_cast<uint64_t>(hits.load()));
+  // Every miss inserts; two workers missing one key replace, not add.
+  EXPECT_EQ(stats.insertions, stats.misses);
+  EXPECT_LE(stats.entries + stats.evictions, stats.insertions);
+  EXPECT_LE(stats.bytes, cache.budget_bytes());
 }
 
 TEST(SptCacheTest, ValueSurvivesEviction) {
