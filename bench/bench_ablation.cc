@@ -111,8 +111,7 @@ int main() {
           query.sources = {source};
           query.targets = cat_targets;
           query.k = 20;
-          Result<PreparedQuery> prepared =
-              PrepareQuery(ds.graph, ds.reverse, query);
+          Result<PreparedQuery> prepared = PrepareQuery(ds.graph, query);
           KPJ_CHECK(prepared.ok());
           if (!warm) {
             solver->Run(prepared.value());

@@ -61,8 +61,7 @@ double MeanQueryMillis(const Dataset& dataset, Algorithm algorithm,
     query.sources = {source};
     query.targets = targets;
     query.k = k;
-    Result<PreparedQuery> prepared =
-        PrepareQuery(dataset.graph, dataset.reverse, query);
+    Result<PreparedQuery> prepared = PrepareQuery(dataset.graph, query);
     KPJ_CHECK(prepared.ok()) << prepared.status().ToString();
     Timer timer;
     KpjResult result = solver->Run(prepared.value());
@@ -77,24 +76,26 @@ double MeanQueryMillis(const Dataset& dataset, Algorithm algorithm,
   return sample.Mean();
 }
 
-double MeanGkpjQueryMillis(const Dataset& dataset, Algorithm algorithm,
+double MeanGkpjQueryMillis(const KpjInstance& instance, Algorithm algorithm,
                            uint32_t num_sources, size_t num_queries,
                            const std::vector<NodeId>& targets, uint32_t k,
                            uint64_t seed) {
   Rng rng(seed);
   KpjOptions options;
-  options.algorithm = algorithm;
-  options.oracle =
-      dataset.landmarks.num_landmarks() > 0 ? &dataset.landmarks : nullptr;
+  options.algorithm = algorithm;  // Landmarks: the instance's, if attached.
+  // One solver serves every query, as an engine worker's pooled solver
+  // does (and as MeanQueryMillis reuses one for KPJ): its O(n) workspaces
+  // are allocated once, not per query.
+  std::unique_ptr<KpjSolver> solver = MakeSolver(instance, options);
+  EpochSet target_set(instance.NumNodes());
+  for (NodeId t : targets) target_set.Insert(t);
 
   Sample sample;
   for (size_t i = 0; i <= num_queries; ++i) {
     // Draw a source set disjoint from the targets.
-    EpochSet target_set(dataset.graph.NumNodes());
-    for (NodeId t : targets) target_set.Insert(t);
     KpjQuery query;
     while (query.sources.size() < num_sources) {
-      NodeId s = static_cast<NodeId>(rng.NextBounded(dataset.graph.NumNodes()));
+      NodeId s = static_cast<NodeId>(rng.NextBounded(instance.NumNodes()));
       if (target_set.Contains(s)) continue;
       if (std::find(query.sources.begin(), query.sources.end(), s) !=
           query.sources.end()) {
@@ -104,28 +105,13 @@ double MeanGkpjQueryMillis(const Dataset& dataset, Algorithm algorithm,
     }
     query.targets = targets;
     query.k = k;
-    // Materializing the virtual super-source (a full graph copy in this
-    // implementation) and allocating solver workspaces are excluded from
-    // the measurement: the paper's formulation adds |V_S| virtual arcs in
-    // O(|V_S|), so timing our O(n + m) copy would measure an artifact.
-    Result<GkpjAugmentation> augmented =
-        AugmentForGkpj(dataset.graph, query.sources);
-    KPJ_CHECK(augmented.ok()) << augmented.status().ToString();
-    const GkpjAugmentation& aug = augmented.value();
-    Result<PreparedQuery> prepared =
-        PrepareQuery(dataset.graph, dataset.reverse, query);
-    KPJ_CHECK(prepared.ok()) << prepared.status().ToString();
-    PreparedQuery& pq = prepared.value();
-    pq.graph = &aug.graph;
-    pq.reverse = &aug.reverse;
-    pq.source = aug.virtual_source;
-    std::unique_ptr<KpjSolver> solver =
-        MakeSolver(aug.graph, aug.reverse, options);
 
     Timer timer;
-    KpjResult result = solver->Run(pq);
+    Result<KpjResult> result = RunKpjOnInstance(
+        instance, query, options, solver.get(), /*cancel=*/nullptr);
     double ms = timer.ElapsedMillis();
-    KPJ_CHECK(!result.paths.empty());
+    KPJ_CHECK(result.ok()) << result.status().ToString();
+    KPJ_CHECK(!result.value().paths.empty());
     if (i > 0) sample.Add(ms);  // First draw is warm-up.
   }
   return sample.Mean();

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/kpj.h"
+#include "core/kpj_instance.h"
 #include "gen/datasets.h"
 #include "gen/query_gen.h"
 #include "util/stats.h"
@@ -42,8 +43,11 @@ double MeanQueryMillis(const Dataset& dataset, Algorithm algorithm,
                        const LandmarkIndex* landmarks_override = nullptr);
 
 /// GKPJ variant: each "query" draws its own random source set of
-/// `num_sources` nodes (seeded deterministically), as in §7 Eval-V.
-double MeanGkpjQueryMillis(const Dataset& dataset, Algorithm algorithm,
+/// `num_sources` nodes (seeded deterministically), as in §7 Eval-V, and is
+/// timed end to end through RunKpjOnInstance on `instance` (its landmarks,
+/// if attached) with one reused solver: id translation, validation and
+/// search, nothing excluded.
+double MeanGkpjQueryMillis(const KpjInstance& instance, Algorithm algorithm,
                            uint32_t num_sources, size_t num_queries,
                            const std::vector<NodeId>& targets, uint32_t k,
                            uint64_t seed);

@@ -257,7 +257,6 @@ int Main() {
 
   // planner_choice counts from the auto engine's best round.
   std::vector<std::pair<std::string, uint64_t>> auto_choices;
-  uint64_t auto_fallbacks = 0;
 
   // One round of one configuration; a row keeps its fastest round.
   auto run_round = [&](Row& row, int round) {
@@ -327,13 +326,12 @@ int Main() {
           uint64_t count = snap.planner_choice[PlannerIndex(a)];
           if (count > 0) auto_choices.emplace_back(AlgorithmName(a), count);
         }
-        auto_fallbacks = snap.planner_fallback;
       }
     }
     if (algorithm != Algorithm::kAuto) {
       // A fixed algorithm must never consult the planner.
       EngineMetricsSnapshot snap = engine.MetricsSnapshot();
-      uint64_t consulted = snap.planner_fallback;
+      uint64_t consulted = 0;
       for (uint64_t c : snap.planner_choice) consulted += c;
       KPJ_CHECK(consulted == 0)
           << row.name << ": planner consulted on a fixed-algorithm engine";
@@ -471,7 +469,7 @@ int Main() {
     json << "{\"algorithm\":\"" << auto_choices[i].first
          << "\",\"count\":" << auto_choices[i].second << "}";
   }
-  json << "],\"planner_fallbacks\":" << auto_fallbacks << "}";
+  json << "]}";
 
   if (const char* path = std::getenv("KPJ_BENCH_JSON");
       path != nullptr && *path != '\0') {

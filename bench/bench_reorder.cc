@@ -157,7 +157,7 @@ double MeanIterBoundIMillis(const Graph& graph, const Graph& reverse,
     query.sources = {s};
     query.targets = targets;
     query.k = k;
-    Result<PreparedQuery> prepared = PrepareQuery(graph, reverse, query);
+    Result<PreparedQuery> prepared = PrepareQuery(graph, query);
     KPJ_CHECK(prepared.ok()) << prepared.status().ToString();
     solver->Run(prepared.value());
   };

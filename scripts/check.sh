@@ -38,7 +38,8 @@
 # the zero-copy v4 format with them embedded, and requires --mmap answers
 # byte-identical to the heap load, then boots kpjd on loopback with an
 # access log and round-trips
-# health/query/traced-query/stats/metrics/drain through kpj_client, runs
+# health/query/GKPJ query (twice)/traced-query/stats/metrics/drain
+# through kpj_client, runs
 # a short kpj_loadgen burst, validates the merged wire trace, stats
 # payload, access log, and loadgen report (failing on any leaked daemon
 # process), and finally boots kpjd again on the mmap'd v4 file.
@@ -189,6 +190,20 @@ done
   --k 5 | grep ' -> ' > "$smoke_dir/cli_answer.txt"
 grep ' -> ' "$smoke_dir/wire_answer.txt" > "$smoke_dir/wire_paths.txt"
 diff "$smoke_dir/cli_answer.txt" "$smoke_dir/wire_paths.txt"
+
+# GKPJ over the wire: a two-source query runs the same pooled solvers as
+# KPJ, so the daemon's paths equal the in-process CLI's; sent again, it is
+# served from the daemon's answer cache with the same paths.
+"$kpj_client" query --port-file "$smoke_dir/kpjd.port" \
+  --source 0,7 --targets 100,200,300 --k 5 \
+  | grep ' -> ' > "$smoke_dir/gkpj_wire.txt"
+"$cli" query --graph "$smoke_dir/g.bin" --source 0,7 \
+  --targets 100,200,300 --k 5 | grep ' -> ' > "$smoke_dir/gkpj_cli.txt"
+diff "$smoke_dir/gkpj_cli.txt" "$smoke_dir/gkpj_wire.txt"
+"$kpj_client" query --port-file "$smoke_dir/kpjd.port" \
+  --source 0,7 --targets 100,200,300 --k 5 \
+  | grep ' -> ' > "$smoke_dir/gkpj_repeat.txt"
+diff "$smoke_dir/gkpj_wire.txt" "$smoke_dir/gkpj_repeat.txt"
 
 # Wire-to-solver tracing: a traced query must come back with server spans
 # that merge with the client's into one timeline sharing one trace_id.

@@ -34,10 +34,8 @@ bool BestFirstFramework::ComputeRootPath(const PreparedQuery& query,
                                          QueryStats* stats) {
   search_.ClearForbidden();
   tree_.MarkPrefix(tree_.root(), &search_.forbidden());
-
-  SubspaceSearchRequest request;
-  request.start = query.source;
-  request.prefix_length = 0;
+  const PseudoTree::Vertex& root = tree_.vertex(tree_.root());
+  SubspaceSearchRequest request = search_.RequestFor(root, query.sources);
   request.cancel = cancel_;
 
   ++stats->shortest_path_computations;
@@ -48,7 +46,8 @@ bool BestFirstFramework::ComputeRootPath(const PreparedQuery& query,
   initial->has_path = true;
   initial->suffix_length = result.suffix_length;
   initial->key = static_cast<double>(result.suffix_length);
-  initial->suffix.assign(result.suffix.begin() + 1, result.suffix.end());
+  std::span<const NodeId> suffix = result.SuffixAfter(root.node);
+  initial->suffix.assign(suffix.begin(), suffix.end());
   return true;
 }
 
@@ -62,7 +61,7 @@ bool BestFirstFramework::InitializeQuery(const PreparedQuery& query,
 
   if (options_.oracle != nullptr) {
     oracle_bound_ = MakeCachedSetBound(
-        options_.oracle, query.targets, BoundDirection::kToSet, query.source,
+        options_.oracle, query.targets, BoundDirection::kToSet, query.root(),
         options_.max_active_landmarks, bound_cache, epoch, &stats->algo);
     heuristic_ = oracle_bound_.get();
   } else {
@@ -70,13 +69,13 @@ bool BestFirstFramework::InitializeQuery(const PreparedQuery& query,
   }
 
   // Cross-query reuse: the overall shortest path (including "there is
-  // none") is a pure function of (source, targets, heuristic config), so
+  // none") is a pure function of (sources, targets, heuristic config), so
   // the cached initial entry equals the recomputed one exactly.
   SptCacheKey key;
   if (spt_cache != nullptr) {
     key.kind = SptCacheKind::kRootPath;
     key.epoch = epoch;
-    key.source = query.source;
+    key.sources = query.sources;
     key.config = SptCacheConfig(options_.oracle != nullptr,
                                 options_.max_active_landmarks);
     key.targets = query.targets;
@@ -118,10 +117,11 @@ double BestFirstFramework::CompLB(uint32_t v, uint32_t limit,
 
   double lb = kInfinity;
   // The zero-length suffix plays the role of the virtual edge (u, t).
-  if (!vx.finish_banned && search_.target_set().Contains(vx.node)) {
-    lb = static_cast<double>(vx.prefix_length);
-  }
-  for (const OutEdge& e : graph_.OutEdges(vx.node)) {
+  if (search_.CanFinishAt(vx)) lb = static_cast<double>(vx.prefix_length);
+  std::span<const OutEdge> arcs = vx.node == kInvalidNode
+                                      ? std::span<const OutEdge>(root_arcs_)
+                                      : graph_.OutEdges(vx.node);
+  for (const OutEdge& e : arcs) {
     ++stats->edges_relaxed;
     if (path_rank_.Get(e.to) <= limit) continue;  // On prefix(v).
     bool banned = false;
@@ -190,8 +190,12 @@ KpjResult BestFirstFramework::Run(const PreparedQuery& query) {
   KpjResult res;
   cancel_ = query.cancel;
   intra_ = query.intra;
-  tree_.Reset(query.source);
+  tree_.Reset(query.root());
   search_.SetTargets(query.targets);
+  root_arcs_.clear();
+  if (query.root() == kInvalidNode) {
+    for (NodeId s : query.sources) root_arcs_.push_back({s, 0});
+  }
 
   SubspaceEntry initial;
   if (!InitializeQuery(query, &initial, &res.stats)) {
@@ -243,12 +247,7 @@ KpjResult BestFirstFramework::Run(const PreparedQuery& query) {
 
     search_.ClearForbidden();
     tree_.MarkPrefix(entry.vertex, &search_.forbidden());
-    SubspaceSearchRequest request;
-    request.start = vx.node;
-    request.prefix_length = vx.prefix_length;
-    request.banned_first_hops = vx.banned;
-    request.start_counts_as_destination =
-        !vx.finish_banned && search_.target_set().Contains(vx.node);
+    SubspaceSearchRequest request = search_.RequestFor(vx, query.sources);
     request.tau = tau;
     request.cancel = cancel_;
 
@@ -269,7 +268,8 @@ KpjResult BestFirstFramework::Run(const PreparedQuery& query) {
         found.suffix_length = result.suffix_length;
         found.key =
             static_cast<double>(vx.prefix_length + result.suffix_length);
-        found.suffix.assign(result.suffix.begin() + 1, result.suffix.end());
+        std::span<const NodeId> suffix = result.SuffixAfter(vx.node);
+        found.suffix.assign(suffix.begin(), suffix.end());
         // The popped key was a lower bound on the exact length just
         // computed; their integer ratio measures CompLB tightness.
         if (entry.key >= 0 && std::isfinite(entry.key)) {

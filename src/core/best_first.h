@@ -66,6 +66,9 @@ class BestFirstFramework : public KpjSolver {
   /// Per-query cancellation token (from PreparedQuery); set by Run before
   /// InitializeQuery so derived initializers can honor it too.
   const CancellationToken* cancel_ = nullptr;
+  /// GKPJ's virtual root arcs: a 0-weight hop to each source, so CompLB
+  /// reads the root like any other vertex. Empty for a single source.
+  std::vector<OutEdge> root_arcs_;
 
  private:
   /// Alg. 3: lightweight subspace lower bound from the first deviation

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/kpj_query.h"
+#include "core/pseudo_tree.h"
 #include "graph/graph.h"
 #include "sssp/incremental_search.h"
 #include "util/arena.h"
@@ -22,8 +23,9 @@ namespace kpj {
 struct SubspaceSearchRequest {
   /// Search start (the subspace's deviation node u). kInvalidNode means
   /// the subspace is rooted at a virtual node (the reverse orientation's
-  /// virtual destination t): the search is then seeded from `seeds`
-  /// (its real neighbours via 0-weight virtual edges) instead.
+  /// virtual destination t, or GKPJ's virtual source): the search is then
+  /// seeded from `seeds` (its real neighbours via 0-weight virtual edges)
+  /// instead.
   NodeId start = kInvalidNode;
   /// Seed nodes used when `start` is virtual; banned_first_hops applies to
   /// these (a banned seed is excluded).
@@ -68,12 +70,21 @@ enum class SearchOutcome {
 
 struct SubspaceSearchResult {
   SearchOutcome outcome = SearchOutcome::kEmpty;
-  /// For kFound: nodes from `start` to the destination, inclusive. Backed
-  /// by the ConstrainedSearch's arena — valid only until that engine's
-  /// next Run call; callers copy what they keep.
+  /// For kFound: nodes from `start` to the destination, inclusive (from
+  /// the seed it entered through, for a virtual start). Backed by the
+  /// ConstrainedSearch's arena — valid only until that engine's next Run
+  /// call; callers copy what they keep.
   std::span<const NodeId> suffix;
   /// For kFound: total weight of the suffix edges (excludes the prefix).
   PathLength suffix_length = 0;
+
+  /// The found path's nodes after the subspace's vertex, as
+  /// SubspaceEntry::suffix stores them: a real start heads its own suffix
+  /// and is dropped; at a virtual root the suffix keeps its first node,
+  /// the seed the path entered through.
+  std::span<const NodeId> SuffixAfter(NodeId start) const {
+    return start == kInvalidNode ? suffix : suffix.subspan(1);
+  }
 };
 
 /// Reusable engine for subspace-constrained (possibly bounded) A*.
@@ -105,8 +116,30 @@ class ConstrainedSearch {
   SubspaceSearchResult Run(const SubspaceSearchRequest& request,
                            const Heuristic& h, QueryStats* stats);
 
+  /// True when the zero-length suffix is a path of vertex `vx`'s subspace:
+  /// its node is a destination and finishing there is not banned (the
+  /// virtual edge (u, t) of the paper's reduction is intact). Never true
+  /// at a virtual root.
+  bool CanFinishAt(const PseudoTree::Vertex& vx) const {
+    return !vx.finish_banned && vx.node != kInvalidNode &&
+           targets_.Contains(vx.node);
+  }
+
+  /// The search of vertex `vx`'s subspace, before τ, the SPT_I restriction
+  /// and cancellation: from vx's node past its prefix and banned hops, or,
+  /// at a virtual root, from `root_seeds` over 0-weight hops.
+  SubspaceSearchRequest RequestFor(const PseudoTree::Vertex& vx,
+                                   std::span<const NodeId> root_seeds) const {
+    SubspaceSearchRequest request;
+    request.start = vx.node;
+    if (vx.node == kInvalidNode) request.seeds = root_seeds;
+    request.prefix_length = vx.prefix_length;
+    request.banned_first_hops = vx.banned;
+    request.start_counts_as_destination = CanFinishAt(vx);
+    return request;
+  }
+
   const Graph& graph() const { return graph_; }
-  const EpochSet& target_set() const { return targets_; }
 
  private:
   const Graph& graph_;

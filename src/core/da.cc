@@ -17,12 +17,7 @@ bool DaSolver::ComputeCandidate(uint32_t v, ConstrainedSearch& cs,
   cs.ClearForbidden();
   tree_.MarkPrefix(v, &cs.forbidden());
 
-  SubspaceSearchRequest request;
-  request.start = vx.node;
-  request.prefix_length = vx.prefix_length;
-  request.banned_first_hops = vx.banned;
-  request.start_counts_as_destination =
-      !vx.finish_banned && cs.target_set().Contains(vx.node);
+  SubspaceSearchRequest request = cs.RequestFor(vx, sources_);
   request.cancel = cancel_;
 
   ++stats->shortest_path_computations;
@@ -38,8 +33,8 @@ bool DaSolver::ComputeCandidate(uint32_t v, ConstrainedSearch& cs,
   entry->has_path = true;
   entry->suffix_length = result.suffix_length;
   entry->key = static_cast<double>(vx.prefix_length + result.suffix_length);
-  // Entries store nodes strictly after the vertex's node.
-  entry->suffix.assign(result.suffix.begin() + 1, result.suffix.end());
+  std::span<const NodeId> suffix = result.SuffixAfter(vx.node);
+  entry->suffix.assign(suffix.begin(), suffix.end());
   return true;
 }
 
@@ -86,7 +81,8 @@ KpjResult DaSolver::Run(const PreparedQuery& query) {
   KpjResult res;
   cancel_ = query.cancel;
   intra_ = query.intra;
-  tree_.Reset(query.source);
+  sources_ = query.sources;
+  tree_.Reset(query.root());
   search_.SetTargets(query.targets);
   // Provision one extra search workspace per helper lane up front: lanes
   // must never allocate into shared vectors mid-round. Each workspace is a

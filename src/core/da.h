@@ -2,6 +2,7 @@
 #define KPJ_CORE_DA_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/constraint.h"
@@ -56,6 +57,8 @@ class DaSolver final : public KpjSolver {
   const CancellationToken* cancel_ = nullptr;
   /// Per-query intra-parallelism context (from PreparedQuery); set by Run.
   const IntraQueryContext* intra_ = nullptr;
+  /// Per-query source set (from PreparedQuery); seeds a virtual root.
+  std::span<const NodeId> sources_;
   /// Helper-lane search workspaces (lane L >= 1 uses lane_search_[L-1];
   /// lane 0 is `search_`). Created once, reused across queries.
   std::vector<std::unique_ptr<ConstrainedSearch>> lane_search_;

@@ -28,7 +28,10 @@ bool DaSptSolver::TryConcatenation(uint32_t v, ConstrainedSearch& cs,
   // Find the deviation edge minimizing weight + exact SPT distance.
   NodeId best_hop = kInvalidNode;
   PathLength best_estimate = kInfLength;
-  for (const OutEdge& e : graph_.OutEdges(vx.node)) {
+  std::span<const OutEdge> arcs = vx.node == kInvalidNode
+                                      ? std::span<const OutEdge>(root_arcs_)
+                                      : graph_.OutEdges(vx.node);
+  for (const OutEdge& e : arcs) {
     if (forbidden.Contains(e.to)) continue;
     bool banned = false;
     for (NodeId b : vx.banned) {
@@ -87,16 +90,12 @@ bool DaSptSolver::ComputeCandidate(uint32_t v, ConstrainedSearch& cs,
 
   // The zero-length suffix (prefix already ends at a target and finishing
   // is allowed) beats every deviation, so check it first.
-  bool zero_suffix_ok =
-      !vx.finish_banned && cs.target_set().Contains(vx.node);
-  if (!zero_suffix_ok && TryConcatenation(v, cs, entry, stats)) return true;
-
-  SubspaceSearchRequest request;
-  request.start = vx.node;
-  request.prefix_length = vx.prefix_length;
-  request.banned_first_hops = vx.banned;
-  request.start_counts_as_destination = zero_suffix_ok;
+  SubspaceSearchRequest request = cs.RequestFor(vx, sources_);
   request.cancel = cancel_;
+  if (!request.start_counts_as_destination &&
+      TryConcatenation(v, cs, entry, stats)) {
+    return true;
+  }
 
   FullSptBound bound(full_spt_.get());
   ++stats->shortest_path_computations;
@@ -111,7 +110,8 @@ bool DaSptSolver::ComputeCandidate(uint32_t v, ConstrainedSearch& cs,
   entry->has_path = true;
   entry->suffix_length = result.suffix_length;
   entry->key = static_cast<double>(vx.prefix_length + result.suffix_length);
-  entry->suffix.assign(result.suffix.begin() + 1, result.suffix.end());
+  std::span<const NodeId> suffix = result.SuffixAfter(vx.node);
+  entry->suffix.assign(suffix.begin(), suffix.end());
   return true;
 }
 
@@ -155,7 +155,12 @@ KpjResult DaSptSolver::Run(const PreparedQuery& query) {
   KpjResult res;
   cancel_ = query.cancel;
   intra_ = query.intra;
-  tree_.Reset(query.source);
+  sources_ = query.sources;
+  root_arcs_.clear();
+  if (query.root() == kInvalidNode) {
+    for (NodeId s : query.sources) root_arcs_.push_back({s, 0});
+  }
+  tree_.Reset(query.root());
   search_.SetTargets(query.targets);
   for (unsigned lane = 1; lane < IntraLanes(intra_); ++lane) {
     if (lane_search_.size() < lane) {

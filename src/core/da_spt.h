@@ -2,6 +2,7 @@
 #define KPJ_CORE_DA_SPT_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/constraint.h"
@@ -71,6 +72,11 @@ class DaSptSolver final : public KpjSolver {
   const CancellationToken* cancel_ = nullptr;
   /// Per-query intra-parallelism context (from PreparedQuery); set by Run.
   const IntraQueryContext* intra_ = nullptr;
+  /// Per-query source set (from PreparedQuery); seeds a virtual root.
+  std::span<const NodeId> sources_;
+  /// GKPJ's virtual root arcs: a 0-weight hop to each source. Empty for a
+  /// single source.
+  std::vector<OutEdge> root_arcs_;
   /// Helper-lane search workspaces (lane L >= 1 uses lane_search_[L-1]).
   std::vector<std::unique_ptr<ConstrainedSearch>> lane_search_;
 };

@@ -100,7 +100,6 @@ Result<KpjResult> KpjEngine::RunOne(const KpjQuery& query, double deadline_ms,
     planner_resident = decision.resident;
     planner_shape_fp = decision.shape_fp;
     metrics_.planner_choice[PlannerIndex(decision.algorithm)].Increment();
-    if (decision.fallback) metrics_.planner_fallback.Increment();
   }
 
   // Resolve this query's intra-parallelism fan-out against the current

@@ -18,7 +18,7 @@ class FullSptBound final : public Heuristic {
   explicit FullSptBound(const SptResult* spt) : spt_(spt) {}
 
   PathLength Estimate(NodeId u) const override {
-    if (u >= spt_->dist.size()) return 0;  // Virtual node.
+    KPJ_DCHECK(u < spt_->dist.size());
     return spt_->dist[u];  // kInfLength marks proven unreachability.
   }
 

@@ -10,7 +10,6 @@
 #include "core/iter_bound.h"
 #include "core/sptp.h"
 #include "core/spti.h"
-#include "graph/graph_builder.h"
 
 namespace kpj {
 
@@ -66,7 +65,7 @@ std::unique_ptr<KpjSolver> MakeSolver(const Graph& graph,
   return nullptr;
 }
 
-Result<PreparedQuery> PrepareQuery(const Graph& graph, const Graph& reverse,
+Result<PreparedQuery> PrepareQuery(const Graph& graph,
                                    const KpjQuery& query) {
   if (query.k == 0) return Status::InvalidArgument("k must be positive");
   if (query.sources.empty()) {
@@ -74,10 +73,6 @@ Result<PreparedQuery> PrepareQuery(const Graph& graph, const Graph& reverse,
   }
   if (query.targets.empty()) {
     return Status::InvalidArgument("query has no target node");
-  }
-  if (reverse.NumNodes() != graph.NumNodes() ||
-      reverse.NumEdges() != graph.NumEdges()) {
-    return Status::InvalidArgument("reverse graph does not match graph");
   }
   std::unordered_set<NodeId> source_set;
   for (NodeId s : query.sources) {
@@ -99,17 +94,9 @@ Result<PreparedQuery> PrepareQuery(const Graph& graph, const Graph& reverse,
   }
 
   PreparedQuery prepared;
-  prepared.graph = &graph;
-  prepared.reverse = &reverse;
   prepared.k = query.k;
-  prepared.real_sources = query.sources;
-  if (query.sources.size() == 1) {
-    prepared.source = query.sources[0];
-    prepared.virtual_source = false;
-  } else {
-    // Caller must run against AugmentForGkpj graphs; source is set there.
-    prepared.virtual_source = true;
-  }
+  prepared.sources = query.sources;
+  std::sort(prepared.sources.begin(), prepared.sources.end());
   // Drop sources from V_T (excludes only the trivial zero-length path:
   // simple paths cannot return to their source).
   prepared.targets.reserve(query.targets.size());
@@ -121,47 +108,6 @@ Result<PreparedQuery> PrepareQuery(const Graph& graph, const Graph& reverse,
       std::unique(prepared.targets.begin(), prepared.targets.end()),
       prepared.targets.end());
   return prepared;
-}
-
-Result<GkpjAugmentation> AugmentForGkpj(const Graph& graph,
-                                        std::vector<NodeId> sources) {
-  if (sources.empty()) {
-    return Status::InvalidArgument("GKPJ needs at least one source");
-  }
-  GraphBuilder builder(graph.NumNodes() + 1);
-  for (const WeightedEdge& e : graph.ToEdgeList()) {
-    builder.AddEdge(e.from, e.to, e.weight);
-  }
-  NodeId virtual_source = graph.NumNodes();
-  std::unordered_set<NodeId> seen;
-  for (NodeId s : sources) {
-    if (s >= graph.NumNodes()) {
-      return Status::InvalidArgument("source node out of range");
-    }
-    if (!seen.insert(s).second) {
-      return Status::InvalidArgument("duplicate source node");
-    }
-    builder.AddEdge(virtual_source, s, 0);
-  }
-  GkpjAugmentation out;
-  out.graph = builder.Build(/*dedup_parallel=*/false);
-  out.reverse = out.graph.Reverse();
-  out.virtual_source = virtual_source;
-  return out;
-}
-
-void StripVirtualNodes(NodeId num_real_nodes, KpjResult* result) {
-  for (Path& path : result->paths) {
-    auto is_virtual = [num_real_nodes](NodeId v) {
-      return v >= num_real_nodes;
-    };
-    while (!path.nodes.empty() && is_virtual(path.nodes.front())) {
-      path.nodes.erase(path.nodes.begin());
-    }
-    while (!path.nodes.empty() && is_virtual(path.nodes.back())) {
-      path.nodes.pop_back();
-    }
-  }
 }
 
 Result<KpjQuery> MakeCategoryQuery(const CategoryIndex& index, NodeId source,

@@ -31,41 +31,20 @@ struct ReorderedGraph {
   }
 };
 
-/// Validates `query` against `graph` and produces the single-source view
-/// solvers execute. Fails on: empty source/target sets, out-of-range ids,
+/// Validates `query` against `graph` and produces the view solvers
+/// execute. Fails on: empty source/target sets, out-of-range ids,
 /// duplicate sources, k == 0, or overlapping source/target sets with
 /// multiple sources (GKPJ with V_S ∩ V_T != ∅ is undefined; see
 /// DESIGN.md). A single source contained in V_T is fine: it is dropped
 /// from the per-query target set, which exactly excludes the trivial
-/// zero-length path.
-///
-/// The returned PreparedQuery references `graph`/`reverse` directly for a
-/// single source. For GKPJ use AugmentForGkpj first.
-Result<PreparedQuery> PrepareQuery(const Graph& graph, const Graph& reverse,
-                                   const KpjQuery& query);
-
-/// Materialized virtual-super-source graphs for a GKPJ query (§6): node
-/// `n` is the virtual source with 0-weight arcs to every real source.
-/// Build once per source set and reuse across queries/algorithms.
-struct GkpjAugmentation {
-  Graph graph;
-  Graph reverse;
-  NodeId virtual_source = kInvalidNode;
-};
-
-/// Builds the augmented graphs for `sources` (must be non-empty, in range,
-/// duplicate-free).
-Result<GkpjAugmentation> AugmentForGkpj(const Graph& graph,
-                                        std::vector<NodeId> sources);
+/// zero-length path. Sources and targets come out sorted, so the answer
+/// does not depend on the order a caller lists them in.
+Result<PreparedQuery> PrepareQuery(const Graph& graph, const KpjQuery& query);
 
 /// Builds the KpjQuery for "top-k paths from `source` to category `T`"
 /// using the inverted index (paper §2).
 Result<KpjQuery> MakeCategoryQuery(const CategoryIndex& index, NodeId source,
                                    CategoryId category, uint32_t k);
-
-/// Removes a leading/trailing virtual node (>= num_real_nodes) from each
-/// result path in place. Exposed for callers driving solvers directly.
-void StripVirtualNodes(NodeId num_real_nodes, KpjResult* result);
 
 }  // namespace kpj
 

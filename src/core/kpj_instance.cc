@@ -111,15 +111,15 @@ Result<KpjQuery> TranslateQuery(const KpjInstance& instance,
   return internal;
 }
 
-/// The answer-cache key of a prepared single-source query: the substrate
-/// key fields plus the solver that runs it and k. Knobs an engine fixes at
-/// construction (alpha) need no field: a cache belongs to one engine.
+/// The answer-cache key of a prepared query: the substrate key fields plus
+/// the solver that runs it and k. Knobs an engine fixes at construction
+/// (alpha) need no field: a cache belongs to one engine.
 SptCacheKey AnswerKey(const KpjInstance& instance, const KpjOptions& options,
                       const PreparedQuery& pq, uint64_t epoch) {
   SptCacheKey key;
   key.kind = SptCacheKind::kAnswer;
   key.epoch = epoch;
-  key.source = pq.source;
+  key.sources = pq.sources;
   key.config = SptCacheConfig(
       ResolveOptions(instance, options).oracle != nullptr,
       options.max_active_landmarks);
@@ -135,7 +135,7 @@ Result<PreparedQuery> PrepareQuery(const KpjInstance& instance,
                                    const KpjQuery& query) {
   Result<KpjQuery> internal = TranslateQuery(instance, query);
   if (!internal.ok()) return internal.status();
-  return PrepareQuery(instance.graph(), instance.reverse(), internal.value());
+  return PrepareQuery(instance.graph(), internal.value());
 }
 
 Result<KpjResult> RunKpjOnInstance(const KpjInstance& instance,
@@ -146,13 +146,11 @@ Result<KpjResult> RunKpjOnInstance(const KpjInstance& instance,
                                    const QueryCacheContext* cache,
                                    const IntraQueryContext* intra) {
   TraceSpan prepare_span("instance.prepare");
-  Result<KpjQuery> internal = TranslateQuery(instance, query);
-  if (!internal.ok()) return internal.status();
-  Result<PreparedQuery> prepared = PrepareQuery(
-      instance.graph(), instance.reverse(), internal.value());
+  Result<PreparedQuery> prepared = PrepareQuery(instance, query);
   if (!prepared.ok()) return prepared.status();
   PreparedQuery& pq = prepared.value();
   pq.cancel = cancel;
+  pq.cache = cache;
   pq.intra = intra;
   prepare_span.End();
 
@@ -164,59 +162,39 @@ Result<KpjResult> RunKpjOnInstance(const KpjInstance& instance,
     return empty;
   }
 
+  TraceSpan solver_span("solver.run");
   KpjResult result;
-  if (!pq.virtual_source) {
-    KPJ_TRACE_SPAN("solver.run");
-    pq.cache = cache;
-    // A given solver's answer is a pure function of the key, so an exact
-    // repeat is served whole: byte-identical, with zero work counters.
-    SptCache* answers = cache != nullptr ? cache->spt : nullptr;
-    SptCacheKey key;
-    if (answers != nullptr) {
-      key = AnswerKey(instance, options, pq, cache->epoch);
-      if (std::optional<SptCacheValue> hit = answers->Lookup(key)) {
-        result.paths = *hit->answer;
-        result.stats.algo.answer_cache_hits = 1;
-      }
+  // A given solver's answer is a pure function of the key, so an exact
+  // repeat is served whole: byte-identical, with zero work counters.
+  SptCache* answers = cache != nullptr ? cache->spt : nullptr;
+  SptCacheKey key;
+  if (answers != nullptr) {
+    key = AnswerKey(instance, options, pq, cache->epoch);
+    if (std::optional<SptCacheValue> hit = answers->Lookup(key)) {
+      result.paths = *hit->answer;
+      result.stats.algo.answer_cache_hits = 1;
     }
-    if (result.stats.algo.answer_cache_hits == 0) {
-      if (pooled_solver != nullptr) {
-        result = pooled_solver->Run(pq);
-      } else {
-        result = MakeSolver(instance, options)->Run(pq);
-      }
-      if (answers != nullptr) {
-        result.stats.algo.answer_cache_misses = 1;
-        // Only complete answers are stored: a deadline-truncated prefix is
-        // not the answer. Nor is an entry larger than a whole shard.
-        if (result.status.ok()) {
-          SptCacheValue value;
-          value.answer =
-              std::make_shared<const std::vector<Path>>(result.paths);
-          value.cost = result.stats.nodes_settled;
-          if (answers->FitsInShard(key, value)) {
-            answers->Insert(std::move(key), std::move(value));
-          }
-        }
-      }
-    }
-  } else {
-    // GKPJ (§6): a virtual super-source changes the graph, so the pooled
-    // solver (bound to the plain graphs) cannot serve it — build an
-    // ephemeral solver over the augmented bundle.
-    KPJ_TRACE_SPAN("solver.run_gkpj");
-    Result<GkpjAugmentation> augmented =
-        AugmentForGkpj(instance.graph(), internal.value().sources);
-    if (!augmented.ok()) return augmented.status();
-    const GkpjAugmentation& aug = augmented.value();
-    pq.graph = &aug.graph;
-    pq.reverse = &aug.reverse;
-    pq.source = aug.virtual_source;
-    std::unique_ptr<KpjSolver> solver = MakeSolver(
-        aug.graph, aug.reverse, ResolveOptions(instance, options));
-    result = solver->Run(pq);
-    StripVirtualNodes(instance.NumNodes(), &result);
   }
+  if (result.stats.algo.answer_cache_hits == 0) {
+    if (pooled_solver != nullptr) {
+      result = pooled_solver->Run(pq);
+    } else {
+      result = MakeSolver(instance, options)->Run(pq);
+    }
+    if (answers != nullptr) {
+      result.stats.algo.answer_cache_misses = 1;
+      // Only complete answers are stored: a deadline-truncated prefix is
+      // not the answer.
+      if (result.status.ok()) {
+        SptCacheValue value;
+        value.answer =
+            std::make_shared<const std::vector<Path>>(result.paths);
+        value.cost = result.stats.nodes_settled;
+        answers->Insert(std::move(key), std::move(value));
+      }
+    }
+  }
+  solver_span.End();
 
   if (!instance.permutation().empty()) {
     for (Path& path : result.paths) {

@@ -132,37 +132,35 @@ std::unique_ptr<KpjSolver> MakeSolver(const KpjInstance& instance,
                                       const KpjOptions& options);
 
 /// Validates `query` (given in original ids) against the instance and
-/// produces the internal-layout single-source view solvers execute. Same
-/// rules as the legacy PrepareQuery; additionally translates ids.
+/// produces the internal-layout view solvers execute. Same rules as the
+/// graph-level PrepareQuery; additionally translates ids.
 Result<PreparedQuery> PrepareQuery(const KpjInstance& instance,
                                    const KpjQuery& query);
 
 /// Core execution routine shared by RunKpj(instance, ...) and KpjEngine:
 /// translates `query` into the internal layout, prepares it, runs it, and
-/// translates the result paths back to original ids.
+/// translates the result paths back to original ids. KPJ and GKPJ take
+/// this one path: a solver roots a multi-source query at a virtual source
+/// seeded from the source set, on the instance's own graphs.
 ///
 /// `pooled_solver` may be a reusable solver previously built by
 /// MakeSolver(instance, options) — its workspaces are reused without
 /// locking (callers guarantee exclusive use for the duration of the call).
-/// Pass nullptr to construct an ephemeral solver. GKPJ queries (multiple
-/// sources) always run on an ephemeral solver over the augmented graph.
+/// Pass nullptr to construct an ephemeral solver.
 ///
 /// `cancel` (may be null) is polled by the solver's expansion loops; on a
 /// tripped token the returned KpjResult carries the paths proven optimal
 /// so far and a kDeadlineExceeded / kCancelled `status`. Validation
 /// failures surface as a non-ok Result instead.
 ///
-/// `cache` (may be null) enables cross-query reuse (core/spt_cache.h).
-/// It is threaded to single-source solvers only: GKPJ queries run on the
-/// augmented super-source graph, whose node space the caches do not
-/// describe. An exact repeat of a complete single-source answer of
-/// `options.algorithm` is served from the cache whole, with zero work
-/// counters and `answer_cache_hits` = 1. Results are byte-identical with
-/// or without a cache.
+/// `cache` (may be null) enables cross-query reuse (core/spt_cache.h). An
+/// exact repeat of a complete answer of `options.algorithm` (the same
+/// source set, in any order, and the same targets and k) is served from
+/// the cache whole, with zero work counters and `answer_cache_hits` = 1.
+/// Results are byte-identical with or without a cache.
 ///
 /// `intra` (may be null) enables intra-query parallel deviation rounds
-/// (core/intra.h); it is threaded to both pooled and GKPJ solvers.
-/// Results are byte-identical with or without it.
+/// (core/intra.h). Results are byte-identical with or without it.
 Result<KpjResult> RunKpjOnInstance(const KpjInstance& instance,
                                    const KpjQuery& query,
                                    const KpjOptions& options,

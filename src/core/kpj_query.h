@@ -136,20 +136,17 @@ struct KpjResult {
 struct QueryCacheContext;   // core/spt_cache.h
 struct IntraQueryContext;   // core/intra.h
 
-/// A validated, single-source view of a query that solvers execute.
-/// kpj.cc (the facade) builds this from a KpjQuery — directly for a single
-/// source, or via a virtual super-source for GKPJ (§6).
+/// A validated view of a query that solvers execute, in the id space of the
+/// graphs the solver was built on. kpj.cc (the facade) builds it from a
+/// KpjQuery.
 struct PreparedQuery {
-  const Graph* graph = nullptr;    // forward graph (possibly augmented)
-  const Graph* reverse = nullptr;  // its reverse
-  NodeId source = kInvalidNode;    // single (possibly virtual) source
-  std::vector<NodeId> targets;     // V_T with the source removed
+  /// The source set V_S, sorted and duplicate-free. One source is a KPJ
+  /// query rooted at that node; more form a GKPJ query (§6), rooted at a
+  /// virtual source with a 0-weight arc to each member. The virtual source
+  /// is no node of the graph: solvers seed their searches from V_S instead.
+  std::vector<NodeId> sources;
+  std::vector<NodeId> targets;  // V_T with the sources removed
   uint32_t k = 1;
-  /// Real source nodes (for landmark bounds on the source side; equals
-  /// {source} unless the source is virtual).
-  std::vector<NodeId> real_sources;
-  /// True when `source` is a virtual super-source to strip from output.
-  bool virtual_source = false;
   /// Optional cooperative cancellation token polled by the solver's
   /// expansion loops (deadline / budget enforcement). Not owned; must
   /// outlive the Run call. nullptr runs to completion.
@@ -162,6 +159,12 @@ struct PreparedQuery {
   /// engine when intra_threads > 1. Not owned; nullptr (or threads <= 1)
   /// runs deviation rounds inline. Results are byte-identical either way.
   const IntraQueryContext* intra = nullptr;
+
+  /// The root of a forward solver's pseudo-tree: the one source, or
+  /// kInvalidNode (the virtual source) for GKPJ.
+  NodeId root() const {
+    return sources.size() == 1 ? sources.front() : kInvalidNode;
+  }
 };
 
 }  // namespace kpj

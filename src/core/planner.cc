@@ -111,47 +111,31 @@ PlannerDecision QueryPlanner::Plan(const KpjQuery& query,
                                    const SptCache* cache, uint64_t epoch) {
   PlannerDecision decision;
 
-  // Canonicalize the target set exactly the way PrepareQuery does
-  // (internal ids, sources dropped, sorted, deduplicated) so probe keys
-  // are bit-equal to the keys the solvers build. Out-of-range ids are
-  // dropped here — validation rejects the query later either way.
+  // Canonicalize the source and target sets exactly the way PrepareQuery
+  // does (internal ids, sources dropped from the targets, sorted,
+  // deduplicated) so probe keys are bit-equal to the keys the solvers
+  // build. Out-of-range ids are dropped here — validation rejects the
+  // query later either way.
   const NodeId num_nodes = instance_.NumNodes();
+  std::vector<NodeId> sources;
+  sources.reserve(query.sources.size());
+  for (NodeId s : query.sources) {
+    if (s < num_nodes) sources.push_back(instance_.ToInternal(s));
+  }
+  std::sort(sources.begin(), sources.end());
   std::vector<NodeId> targets;
   targets.reserve(query.targets.size());
   for (NodeId t : query.targets) {
     if (t >= num_nodes) continue;
     NodeId internal = instance_.ToInternal(t);
-    bool is_source = false;
-    for (NodeId s : query.sources) {
-      if (s == t) {
-        is_source = true;
-        break;
-      }
+    if (!std::binary_search(sources.begin(), sources.end(), internal)) {
+      targets.push_back(internal);
     }
-    if (!is_source) targets.push_back(internal);
   }
   std::sort(targets.begin(), targets.end());
   targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
 
   std::lock_guard<std::mutex> lock(mu_);
-
-  // 1. GKPJ runs on an ephemeral augmented graph the caches do not
-  // describe: no probe can help, so take the profile-best cold algorithm
-  // and count the fallback.
-  if (query.sources.size() != 1) {
-    uint64_t best = ~0ull;
-    for (Algorithm a : ColdCandidates()) {
-      uint64_t v = Effective(a);
-      if (v < best) {
-        best = v;
-        decision.algorithm = a;
-      }
-    }
-    decision.reason = "gkpj_no_cache";
-    decision.fallback = true;
-    ++decisions_;
-    return decision;
-  }
 
   const bool use_oracle = base_.oracle != nullptr;
 
@@ -172,7 +156,7 @@ PlannerDecision QueryPlanner::Plan(const KpjQuery& query,
   }
   const bool dasp_k_ok = query.k < options_.large_k;
 
-  // 2./3. Side-effect-free residency probes. The DA-SPT tree depends on
+  // 1./2. Side-effect-free residency probes. The DA-SPT tree depends on
   // the target set alone (the paper's join shape: one category, many
   // sources), so a hit removes DA-SPT's biggest cost — the full reverse
   // SPT. Whether what remains beats the forward solvers is decided by the
@@ -214,7 +198,7 @@ PlannerDecision QueryPlanner::Plan(const KpjQuery& query,
     SptCacheKey forward_key;
     forward_key.kind = SptCacheKind::kForwardSpti;
     forward_key.epoch = epoch;
-    forward_key.source = instance_.ToInternal(query.sources[0]);
+    forward_key.sources = sources;
     forward_key.config =
         SptCacheConfig(use_oracle, base_.max_active_landmarks);
     forward_key.targets = targets;
@@ -226,7 +210,7 @@ PlannerDecision QueryPlanner::Plan(const KpjQuery& query,
       return decision;
     }
 
-    // 4. Recurring or category-sized target set with no tree resident
+    // 3. Recurring or category-sized target set with no tree resident
     // yet: invest in DA-SPT once so its reverse SPT lands in the cache
     // for the repeats the shape predicts. Seeding only pays if the
     // resident queries it enables would plausibly be routed to DA-SPT:
@@ -258,16 +242,17 @@ PlannerDecision QueryPlanner::Plan(const KpjQuery& query,
     }
   }
 
-  // 5. Cold path. Features: k, |V_T|, whether landmarks are attached, the
-  // landmark distance quintile of the source against the rolling scale.
+  // 4. Cold path. Features: k, |V_T|, whether landmarks are attached, the
+  // landmark distance quintile of the sources against the rolling scale.
   int quintile = 2;
   if (use_oracle && !targets.empty()) {
-    NodeId source = instance_.ToInternal(query.sources[0]);
     PathLength lb = kInfLength;
-    // min over a bounded sample of targets: lb(s, V_T) <= lb(s, t).
+    // min over a bounded sample of targets: lb(S, V_T) <= lb(s, t).
     size_t probe = std::min<size_t>(targets.size(), 8);
-    for (size_t i = 0; i < probe; ++i) {
-      lb = std::min(lb, base_.oracle->LowerBound(source, targets[i]));
+    for (NodeId source : sources) {
+      for (size_t i = 0; i < probe; ++i) {
+        lb = std::min(lb, base_.oracle->LowerBound(source, targets[i]));
+      }
     }
     if (lb != kInfLength) {
       uint64_t lb_x16 = static_cast<uint64_t>(lb) * 16;

@@ -68,19 +68,16 @@ struct PlannerProfile {
 
 /// One planning decision: which solver runs this query and why. `reason`
 /// is a static string from a fixed vocabulary (wire/log friendly, never
-/// owned). `fallback` marks queries the cost model's cache probes cannot
-/// help (GKPJ runs on an ephemeral augmented graph the caches do not
-/// describe) — exported as kpj_planner_fallback_total.
+/// owned).
 struct PlannerDecision {
   Algorithm algorithm = Algorithm::kIterBoundSptI;
   const char* reason = "";
-  bool fallback = false;
   /// True when the decision adopted a resident reverse target-SPT; the
   /// engine passes it back into RecordLatency so the sample lands in the
   /// resident-mode EWMA rather than the cold one.
   bool resident = false;
   /// Fingerprint of the query's canonical target set (0 when none was
-  /// computed — GKPJ or cache-less engines). The engine passes it back
+  /// computed — cache-less engines). The engine passes it back
   /// into RecordLatency so the measured latency also lands in the
   /// shape-conditioned recurrence slot.
   uint64_t shape_fp = 0;
@@ -129,10 +126,9 @@ struct PlannerOptions {
 /// choice can only change *which* solver produces the (byte-identical)
 /// paths, never the paths.
 ///
-/// Decision ladder, first match wins:
-///  1. GKPJ (multiple sources) → profile-best cold algorithm; counted as
-///     a fallback (the caches do not describe the augmented graph).
-///  2. Reverse target-SPT resident (DA-SPT's key: targets only) and k
+/// Decision ladder, first match wins. KPJ and GKPJ climb the same ladder:
+/// the caches key on the canonical source set.
+///  1. Reverse target-SPT resident (DA-SPT's key: targets only) and k
 ///     below large_k → paired per-shape measurement: run DA-SPT once to
 ///     measure the resident path, run the best forward algorithm once to
 ///     measure the alternative, then commit to whichever measured faster
@@ -141,16 +137,16 @@ struct PlannerOptions {
 ///     build is paid off, not a verdict: on instances where forward
 ///     solvers beat even a resident DA-SPT, the pair of measurements
 ///     routes past the tree.
-///  3. Forward SPT_I snapshot resident for this (source, targets) →
+///  2. Forward SPT_I snapshot resident for this (sources, targets) →
 ///     IterBound_I (the variant matching the oracle config).
-///  4. Category-sized target set (|V_T| >= category_targets) or a target
+///  3. Category-sized target set (|V_T| >= category_targets) or a target
 ///     set seen repeatedly, no tree resident yet, same k/profile gates as
-///     rule 2 → DA-SPT once, deliberately paying the full SPT to seed the
+///     rule 1 → DA-SPT once, deliberately paying the full SPT to seed the
 ///     cache for the repeats the shape predicts (the paper's join:
 ///     category target sets recur across sources). The seed's cost lands
 ///     in the cold DA-SPT EWMA; the repeats it enables land in the
 ///     resident one.
-///  5. Cold → the EWMA argmin of the cold candidate set, optionally
+///  4. Cold → the EWMA argmin of the cold candidate set, optionally
 ///     epsilon-greedy (1/explore_one_in, off by default; only on
 ///     typical-cost queries: quintile <= 2, k < large_k, and only among
 ///     candidates within 4x of the best).

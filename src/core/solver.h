@@ -18,8 +18,9 @@ class KpjSolver {
  public:
   virtual ~KpjSolver() = default;
 
-  /// Answers one prepared query. `query.graph`/`query.reverse` must be the
-  /// graphs this solver was constructed with.
+  /// Answers one prepared query, given in the id space of the graphs this
+  /// solver was constructed with. One source or many (GKPJ), the same
+  /// solver serves both.
   virtual KpjResult Run(const PreparedQuery& query) = 0;
 };
 

@@ -7,7 +7,7 @@ namespace kpj {
 
 namespace {
 
-// FNV-1a over the key's scalar fields and target list. Only used for
+// FNV-1a over the key's scalar fields and node lists. Only used for
 // shard/bucket selection; lookups compare full keys.
 inline size_t HashMix(size_t h, uint64_t value) {
   constexpr uint64_t kPrime = 1099511628211ull;
@@ -23,7 +23,7 @@ size_t SptCacheKey::Hash() const {
   size_t h = 14695981039346656037ull;
   h = HashMix(h, static_cast<uint64_t>(kind));
   h = HashMix(h, epoch);
-  h = HashMix(h, source);
+  for (NodeId s : sources) h = HashMix(h, s);
   h = HashMix(h, config);
   for (NodeId t : targets) h = HashMix(h, t);
   h = HashMix(h, static_cast<uint64_t>(algorithm));
@@ -114,8 +114,9 @@ bool SptCache::Contains(const SptCacheKey& key) const {
 }
 
 void SptCache::Insert(SptCacheKey key, SptCacheValue value) {
-  Shard& shard = shards_[ShardOf(key)];
   const size_t bytes = EntryBytes(key, value);
+  if (bytes > shard_budget_) return;
+  Shard& shard = shards_[ShardOf(key)];
   std::lock_guard<std::mutex> lock(shard.mu);
   auto at = shard.index.find(key);
   if (at != shard.index.end()) {

@@ -33,8 +33,8 @@ class TargetBoundCache;
 ///                        the byte-identical guarantee.
 ///  * kRootPath         — the initial shortest path of the best-first
 ///                        framework (DA / IterBound).
-///  * kAnswer           — a whole complete single-source answer of the
-///                        solver named in the key (RunKpjOnInstance).
+///  * kAnswer           — a whole complete answer of the solver named in
+///                        the key (RunKpjOnInstance).
 enum class SptCacheKind : uint8_t {
   kReverseTargetSpt = 0,
   kForwardSpti = 1,
@@ -47,15 +47,18 @@ enum class SptCacheKind : uint8_t {
 /// AttachCategories), so any index change invalidates every older entry.
 /// `config` packs the heuristic configuration (landmark availability and
 /// max_active_landmarks) because heuristic values reach the stored heap
-/// keys. `targets` is the canonical (sorted, deduplicated) target list of
-/// the prepared query. `algorithm` and `k` are set for kAnswer only (an
+/// keys. `sources` and `targets` are the canonical (sorted, deduplicated)
+/// source and target lists of the prepared query, so KPJ and GKPJ share
+/// every kind under one contract; kReverseTargetSpt depends on the targets
+/// alone and leaves `sources` empty. `algorithm` and `k` are set for
+/// kAnswer only (an
 /// answer is a function of the solver that ran and of k; the substrate
 /// kinds are not). Equality is exact — hashing only picks the shard and
 /// bucket, so collisions cannot cross-contaminate results.
 struct SptCacheKey {
   SptCacheKind kind = SptCacheKind::kReverseTargetSpt;
   uint64_t epoch = 0;
-  NodeId source = kInvalidNode;
+  std::vector<NodeId> sources;
   uint32_t config = 0;
   std::vector<NodeId> targets;
   Algorithm algorithm = Algorithm::kAuto;
@@ -64,7 +67,8 @@ struct SptCacheKey {
   bool operator==(const SptCacheKey&) const = default;
   size_t Hash() const;
   size_t MemoryBytes() const {
-    return sizeof(SptCacheKey) + targets.capacity() * sizeof(NodeId);
+    return sizeof(SptCacheKey) +
+           (sources.capacity() + targets.capacity()) * sizeof(NodeId);
   }
 };
 
@@ -76,8 +80,9 @@ inline uint32_t SptCacheConfig(bool use_oracle, uint32_t max_active) {
 }
 
 /// Cached initial shortest path of the best-first framework: the suffix
-/// nodes strictly after the source, its length, and whether a path exists
-/// at all (unreachable target sets are cacheable too).
+/// nodes after the root (strictly after a single source; from the entry
+/// source on at GKPJ's virtual root), its length, and whether a path
+/// exists at all (unreachable target sets are cacheable too).
 struct CachedRootPath {
   bool found = false;
   std::vector<NodeId> suffix;
@@ -156,16 +161,11 @@ class SptCache {
 
   /// Inserts or replaces (a replaced entry keeps its frequency and is
   /// re-ranked). Evicts the lowest-ranked entries of the shard while it
-  /// exceeds its byte budget. The just-inserted entry is never
-  /// evicted by its own insert: a single oversized entry stays resident
-  /// (and useful) until a later insert displaces it.
+  /// exceeds its byte budget; the just-inserted entry is never evicted by
+  /// its own insert. An entry larger than one shard's whole budget is not
+  /// inserted at all, of any kind: it would flush every other entry of its
+  /// shard, whatever their rank.
   void Insert(SptCacheKey key, SptCacheValue value);
-
-  /// True when the entry would fit one shard's byte budget, i.e. when an
-  /// Insert of it could ever share the shard with another entry.
-  bool FitsInShard(const SptCacheKey& key, const SptCacheValue& value) const {
-    return EntryBytes(key, value) <= shard_budget_;
-  }
 
   /// Eagerly removes every entry whose key epoch is older than
   /// `current_epoch`. Removed entries count as evictions.

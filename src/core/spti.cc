@@ -84,6 +84,9 @@ double IterBoundSptiSolver::CompLb(uint32_t v, uint32_t limit,
     return lb;
   }
 
+  // A vertex at a source is always finish-banned: a division creates it as
+  // the last node of a chosen path, which already ended there.
+  KPJ_DCHECK(!rev_search_.CanFinishAt(vx));
   // Alg. 8 lines 3-7: one reverse hop plus lb(s, ·) — exact inside SPT_I,
   // Eq. (2) landmarks (or zero) outside.
   for (const OutEdge& e : reverse_.OutEdges(vx.node)) {
@@ -149,8 +152,6 @@ void IterBoundSptiSolver::ExpandDivision(const DivisionResult& division,
 }
 
 KpjResult IterBoundSptiSolver::Run(const PreparedQuery& query) {
-  KPJ_CHECK(query.graph == &graph_ && query.reverse == &reverse_)
-      << "solver bound to different graphs";
   KpjResult res;
   cancel_ = query.cancel;
   intra_ = query.intra;
@@ -168,11 +169,11 @@ KpjResult IterBoundSptiSolver::Run(const PreparedQuery& query) {
   const Heuristic* source_fallback = &zero_;
   if (use_landmarks_ && options_.oracle != nullptr) {
     forward_bound_ = MakeCachedSetBound(
-        options_.oracle, query.targets, BoundDirection::kToSet, query.source,
+        options_.oracle, query.targets, BoundDirection::kToSet, query.root(),
         options_.max_active_landmarks, bound_cache, epoch, &res.stats.algo);
     forward_guide = forward_bound_.get();
     source_bound_ = MakeCachedSetBound(
-        options_.oracle, query.real_sources, BoundDirection::kFromSet,
+        options_.oracle, query.sources, BoundDirection::kFromSet,
         query.targets.front(), options_.max_active_landmarks, bound_cache,
         epoch, &res.stats.algo);
     source_fallback = source_bound_.get();
@@ -186,7 +187,7 @@ KpjResult IterBoundSptiSolver::Run(const PreparedQuery& query) {
   // Cross-query reuse caches the *end-of-phase-1* state only: the grown
   // tree of the main loop depends on k and the subspace schedule, and a
   // warm superset tree would change lower bounds (hence tie-breaking).
-  // The phase-1 state is a pure function of (source, targets, heuristic
+  // The phase-1 state is a pure function of (sources, targets, heuristic
   // config), so restoring it is byte-identical to recomputing it.
   spti_.SetHeuristic(forward_guide);
   target_membership_.ClearAll();
@@ -199,7 +200,7 @@ KpjResult IterBoundSptiSolver::Run(const PreparedQuery& query) {
   if (spt_cache != nullptr) {
     key.kind = SptCacheKind::kForwardSpti;
     key.epoch = epoch;
-    key.source = query.source;
+    key.sources = query.sources;
     const bool use_oracle = use_landmarks_ && options_.oracle != nullptr;
     key.config = SptCacheConfig(use_oracle, options_.max_active_landmarks);
     key.targets = query.targets;
@@ -214,8 +215,12 @@ KpjResult IterBoundSptiSolver::Run(const PreparedQuery& query) {
     }
   }
   if (!restored) {
-    std::pair<NodeId, PathLength> seed[] = {{query.source, 0}};
-    spti_.Initialize(seed);
+    // Every source is a seed at distance 0: the virtual source's 0-weight
+    // arcs, without the virtual node.
+    std::vector<std::pair<NodeId, PathLength>> seeds;
+    seeds.reserve(query.sources.size());
+    for (NodeId s : query.sources) seeds.emplace_back(s, 0);
+    spti_.Initialize(seeds);
     hit = spti_.AdvanceUntilAnySettled(
         target_membership_,
         [this](NodeId v) {
@@ -248,12 +253,17 @@ KpjResult IterBoundSptiSolver::Run(const PreparedQuery& query) {
   }
 
   tree_.Reset(kInvalidNode);  // Virtual destination t.
-  rev_search_.SetTargets({&query.source, 1});
+  rev_search_.SetTargets(query.sources);
+  // A GKPJ path may pass one source on its way to another, just as a
+  // forward path may pass one target on its way to another: the division
+  // then keeps the source it ended at as a finish-banned vertex.
+  const bool multi_source = query.sources.size() > 1;
 
   SubspaceQueue queue;
   {
     std::vector<NodeId> forward_path = spti_.PathTo(hit);  // s .. hit
-    KPJ_DCHECK(forward_path.front() == query.source);
+    KPJ_DCHECK(std::binary_search(query.sources.begin(), query.sources.end(),
+                                  forward_path.front()));
     SubspaceEntry initial;
     initial.vertex = tree_.root();
     initial.has_path = true;
@@ -278,7 +288,7 @@ KpjResult IterBoundSptiSolver::Run(const PreparedQuery& query) {
 
       DivisionResult division = DivideSubspace(
           tree_, reverse_, entry.vertex, entry.suffix,
-          /*create_destination_vertex=*/false);
+          /*create_destination_vertex=*/multi_source);
       ExpandDivision(division, query, entry.key, queue, &res.stats);
       continue;
     }
@@ -295,15 +305,11 @@ KpjResult IterBoundSptiSolver::Run(const PreparedQuery& query) {
 
     rev_search_.ClearForbidden();
     tree_.MarkPrefix(entry.vertex, &rev_search_.forbidden());
-    SubspaceSearchRequest request;
-    request.start = vx.node;  // kInvalidNode at the root.
-    request.seeds = d_;
+    SubspaceSearchRequest request = rev_search_.RequestFor(vx, d_);
     // Targets not yet settled by SPT_I all lie beyond τ (Prop. 5.2); the
     // root subspace must not be declared empty while any remain.
     request.seeds_incomplete =
         d_.size() < query.targets.size() && !spti_.Exhausted();
-    request.prefix_length = vx.prefix_length;
-    request.banned_first_hops = vx.banned;
     request.tau = tau;
     request.restrict_to = &spti_;
     request.cancel = cancel_;
@@ -325,12 +331,8 @@ KpjResult IterBoundSptiSolver::Run(const PreparedQuery& query) {
         found.suffix_length = result.suffix_length;
         found.key =
             static_cast<double>(vx.prefix_length + result.suffix_length);
-        if (vx.node == kInvalidNode) {
-          found.suffix.assign(result.suffix.begin(), result.suffix.end());
-        } else {
-          found.suffix.assign(result.suffix.begin() + 1,
-                              result.suffix.end());
-        }
+        std::span<const NodeId> suffix = result.SuffixAfter(vx.node);
+        found.suffix.assign(suffix.begin(), suffix.end());
         if (entry.key >= 0 && std::isfinite(entry.key)) {
           res.stats.algo.lb_tightness_num +=
               static_cast<uint64_t>(std::llround(entry.key));

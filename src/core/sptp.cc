@@ -13,7 +13,8 @@ IterBoundSptpSolver::IterBoundSptpSolver(const Graph& graph,
                                          const KpjOptions& options)
     : BestFirstFramework(graph, reverse, options,
                          /*iterative_bounding=*/true),
-      sptp_(reverse, &zero_) {}
+      sptp_(reverse, &zero_),
+      source_set_(reverse.NumNodes()) {}
 
 bool IterBoundSptpSolver::InitializeQuery(const PreparedQuery& query,
                                           SubspaceEntry* initial,
@@ -27,7 +28,7 @@ bool IterBoundSptpSolver::InitializeQuery(const PreparedQuery& query,
   const Heuristic* guide = &zero_;
   if (options_.oracle != nullptr) {
     source_bound_ = MakeCachedSetBound(
-        options_.oracle, query.real_sources, BoundDirection::kFromSet,
+        options_.oracle, query.sources, BoundDirection::kFromSet,
         query.targets.front(), options_.max_active_landmarks, bound_cache,
         epoch, &stats->algo);
     guide = source_bound_.get();
@@ -40,7 +41,11 @@ bool IterBoundSptpSolver::InitializeQuery(const PreparedQuery& query,
   seeds.reserve(query.targets.size());
   for (NodeId t : query.targets) seeds.emplace_back(t, 0);
   sptp_.Initialize(seeds);
-  bool reached = sptp_.AdvanceUntilSettled(query.source);
+  source_set_.ClearAll();
+  for (NodeId s : query.sources) source_set_.Insert(s);
+  // The first source settled is the nearest one: the virtual source's
+  // shortest path enters through it.
+  const NodeId entry = sptp_.AdvanceUntilAnySettled(source_set_);
   sptp_.SetAlgoStats(nullptr);  // stats points at caller stack storage.
   stats->nodes_settled += sptp_.stats().nodes_settled;
   stats->edges_relaxed += sptp_.stats().edges_relaxed;
@@ -48,13 +53,13 @@ bool IterBoundSptpSolver::InitializeQuery(const PreparedQuery& query,
   // This initial computation answers the first shortest path; it is not a
   // separate CompSP (the SPT_P comes "without any extra cost").
   ++stats->shortest_path_computations;
-  if (!reached) return false;
+  if (entry == kInvalidNode) return false;
 
   // lb(v, V_T): exact inside SPT_P, the oracle's Eq. (2) bound outside
   // (§5.2).
   if (options_.oracle != nullptr) {
     oracle_bound_ = MakeCachedSetBound(
-        options_.oracle, query.targets, BoundDirection::kToSet, query.source,
+        options_.oracle, query.targets, BoundDirection::kToSet, query.root(),
         options_.max_active_landmarks, bound_cache, epoch, &stats->algo);
     sptp_bound_.emplace(&sptp_, oracle_bound_.get());
   } else {
@@ -62,18 +67,20 @@ bool IterBoundSptpSolver::InitializeQuery(const PreparedQuery& query,
   }
   heuristic_ = &*sptp_bound_;
 
-  // The reverse-graph tree path from a target root down to the source is
-  // the forward shortest path read backwards.
-  std::vector<NodeId> rooted = sptp_.PathTo(query.source);
+  // The reverse-graph tree path from a target root down to the entry
+  // source is the forward shortest path read backwards.
+  std::vector<NodeId> rooted = sptp_.PathTo(entry);
   KPJ_CHECK(!rooted.empty());
   std::reverse(rooted.begin(), rooted.end());
-  KPJ_DCHECK(rooted.front() == query.source);
+  KPJ_DCHECK(rooted.front() == entry);
 
   initial->vertex = tree_.root();
   initial->has_path = true;
-  initial->suffix_length = sptp_.Distance(query.source);
+  initial->suffix_length = sptp_.Distance(entry);
   initial->key = static_cast<double>(initial->suffix_length);
-  initial->suffix.assign(rooted.begin() + 1, rooted.end());
+  // At a virtual root the suffix keeps its entry source.
+  const size_t skip = query.root() == kInvalidNode ? 0 : 1;
+  initial->suffix.assign(rooted.begin() + skip, rooted.end());
   return true;
 }
 

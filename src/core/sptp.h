@@ -14,10 +14,10 @@ namespace kpj {
 /// whose lb(v, V_T) comes from a *partial* shortest path tree.
 ///
 /// The initial shortest-path query is answered by A* over the reverse
-/// graph from all of V_T toward the source (PartialSPT, Alg. 6); the nodes
-/// it settles — obtained "without any extra cost" as a by-product — carry
-/// exact distances to the destination set and take priority over the
-/// landmark estimate (Prop. 5.1), tightening CompLB and TestLB.
+/// graph from all of V_T toward the source set (PartialSPT, Alg. 6); the
+/// nodes it settles — obtained "without any extra cost" as a by-product —
+/// carry exact distances to the destination set and take priority over
+/// the landmark estimate (Prop. 5.1), tightening CompLB and TestLB.
 class IterBoundSptpSolver final : public BestFirstFramework {
  public:
   IterBoundSptpSolver(const Graph& graph, const Graph& reverse,
@@ -29,6 +29,7 @@ class IterBoundSptpSolver final : public BestFirstFramework {
 
  private:
   IncrementalSearch sptp_;  // Reverse-graph A*; settled set = SPT_P.
+  EpochSet source_set_;     // The query's sources: SPT_P's stop set.
   /// Per-query source-side bound guiding SPT_P construction (lb(s, w)).
   std::unique_ptr<Heuristic> source_bound_;
   /// Per-query SPT_P-over-oracle bound used by CompLB / TestLB.

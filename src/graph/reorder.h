@@ -50,8 +50,7 @@ Result<ReorderStrategy> ParseReorderStrategy(std::string_view name);
 ///
 /// The default-constructed (empty) permutation acts as the identity over
 /// every id — this is the "no reordering attached" state, and ToNew/ToOld
-/// pass ids through unchanged. Ids `>= size()` (virtual query nodes) also
-/// pass through unchanged.
+/// pass ids through unchanged. That is why ids `>= size()` pass through.
 class Permutation {
  public:
   /// Empty permutation; behaves as the identity.
@@ -79,8 +78,8 @@ class Permutation {
   /// True if every id maps to itself (or the permutation is empty).
   bool IsIdentity() const;
 
-  /// New id of `old_id`. Ids outside `[0, size())` map to themselves so
-  /// virtual nodes appended past `n` survive translation.
+  /// New id of `old_id`. Ids outside `[0, size())` map to themselves, so
+  /// the empty permutation is the identity.
   NodeId ToNew(NodeId old_id) const {
     return old_id < size() ? old_to_new_[old_id] : old_id;
   }

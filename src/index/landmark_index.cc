@@ -192,9 +192,7 @@ uint64_t LandmarkIndex::Identity() const {
 }
 
 PathLength LandmarkIndex::LowerBound(NodeId u, NodeId v) const {
-  // Virtual nodes (GKPJ super-source) are outside the tables; 0 is the
-  // only admissible bound for them.
-  if (u >= num_nodes_ || v >= num_nodes_) return 0;
+  KPJ_DCHECK(u < num_nodes_ && v < num_nodes_);
   if (u == v) return 0;
   PathLength best = 0;
   for (uint32_t l = 0; l < num_landmarks(); ++l) {

@@ -87,10 +87,9 @@ class LandmarkIndex {
     return Widen(dist_to_[Slot(l, v)]);
   }
 
-  /// Lower bound on the point-to-point shortest distance dist(u, v).
-  /// Returns kInfLength when the tables prove v unreachable from u, and 0
-  /// when either node is virtual (>= num_nodes(); GKPJ super-sources attach
-  /// via zero-weight arcs, so no other bound is admissible).
+  /// Lower bound on the point-to-point shortest distance dist(u, v) of two
+  /// real nodes (< num_nodes()). Returns kInfLength when the tables prove
+  /// v unreachable from u.
   PathLength LowerBound(NodeId u, NodeId v) const;
 
   /// Returns a copy of this index with every node id mapped through

@@ -129,9 +129,9 @@ PathLength LandmarkSetBound::EstimateOne(uint32_t l, NodeId u) const {
 }
 
 PathLength LandmarkSetBound::Estimate(NodeId u) const {
-  // Virtual query nodes (GKPJ super-source, §6) are outside the offline
-  // tables; 0 is the only admissible bound (they attach via 0-weight arcs).
-  if (u >= index_->num_nodes()) return 0;
+  // Real nodes only: the solvers' virtual endpoints are pseudo-tree roots
+  // and never reach a bound. (An empty index reads no row at all.)
+  KPJ_DCHECK(u < index_->num_nodes() || p_.empty());
   // EstimateOne's two difference bounds, over 32-bit table values where
   // kInf32 is infinity, without a branch: an infinite minuend (the "proof"
   // case) turns the term into all ones, an infinite other operand (the

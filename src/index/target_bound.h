@@ -57,11 +57,11 @@ struct LandmarkSetAggregates {
 ///   dist(u, S) >= δ(u, w) - max_{x in S} δ(x, w)
 /// For kFromSet the roles of the tables swap symmetrically.
 ///
-/// Estimate returns kInfLength when the tables prove the set unreachable.
-/// A set member always gets a bound of 0, and so does a virtual node
-/// (>= num_nodes(), e.g. the GKPJ super-source). The bound is consistent
-/// along edges of the forward (kToSet) resp. reverse (kFromSet) graph, and
-/// a pure function of (index, set, direction, scoring_node, max_active):
+/// Estimate takes real nodes only (< num_nodes()) and returns kInfLength
+/// when the tables prove the set unreachable. A set member always gets a
+/// bound of 0. The bound is consistent along edges of the forward
+/// (kToSet) resp. reverse (kFromSet) graph, and a pure function of
+/// (index, set, direction, scoring_node, max_active):
 /// equal inputs give byte-identical bounds, which is what makes
 /// cross-query caching and the engine's determinism guarantees sound.
 class LandmarkSetBound final : public Heuristic {

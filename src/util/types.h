@@ -7,8 +7,9 @@
 namespace kpj {
 
 /// Node identifier within a graph. Nodes are densely numbered `[0, n)`.
-/// Virtual nodes added for query processing (the virtual destination `t` of
-/// Section 3 and the virtual source of Section 6) use ids `>= n`.
+/// The virtual endpoints of query processing (the destination `t` of
+/// Section 3, the source of Section 6) get no id: they are pseudo-tree
+/// roots, marked kInvalidNode (core/pseudo_tree.h).
 using NodeId = uint32_t;
 
 /// Edge identifier: position of the edge in a graph's CSR arrays.

@@ -425,25 +425,37 @@ TEST_F(AnswerCacheTest, DeadlineTruncatedAnswerIsNeverStored) {
   EXPECT_EQ(NodesOf(full), NodesOf(cold.Submit(query).get()));
 }
 
-TEST_F(AnswerCacheTest, GkpjAnswersAreNeverCached) {
-  KpjEngine engine(*instance_,
-                   EngineOptions(Algorithm::kIterBoundSptI,
-                                 CacheMbFromEnv(16)));
+TEST_F(AnswerCacheTest, GkpjRepeatIsServedWholeFromTheAnswerCache) {
   KpjQuery query = Query();
   NodeId second = query.sources.front();
   do {
     second = (second + 1) % instance_->NumNodes();
   } while (std::count(query.targets.begin(), query.targets.end(), second));
   query.sources.push_back(second);
-  Result<KpjResult> first = engine.Submit(query).get();
-  Result<KpjResult> repeat = engine.Submit(query).get();
-  ASSERT_TRUE(first.ok() && repeat.ok());
-  EXPECT_GT(repeat.value().stats.nodes_settled, 0u);
-  EXPECT_EQ(NodesOf(repeat), NodesOf(first));
-  EngineMetricsSnapshot snap = engine.MetricsSnapshot();
-  EXPECT_EQ(snap.algo.answer_cache_hits, 0u);
-  EXPECT_EQ(snap.algo.answer_cache_misses, 0u);
-  EXPECT_EQ(snap.spt_cache_insertions, 0u);
+  // The key holds the sorted source set: another listing order repeats it.
+  KpjQuery reordered = query;
+  std::reverse(reordered.sources.begin(), reordered.sources.end());
+  for (Algorithm algorithm : kAllAlgorithms) {
+    SCOPED_TRACE(AlgorithmName(algorithm));
+    KpjEngine cold(*instance_, EngineOptions(algorithm, 0));
+    KpjEngine warm(*instance_, EngineOptions(algorithm, CacheMbFromEnv(16)));
+    Result<KpjResult> reference = cold.Submit(query).get();
+    Result<KpjResult> first = warm.Submit(query).get();
+    Result<KpjResult> repeat = warm.Submit(reordered).get();
+    ASSERT_TRUE(reference.ok() && first.ok() && repeat.ok());
+    EXPECT_EQ(first.value().stats.algo.answer_cache_misses, 1u);
+    EXPECT_GT(first.value().stats.nodes_settled, 0u);
+
+    const KpjResult& hit = repeat.value();
+    EXPECT_TRUE(hit.status.ok());
+    EXPECT_EQ(hit.stats.algo.answer_cache_hits, 1u);
+    EXPECT_EQ(hit.stats.algo.answer_cache_misses, 0u);
+    EXPECT_EQ(hit.stats.nodes_settled, 0u);
+    EXPECT_EQ(hit.stats.shortest_path_computations, 0u);
+    EXPECT_EQ(hit.stats.algo.node_expansions, 0u);
+    EXPECT_EQ(NodesOf(repeat), NodesOf(reference));
+    EXPECT_EQ(NodesOf(first), NodesOf(reference));
+  }
 }
 
 /// A chain of `diamonds` diamonds, u -> {upper, lower} -> next u: every

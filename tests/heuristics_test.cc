@@ -39,8 +39,6 @@ TEST(FullSptBoundTest, ExactDistancesToTargetSet) {
   for (NodeId u = 0; u < g.NumNodes(); ++u) {
     EXPECT_EQ(bound.Estimate(u), spt.dist[u]);
   }
-  // Virtual node one past the end gets 0.
-  EXPECT_EQ(bound.Estimate(g.NumNodes()), 0u);
 }
 
 TEST(SptpBoundTest, ExactInsideTreeAdmissibleOutside) {

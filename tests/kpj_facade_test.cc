@@ -1,5 +1,5 @@
 // The kpj.h facade: validation errors, KSP convenience, category queries,
-// GKPJ augmentation, and virtual-node stripping.
+// and GKPJ's virtual source (paths through a second source, source order).
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 #include "core/verifier.h"
 #include "graph/graph_builder.h"
 #include "index/category_index.h"
+#include "index/landmark_index.h"
 
 namespace kpj {
 namespace {
@@ -170,26 +171,80 @@ TEST_F(FacadeTest, GkpjBasic) {
   }
 }
 
-TEST_F(FacadeTest, AugmentForGkpjShape) {
-  Result<GkpjAugmentation> aug = AugmentForGkpj(graph_, {0, 2});
-  ASSERT_TRUE(aug.ok());
-  EXPECT_EQ(aug.value().virtual_source, graph_.NumNodes());
-  EXPECT_EQ(aug.value().graph.NumNodes(), graph_.NumNodes() + 1);
-  EXPECT_EQ(aug.value().graph.NumEdges(), graph_.NumEdges() + 2);
-  EXPECT_EQ(aug.value().graph.EdgeWeight(aug.value().virtual_source, 0), 0u);
-  EXPECT_EQ(aug.value().graph.EdgeWeight(aug.value().virtual_source, 2), 0u);
-  EXPECT_FALSE(AugmentForGkpj(graph_, {}).ok());
-  EXPECT_FALSE(AugmentForGkpj(graph_, {0, 0}).ok());
-  EXPECT_FALSE(AugmentForGkpj(graph_, {99}).ok());
+TEST_F(FacadeTest, GkpjPathMayRunThroughASecondSource) {
+  // Sources 0 and 1, target 3. The second path leaves source 0 and runs
+  // through source 1: the virtual source's arc to 0 is its first hop, and
+  // nothing bans passing another source.
+  GraphBuilder b(4);
+  b.AddEdge(1, 2, 1);
+  b.AddEdge(2, 3, 1);
+  b.AddEdge(0, 1, 1);
+  b.AddEdge(0, 3, 5);
+  b.AddEdge(1, 3, 10);
+  Graph graph = b.Build();
+  KpjInstance instance = KpjInstance::Wrap(graph, Permutation()).value();
+  LandmarkIndexOptions lopt;
+  lopt.num_landmarks = 2;
+  LandmarkIndex landmarks =
+      LandmarkIndex::Build(graph, graph.Reverse(), lopt);
+  KpjQuery q;
+  q.sources = {0, 1};
+  q.targets = {3};
+  q.k = 6;
+  const std::vector<Path> expected = {
+      Path{{1, 2, 3}, 2},  Path{{0, 1, 2, 3}, 3}, Path{{0, 3}, 5},
+      Path{{1, 3}, 10},    Path{{0, 1, 3}, 11},
+  };
+  const LandmarkIndex* oracles[] = {nullptr, &landmarks};
+  for (const LandmarkIndex* oracle : oracles) {
+    for (Algorithm a : kAllAlgorithms) {
+      KpjOptions o;
+      o.algorithm = a;
+      o.oracle = oracle;
+      Result<KpjResult> r = RunKpj(instance, q, o);
+      ASSERT_TRUE(r.ok()) << AlgorithmName(a) << ": "
+                          << r.status().ToString();
+      const std::vector<Path>& paths = r.value().paths;
+      ASSERT_EQ(paths.size(), expected.size()) << AlgorithmName(a);
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(paths[i].nodes, expected[i].nodes)
+            << AlgorithmName(a) << " landmarks=" << (oracle != nullptr)
+            << " rank " << i;
+        EXPECT_EQ(paths[i].length, expected[i].length) << AlgorithmName(a);
+      }
+    }
+  }
 }
 
-TEST_F(FacadeTest, StripVirtualNodes) {
-  KpjResult result;
-  result.paths.push_back(Path{{6, 0, 1}, 2});
-  result.paths.push_back(Path{{0, 1, 7}, 3});
-  StripVirtualNodes(6, &result);
-  EXPECT_EQ(result.paths[0].nodes, (std::vector<NodeId>{0, 1}));
-  EXPECT_EQ(result.paths[1].nodes, (std::vector<NodeId>{0, 1}));
+TEST_F(FacadeTest, GkpjAnswerDoesNotDependOnSourceOrder) {
+  // The answer cache keys GKPJ on the sorted source set, so every listing
+  // of one set must give the same paths, ties included.
+  const std::vector<std::vector<NodeId>> orders = {
+      {0, 2, 4}, {4, 0, 2}, {2, 4, 0}};
+  for (Algorithm a : kAllAlgorithms) {
+    KpjOptions o;
+    o.algorithm = a;
+    std::vector<std::vector<NodeId>> first;
+    for (const std::vector<NodeId>& sources : orders) {
+      KpjQuery q;
+      q.sources = sources;
+      q.targets = {3, 5};
+      q.k = 12;
+      Result<KpjResult> r = RunKpj(instance_, q, o);
+      ASSERT_TRUE(r.ok()) << AlgorithmName(a);
+      Status check = ValidateAgainstReference(graph_, q, r.value().paths);
+      EXPECT_TRUE(check.ok()) << AlgorithmName(a) << ": " << check.ToString();
+      std::vector<std::vector<NodeId>> nodes;
+      for (const Path& p : r.value().paths) {
+        nodes.emplace_back(p.nodes.begin(), p.nodes.end());
+      }
+      if (first.empty()) {
+        first = nodes;
+      } else {
+        EXPECT_EQ(nodes, first) << AlgorithmName(a);
+      }
+    }
+  }
 }
 
 TEST_F(FacadeTest, AlgorithmNamesAreUnique) {

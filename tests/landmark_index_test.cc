@@ -165,16 +165,6 @@ TEST(LandmarkIndexTest, SetBoundConsistencyAlongEdges) {
   }
 }
 
-TEST(LandmarkIndexTest, VirtualNodeGetsZeroBound) {
-  Graph g = RandomGraph(8, 20, 0.2, true);
-  LandmarkIndexOptions opt;
-  opt.num_landmarks = 3;
-  LandmarkIndex index = LandmarkIndex::Build(g, g.Reverse(), opt);
-  std::vector<NodeId> set = {1};
-  LandmarkSetBound bound(&index, set, BoundDirection::kToSet);
-  EXPECT_EQ(bound.Estimate(g.NumNodes()), 0u);  // One past the end.
-}
-
 TEST(LandmarkIndexTest, EmptyIndexGivesZeroBounds) {
   LandmarkIndex index;
   std::vector<NodeId> set = {0};

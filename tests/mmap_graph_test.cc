@@ -284,6 +284,11 @@ TEST_F(MmapGraphTest, EngineConfigSweepByteIdenticalUnderMmap) {
     query.k = 5;
     queries.push_back(std::move(query));
   }
+  KpjQuery gkpj;  // GKPJ: three sources rooted at the virtual source.
+  gkpj.sources = {421, 5, 77};
+  gkpj.targets = {40, 99, 250, 731};
+  gkpj.k = 5;
+  queries.push_back(std::move(gkpj));
 
   struct Config {
     unsigned workers;

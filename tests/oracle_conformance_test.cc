@@ -122,21 +122,6 @@ TEST(OracleConformanceTest, SetBoundAdmissibleConsistentBothDirections) {
   }
 }
 
-TEST(OracleConformanceTest, VirtualNodesGetZeroBounds) {
-  // GKPJ augments the graph with a virtual super-source beyond num_nodes;
-  // the only admissible offline bound for it is 0.
-  Graph g = RandomGraph(24, 30, 0.12, true);
-  Graph rev = g.Reverse();
-  std::unique_ptr<LandmarkIndex> oracle = MakeOracle(g, rev);
-  const NodeId virtual_node = g.NumNodes() + 2;
-  EXPECT_EQ(oracle->LowerBound(virtual_node, 5), 0u);
-  EXPECT_EQ(oracle->LowerBound(5, virtual_node), 0u);
-  std::vector<NodeId> set = {1, 7};
-  std::unique_ptr<Heuristic> bound = std::make_unique<LandmarkSetBound>(
-      oracle.get(), set, BoundDirection::kToSet, kInvalidNode, 0);
-  EXPECT_EQ(bound->Estimate(virtual_node), 0u);
-}
-
 /// Eq. (2) written out per landmark, with the unreachability proofs of
 /// LandmarkSetBound's contract: the reference for its branch-free kernel.
 PathLength ReferenceSetBound(const LandmarkIndex& index,
@@ -144,7 +129,6 @@ PathLength ReferenceSetBound(const LandmarkIndex& index,
                              BoundDirection dir,
                              const std::vector<uint32_t>& active, NodeId u,
                              int* infinite_aggregates) {
-  if (u >= index.num_nodes()) return 0;
   PathLength best = 0;
   for (uint32_t l : active) {
     // With near = δ(w, ·) and far = δ(·, w) for kToSet (swapped for
@@ -217,16 +201,13 @@ TEST(OracleConformanceTest, EstimateKernelEqualsScalarFormula) {
           LandmarkSetBound bound(&index, set, dir, scoring, max_active);
           ASSERT_EQ(bound.active_landmarks().size(),
                     max_active == 0 ? 8u : max_active);
-          for (NodeId u = 0; u < g.NumNodes() + 3; ++u) {
+          for (NodeId u = 0; u < g.NumNodes(); ++u) {
             PathLength want =
                 ReferenceSetBound(index, set, dir, bound.active_landmarks(),
                                   u, &infinite_aggregates);
             ASSERT_EQ(bound.Estimate(u), want)
                 << "u=" << u << " dir=" << static_cast<int>(dir)
                 << " max_active=" << max_active << " scoring=" << scoring;
-            if (u >= g.NumNodes()) {
-              ASSERT_EQ(want, 0u);
-            }
             if (want == kInfLength) ++infinite_bounds;
           }
         }

@@ -3,9 +3,9 @@
 // On randomized graphs, each algorithm runs once on the native layout and
 // once per reordering strategy through the ReorderedGraph facade; the
 // returned paths must have identical lengths AND identical node sequences
-// in original ids (the facade translates internally). GKPJ virtual-source
-// queries are included: virtual node ids live past `n` and must survive
-// translation untouched.
+// in original ids (the facade translates internally). GKPJ queries are
+// included: their virtual source is a pseudo-tree root, not a node id, so
+// only the real sources are translated.
 //
 // Weights are drawn from a wide range so that top-k path sets are free of
 // ties with overwhelming probability — with ties, different layouts could

@@ -942,9 +942,7 @@ TEST(KpjServerTest, ClientTraceIdStitchesServerAndEngineSpans) {
         "server.serialize", "engine.query", "instance.prepare"}) {
     EXPECT_EQ(CountSpans(spans, name), 1u) << name;
   }
-  EXPECT_EQ(CountSpans(spans, "solver.run") +
-                CountSpans(spans, "solver.run_gkpj"),
-            1u);
+  EXPECT_EQ(CountSpans(spans, "solver.run"), 1u);
   // The last collector out turns the recorder back off — tracing one
   // request must not leave the process recording forever.
   EXPECT_FALSE(TraceRecorder::Global().enabled());

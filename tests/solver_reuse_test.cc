@@ -41,8 +41,7 @@ class SolverReuseTest : public ::testing::TestWithParam<Algorithm> {
     query.sources = {source};
     query.targets = std::move(targets);
     query.k = k;
-    Result<PreparedQuery> prepared =
-        PrepareQuery(net_->graph, *reverse_, query);
+    Result<PreparedQuery> prepared = PrepareQuery(net_->graph, query);
     EXPECT_TRUE(prepared.ok());
     return std::move(prepared).value();
   }

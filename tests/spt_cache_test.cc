@@ -22,7 +22,7 @@ SptCacheKey RootKey(uint64_t epoch, NodeId source, NodeId target) {
   SptCacheKey key;
   key.kind = SptCacheKind::kRootPath;
   key.epoch = epoch;
-  key.source = source;
+  key.sources = {source};
   key.targets = {target};
   return key;
 }
@@ -62,7 +62,7 @@ size_t BudgetFor(size_t entries, size_t padding) {
 
 SptCacheValue ValueFor(const SptCacheKey& key, size_t padding,
                        uint64_t cost) {
-  return RootValue(key.source, key.targets.front(), padding, cost);
+  return RootValue(key.sources.front(), key.targets.front(), padding, cost);
 }
 
 TEST(SptCacheTest, MissThenInsertThenHit) {
@@ -236,6 +236,40 @@ TEST(SptCacheTest, ReinsertReranksWithoutLeakingBytes) {
   EXPECT_EQ(cache.StatsSnapshot().bytes, full_bytes);
 }
 
+TEST(SptCacheTest, OversizedEntryIsNotInsertedAndEvictsNothing) {
+  // An entry larger than one shard's whole budget, of any kind, is not
+  // inserted: resident, it would flush every other entry of its shard
+  // whatever their rank. Here a cheap SPT_I snapshot meets three costly
+  // root paths in their shard.
+  constexpr size_t kPadding = 256;
+  const size_t budget = BudgetFor(4, kPadding);
+  SptCache cache(budget);
+  std::vector<SptCacheKey> keys = SameShardKeys(3);
+  for (const SptCacheKey& key : keys) {
+    cache.Insert(key, ValueFor(key, kPadding, /*cost=*/1000));
+  }
+  SptCacheKey snapshot_key = keys[0];
+  snapshot_key.kind = SptCacheKind::kForwardSpti;
+  for (NodeId s = 0; SptCache::ShardOf(snapshot_key) !=
+                     SptCache::ShardOf(keys[0]);
+       ++s) {
+    snapshot_key.sources = {s};
+  }
+  auto snapshot = std::make_shared<SearchSnapshot>();
+  snapshot->touched.assign(budget / SptCache::kNumShards, 0);
+  SptCacheValue oversized;
+  oversized.snapshot = std::move(snapshot);
+  oversized.settled_targets = std::make_shared<const std::vector<NodeId>>();
+  cache.Insert(snapshot_key, oversized);
+
+  EXPECT_FALSE(cache.Contains(snapshot_key));
+  for (const SptCacheKey& key : keys) EXPECT_TRUE(cache.Contains(key));
+  SptCacheStats stats = cache.StatsSnapshot();
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.insertions, keys.size());
+  EXPECT_EQ(stats.entries, keys.size());
+}
+
 TEST(SptCacheTest, AnswerBytesTrackAnswerEntries) {
   SptCache cache(1 << 20);
   cache.Insert(RootKey(1, 0, 9), RootValue(0, 9));
@@ -350,7 +384,7 @@ TEST(SptCacheTest, ConcurrentInsertLookupPurgeStayConsistent) {
 TEST(SptCacheTest, ValueSurvivesEviction) {
   // shared_ptr semantics: an adopted value stays alive after the cache
   // drops the entry.
-  SptCache cache(8 << 10);
+  SptCache cache(64 << 10);
   SptCacheKey key = RootKey(1, 0, 9);
   cache.Insert(key, RootValue(0, 9, 512));
   std::optional<SptCacheValue> adopted = cache.Lookup(key);
@@ -358,6 +392,7 @@ TEST(SptCacheTest, ValueSurvivesEviction) {
   for (NodeId i = 1; i < 256; ++i) {
     cache.Insert(RootKey(1, i, i + 1), RootValue(i, i + 1, 512));
   }
+  ASSERT_FALSE(cache.Contains(key));
   EXPECT_EQ(adopted->root_path->suffix.front(), 0u);
   EXPECT_EQ(adopted->root_path->suffix_length, 1u);
 }
