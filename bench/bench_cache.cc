@@ -1,5 +1,5 @@
-// Cross-query computation reuse (core/spt_cache.h, index/target_bound.h)
-// on the road_240k workload: a zipf-distributed source batch against one
+// Cross-query computation reuse (core/spt_cache.h) on the road_240k
+// workload: a zipf-distributed source batch against one
 // fixed 32-node target category, the shape of a POI-serving workload where
 // popular sources repeat.
 //
@@ -19,8 +19,8 @@
 //
 // The 64 MiB rows never evict. The `eviction_pressure` object runs the
 // same passes on IterBoundI with a 2 MiB budget, below the batch's working
-// set (`working_set_bytes`: both caches of the unbounded engine), so the
-// eviction policy decides what each round finds resident. It reports the
+// set (`working_set_bytes`: the unbounded engine's resident cache bytes),
+// so the eviction policy decides what each round finds resident. It reports the
 // answer hit share and the nodes settled (deterministic at one worker)
 // beside the unbounded engine's, under the same identity gates.
 //

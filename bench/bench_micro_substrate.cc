@@ -70,13 +70,16 @@ void BM_PointToPointDijkstra(benchmark::State& state) {
   const Graph& g = Network().graph;
   ZeroHeuristic zero;
   IncrementalSearch engine(g, &zero);
+  EpochSet stop(g.NumNodes());
   Rng rng(4);
   for (auto _ : state) {
     NodeId s = static_cast<NodeId>(rng.NextBounded(g.NumNodes()));
     NodeId t = static_cast<NodeId>(rng.NextBounded(g.NumNodes()));
     const std::pair<NodeId, PathLength> source[] = {{s, 0}};
     engine.Initialize(source);
-    benchmark::DoNotOptimize(engine.AdvanceUntilSettled(t));
+    stop.ClearAll();
+    stop.Insert(t);
+    benchmark::DoNotOptimize(engine.AdvanceUntilAnySettled(stop));
   }
 }
 BENCHMARK(BM_PointToPointDijkstra);
@@ -87,6 +90,7 @@ void BM_PointToPointAStarLandmarks(benchmark::State& state) {
   Rng rng(4);  // Same seed: same (s, t) pairs as the Dijkstra bench.
   ZeroHeuristic zero;
   IncrementalSearch astar(g, &zero);
+  EpochSet stop(g.NumNodes());
   for (auto _ : state) {
     NodeId s = static_cast<NodeId>(rng.NextBounded(g.NumNodes()));
     NodeId t = static_cast<NodeId>(rng.NextBounded(g.NumNodes()));
@@ -95,7 +99,9 @@ void BM_PointToPointAStarLandmarks(benchmark::State& state) {
     astar.SetHeuristic(&bound);
     const std::pair<NodeId, PathLength> source[] = {{s, 0}};
     astar.Initialize(source);
-    benchmark::DoNotOptimize(astar.AdvanceUntilSettled(t));
+    stop.ClearAll();
+    stop.Insert(t);
+    benchmark::DoNotOptimize(astar.AdvanceUntilAnySettled(stop));
   }
 }
 BENCHMARK(BM_PointToPointAStarLandmarks);

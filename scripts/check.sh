@@ -42,7 +42,8 @@
 # through kpj_client, runs
 # a short kpj_loadgen burst, validates the merged wire trace, stats
 # payload, access log, and loadgen report (failing on any leaked daemon
-# process), and finally boots kpjd again on the mmap'd v4 file.
+# process), and finally boots kpjd again on the mmap'd v4 file, where a
+# second query on the same targets must hit the set-bound cache.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -286,7 +287,8 @@ echo "service smoke OK"
 
 # --- Mapped service smoke: boot kpjd on the v4 file (mmap'd, checksums
 # verified at startup) and require wire answers byte-identical to the
-# mapped in-process CLI on the same file and embedded landmarks.
+# mapped in-process CLI on the same file and embedded landmarks, then a
+# set-bound cache hit in the daemon's metrics.
 "$kpjd" --graph "$smoke_dir/g_v4.bin" --port 0 \
   --port-file "$smoke_dir/kpjd_v4.port" --workers 2 \
   > "$smoke_dir/kpjd_v4.log" 2>&1 &
@@ -310,6 +312,17 @@ done
   --source 0 --targets 100,200,300 --k 5 \
   | grep ' -> ' > "$smoke_dir/v4_cli.txt"
 diff "$smoke_dir/v4_cli.txt" "$smoke_dir/v4_wire.txt"
+# Same targets from another source: its target-set bound aggregates must be
+# served by the daemon's one reuse cache.
+"$kpj_client" query --port-file "$smoke_dir/kpjd_v4.port" \
+  --source 7 --targets 100,200,300 --k 5 > /dev/null
+"$kpj_client" metrics --port-file "$smoke_dir/kpjd_v4.port" \
+  > "$smoke_dir/kpjd_v4_metrics.json"
+python3 - "$smoke_dir/kpjd_v4_metrics.json" <<'PY'
+import json, sys
+metrics = json.load(open(sys.argv[1]))
+assert metrics["algo_bound_cache_hits"] >= 1, metrics["algo_bound_cache_hits"]
+PY
 "$kpj_client" drain --port-file "$smoke_dir/kpjd_v4.port" > /dev/null
 for _ in $(seq 1 100); do
   kill -0 "$kpjd_pid" 2>/dev/null || break

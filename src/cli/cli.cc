@@ -146,9 +146,9 @@ void PrintHelp(std::ostream& out) {
          "json format. --trace-out writes a Chrome trace_event JSON file\n"
          "(load in chrome://tracing or Perfetto). --slow-query-ms logs\n"
          "queries at/over the threshold to stderr with their query id.\n"
-         "Cross-query reuse: the engine keeps shortest-path-tree and\n"
-         "category-bound caches sized by --cache-mb (default 64 MiB);\n"
-         "--no-cache turns them off. Answers are byte-identical either\n"
+         "Cross-query reuse: the engine keeps one cache of search trees,\n"
+         "answers and set bounds sized by --cache-mb (default 64 MiB);\n"
+         "--no-cache turns it off. Answers are byte-identical either\n"
          "way — caching only changes latency.\n"
          "Lower bounds: 'landmarks' precomputes the landmark (ALT) tables\n"
          "the solvers bound their searches with (--landmarks, or embedded\n"

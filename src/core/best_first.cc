@@ -55,14 +55,12 @@ bool BestFirstFramework::InitializeQuery(const PreparedQuery& query,
                                          SubspaceEntry* initial,
                                          QueryStats* stats) {
   SptCache* spt_cache = query.cache != nullptr ? query.cache->spt : nullptr;
-  TargetBoundCache* bound_cache =
-      query.cache != nullptr ? query.cache->bounds : nullptr;
   const uint64_t epoch = query.cache != nullptr ? query.cache->epoch : 0;
 
   if (options_.oracle != nullptr) {
     oracle_bound_ = MakeCachedSetBound(
         options_.oracle, query.targets, BoundDirection::kToSet, query.root(),
-        options_.max_active_landmarks, bound_cache, epoch, &stats->algo);
+        options_.max_active_landmarks, query.cache, &stats->algo);
     heuristic_ = oracle_bound_.get();
   } else {
     heuristic_ = &zero_;

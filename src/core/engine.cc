@@ -38,10 +38,8 @@ KpjEngine::KpjEngine(const KpjInstance& instance, KpjEngineOptions options)
     solvers_[w][PlannerIndex(warm)] = MakeSolver(instance_, warm_options);
   }
   if (options_.cache_mb > 0) {
-    size_t budget = options_.cache_mb * size_t{1024} * 1024;
-    // The SPT substrate dominates (full trees vs. per-landmark scalars).
-    spt_cache_ = std::make_unique<SptCache>(budget - budget / 4);
-    bound_cache_ = std::make_unique<TargetBoundCache>(budget / 4);
+    spt_cache_ =
+        std::make_unique<SptCache>(options_.cache_mb * size_t{1024} * 1024);
     purged_epoch_.store(instance_.epoch(), std::memory_order_relaxed);
   }
 }
@@ -74,10 +72,8 @@ Result<KpjResult> KpjEngine::RunOne(const KpjQuery& query, double deadline_ms,
     if (seen != epoch && purged_epoch_.compare_exchange_strong(
                              seen, epoch, std::memory_order_acq_rel)) {
       spt_cache_->PurgeOlderEpochs(epoch);
-      bound_cache_->PurgeOlderEpochs(epoch);
     }
     cache_ctx.spt = spt_cache_.get();
-    cache_ctx.bounds = bound_cache_.get();
     cache_ctx.epoch = epoch;
     cache = &cache_ctx;
   }
@@ -262,16 +258,14 @@ EngineMetricsSnapshot KpjEngine::MetricsSnapshot() const {
     snap.algo_by_algorithm[a] = algo_[a].Snapshot();
     snap.algo.Accumulate(snap.algo_by_algorithm[a]);
   }
-  // Gauges, and the counters the reuse caches keep themselves.
+  // Gauges, and the counters the reuse cache keeps itself.
   snap.workers = num_workers();
   snap.lb_tightness = snap.algo.LowerBoundTightness();
   if (spt_cache_ != nullptr) {
     SptCacheStats spt = spt_cache_->StatsSnapshot();
-    TargetBoundCacheStats bounds = bound_cache_->StatsSnapshot();
     snap.spt_cache_insertions = spt.insertions;
     snap.spt_cache_evictions = spt.evictions;
-    snap.bound_cache_evictions = bounds.evictions;
-    snap.cache_bytes = static_cast<double>(spt.bytes + bounds.bytes);
+    snap.cache_bytes = static_cast<double>(spt.bytes);
     snap.spt_cache_answer_bytes = static_cast<double>(spt.answer_bytes);
   }
   return snap;
@@ -288,10 +282,7 @@ std::string KpjEngine::MetricsPrometheus() const {
 void KpjEngine::ResetMetrics() {
   metrics_.Reset();
   for (AtomicAlgoStats& a : algo_) a.Reset();
-  if (spt_cache_ != nullptr) {
-    spt_cache_->ResetStats();
-    bound_cache_->ResetStats();
-  }
+  if (spt_cache_ != nullptr) spt_cache_->ResetStats();
 }
 
 }  // namespace kpj

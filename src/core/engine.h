@@ -18,7 +18,6 @@
 #include "core/planner.h"
 #include "core/solver.h"
 #include "core/spt_cache.h"
-#include "index/target_bound.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -43,12 +42,11 @@ struct KpjEngineOptions {
   /// deadline applies, the fraction of it consumed). Deadline-exceeded
   /// queries are always logged while the threshold is active. 0 disables.
   double slow_query_ms = 0.0;
-  /// Cross-query reuse cache budget in MiB, split between the SPT cache
-  /// (3/4) and the category-bound cache (1/4); see DESIGN.md "Cross-query
-  /// reuse". 0 (the default) disables caching entirely. Results are
-  /// byte-identical either way, at any worker count — the caches only
-  /// shortcut recomputation of state a cold run reaches at the same
-  /// program point. The CLI defaults this to 64 (--cache-mb/--no-cache).
+  /// Cross-query reuse cache budget in MiB, all of it the one SptCache's;
+  /// see DESIGN.md "Cross-query reuse". 0 (the default) disables caching
+  /// entirely. Results are byte-identical either way, at any worker
+  /// count — the cache only shortcuts recomputation of state a cold run
+  /// reaches at the same program point. The CLI defaults this to 64 (--cache-mb/--no-cache).
   size_t cache_mb = 0;
   /// Intra-query parallelism: lanes (including the owning worker) each
   /// query's deviation rounds may fan out across the pool. 1 (the
@@ -187,10 +185,9 @@ class KpjEngine {
       solvers_;
   /// The adaptive planner (see planner()); never null.
   std::unique_ptr<QueryPlanner> planner_;
-  /// Cross-query reuse caches, shared by all workers (both are internally
+  /// Cross-query reuse cache, shared by all workers (internally
   /// synchronized). Null when options_.cache_mb == 0.
   std::unique_ptr<SptCache> spt_cache_;
-  std::unique_ptr<TargetBoundCache> bound_cache_;
   /// Last instance epoch a worker observed; on a change the stale entries
   /// are purged eagerly (lookups could never hit them anyway — the epoch
   /// is part of every cache key).

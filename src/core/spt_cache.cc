@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 
+#include "util/logging.h"
+
 namespace kpj {
 
 namespace {
@@ -31,6 +33,16 @@ size_t SptCacheKey::Hash() const {
   return h;
 }
 
+SptCacheKey SetBoundKey(uint64_t epoch, BoundDirection direction,
+                        std::span<const NodeId> set) {
+  SptCacheKey key;
+  key.kind = SptCacheKind::kSetBound;
+  key.epoch = epoch;
+  (direction == BoundDirection::kToSet ? key.targets : key.sources)
+      .assign(set.begin(), set.end());
+  return key;
+}
+
 size_t SptCacheValue::MemoryBytes() const {
   size_t total = sizeof(SptCacheValue);
   if (full_spt != nullptr) {
@@ -44,6 +56,7 @@ size_t SptCacheValue::MemoryBytes() const {
              settled_targets->capacity() * sizeof(NodeId);
   }
   if (root_path != nullptr) total += root_path->MemoryBytes();
+  if (set_bound != nullptr) total += set_bound->MemoryBytes();
   if (answer != nullptr) {
     total += sizeof(std::vector<Path>) + answer->capacity() * sizeof(Path);
     for (const Path& path : *answer) {
@@ -97,13 +110,9 @@ std::optional<SptCacheValue> SptCache::Lookup(const SptCacheKey& key) {
   Shard& shard = shards_[ShardOf(key)];
   std::lock_guard<std::mutex> lock(shard.mu);
   auto at = shard.index.find(key);
-  if (at == shard.index.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  }
+  if (at == shard.index.end()) return std::nullopt;
   ++at->second->second.freq;
   Rerank(shard, at);
-  hits_.fetch_add(1, std::memory_order_relaxed);
   return at->second->second.value;
 }
 
@@ -164,8 +173,6 @@ void SptCache::PurgeOlderEpochs(uint64_t current_epoch) {
 
 SptCacheStats SptCache::StatsSnapshot() const {
   SptCacheStats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
   stats.insertions = insertions_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
   for (const Shard& shard : shards_) {
@@ -178,10 +185,35 @@ SptCacheStats SptCache::StatsSnapshot() const {
 }
 
 void SptCache::ResetStats() {
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
   insertions_.store(0, std::memory_order_relaxed);
   evictions_.store(0, std::memory_order_relaxed);
+}
+
+std::unique_ptr<Heuristic> MakeCachedSetBound(
+    const LandmarkIndex* index, std::span<const NodeId> set,
+    BoundDirection direction, NodeId scoring_node, uint32_t max_active,
+    const QueryCacheContext* cache, AlgoStats* algo) {
+  KPJ_CHECK(index != nullptr);
+  SptCache* spt = cache != nullptr ? cache->spt : nullptr;
+  std::shared_ptr<const LandmarkSetAggregates> agg;
+  if (spt == nullptr) {
+    agg = LandmarkSetBound::ComputeAggregates(*index, set, direction);
+  } else {
+    SptCacheKey key = SetBoundKey(cache->epoch, direction, set);
+    if (std::optional<SptCacheValue> hit = spt->Lookup(key)) {
+      if (algo != nullptr) ++algo->bound_cache_hits;
+      agg = std::move(hit->set_bound);
+    } else {
+      if (algo != nullptr) ++algo->bound_cache_misses;
+      agg = LandmarkSetBound::ComputeAggregates(*index, set, direction);
+      // Aggregation settles no node: the GDSF cost stays at its floor of 1.
+      SptCacheValue value;
+      value.set_bound = agg;
+      spt->Insert(std::move(key), std::move(value));
+    }
+  }
+  return std::make_unique<LandmarkSetBound>(index, std::move(agg), direction,
+                                            scoring_node, max_active);
 }
 
 }  // namespace kpj

@@ -7,21 +7,22 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "core/instrumentation.h"
 #include "core/kpj_query.h"
+#include "index/target_bound.h"
 #include "sssp/incremental_search.h"
 #include "sssp/spt.h"
 #include "util/types.h"
 
 namespace kpj {
 
-class TargetBoundCache;
-
 /// What kind of shortest-path substrate an SptCache entry holds. Each kind
-/// corresponds to one integration point; all four store values that are
+/// corresponds to one integration point; every kind stores values that are
 /// pure functions of the key, so adopting a cached value is byte-identical
 /// to recomputing it:
 ///  * kReverseTargetSpt — DA-SPT's full reverse SPT from V_T (SptResult).
@@ -35,11 +36,14 @@ class TargetBoundCache;
 ///                        framework (DA / IterBound).
 ///  * kAnswer           — a whole complete answer of the solver named in
 ///                        the key (RunKpjOnInstance).
+///  * kSetBound         — the per-landmark aggregates of Eq. (2)'s set
+///                        bound over one node set (MakeCachedSetBound).
 enum class SptCacheKind : uint8_t {
   kReverseTargetSpt = 0,
   kForwardSpti = 1,
   kRootPath = 2,
   kAnswer = 3,
+  kSetBound = 4,
 };
 
 /// Cache key: everything the cached computation depends on. `epoch` is the
@@ -50,11 +54,12 @@ enum class SptCacheKind : uint8_t {
 /// keys. `sources` and `targets` are the canonical (sorted, deduplicated)
 /// source and target lists of the prepared query, so KPJ and GKPJ share
 /// every kind under one contract; kReverseTargetSpt depends on the targets
-/// alone and leaves `sources` empty. `algorithm` and `k` are set for
-/// kAnswer only (an
-/// answer is a function of the solver that ran and of k; the substrate
-/// kinds are not). Equality is exact — hashing only picks the shard and
-/// bucket, so collisions cannot cross-contaminate results.
+/// alone and leaves `sources` empty. kSetBound keys one node set with
+/// `config` 0: a kToSet set in `targets`, a kFromSet set in `sources`, so
+/// the two directions of one set never meet. `algorithm` and `k` are set
+/// for kAnswer only (an answer is a function of the solver that ran and of
+/// k; the substrate kinds are not). Equality is exact — hashing only picks
+/// the shard and bucket, so collisions cannot cross-contaminate results.
 struct SptCacheKey {
   SptCacheKind kind = SptCacheKind::kReverseTargetSpt;
   uint64_t epoch = 0;
@@ -71,6 +76,10 @@ struct SptCacheKey {
            (sources.capacity() + targets.capacity()) * sizeof(NodeId);
   }
 };
+
+/// The kSetBound key of `set` under `direction` at `epoch`.
+SptCacheKey SetBoundKey(uint64_t epoch, BoundDirection direction,
+                        std::span<const NodeId> set);
 
 /// Packs the heuristic configuration bits of a cache key, so cached heap
 /// state (whose keys embed heuristic values) never crosses heuristic
@@ -103,16 +112,16 @@ struct SptCacheValue {
   std::shared_ptr<const std::vector<NodeId>> settled_targets;  // kForwardSpti
   std::shared_ptr<const CachedRootPath> root_path;      // kRootPath
   std::shared_ptr<const std::vector<Path>> answer;      // kAnswer
+  std::shared_ptr<const LandmarkSetAggregates> set_bound;  // kSetBound
   uint64_t cost = 1;
 
   size_t MemoryBytes() const;
 };
 
 /// Monotonic operation counters plus the current byte footprint
-/// (`answer_bytes` is the kAnswer share of `bytes`).
+/// (`answer_bytes` is the kAnswer share of `bytes`). Hits and misses are
+/// counted by the callers, in AlgoStats.
 struct SptCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
   uint64_t insertions = 0;
   uint64_t evictions = 0;
   size_t bytes = 0;
@@ -150,13 +159,13 @@ class SptCache {
   SptCache& operator=(const SptCache&) = delete;
 
   /// Returns the cached value, bumping its frequency and re-ranking it, or
-  /// nullopt. Counts a hit or a miss.
+  /// nullopt.
   std::optional<SptCacheValue> Lookup(const SptCacheKey& key);
 
-  /// True when `key` is resident, with no side effects: no re-rank, no
-  /// hit/miss counting. A planner probe, not an access — a later Lookup by
-  /// the chosen solver observes exactly the counters and eviction order it
-  /// would have seen had the probe never happened.
+  /// True when `key` is resident, with no side effects: no re-rank. A
+  /// planner probe, not an access — a later Lookup by the chosen solver
+  /// observes exactly the eviction order it would have seen had the probe
+  /// never happened.
   bool Contains(const SptCacheKey& key) const;
 
   /// Inserts or replaces (a replaced entry keeps its frequency and is
@@ -238,20 +247,31 @@ class SptCache {
   size_t budget_bytes_;
   size_t shard_budget_;
   Shard shards_[kNumShards];
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> insertions_{0};
   std::atomic<uint64_t> evictions_{0};
 };
 
-/// Per-query view of the engine's caches, threaded to solvers through
-/// PreparedQuery. All pointers may be null (caching disabled); `epoch` is
-/// the owning instance's mutation epoch at query time.
+/// Per-query view of the engine's cache, threaded to solvers through
+/// PreparedQuery. `spt` may be null (caching disabled); `epoch` is the
+/// owning instance's mutation epoch at query time.
 struct QueryCacheContext {
   SptCache* spt = nullptr;
-  TargetBoundCache* bounds = nullptr;
   uint64_t epoch = 0;
 };
+
+/// Builds the landmark set bound, serving the O(|L| * |S|) per-set
+/// aggregation from the kSetBound entries of `cache->spt` when possible.
+/// With a null cache (or a null `cache->spt`) this is the plain
+/// LandmarkSetBound constructor. Cache hits and misses are counted into
+/// `algo` (if non-null); either way the returned bound is byte-identical
+/// to an uncached one, because the aggregates are a pure function of the
+/// key. The key omits the index itself: an engine's cache serves one
+/// instance with one fixed set of options, whose landmarks change only
+/// with its epoch.
+std::unique_ptr<Heuristic> MakeCachedSetBound(
+    const LandmarkIndex* index, std::span<const NodeId> set,
+    BoundDirection direction, NodeId scoring_node, uint32_t max_active,
+    const QueryCacheContext* cache, AlgoStats* algo);
 
 }  // namespace kpj
 

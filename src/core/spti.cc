@@ -160,8 +160,6 @@ KpjResult IterBoundSptiSolver::Run(const PreparedQuery& query) {
   spti_.SetAlgoStats(&res.stats.algo);
 
   SptCache* spt_cache = query.cache != nullptr ? query.cache->spt : nullptr;
-  TargetBoundCache* bound_cache =
-      query.cache != nullptr ? query.cache->bounds : nullptr;
   const uint64_t epoch = query.cache != nullptr ? query.cache->epoch : 0;
 
   // Per-query bounds (§4.2 / §6).
@@ -170,12 +168,12 @@ KpjResult IterBoundSptiSolver::Run(const PreparedQuery& query) {
   if (use_landmarks_ && options_.oracle != nullptr) {
     forward_bound_ = MakeCachedSetBound(
         options_.oracle, query.targets, BoundDirection::kToSet, query.root(),
-        options_.max_active_landmarks, bound_cache, epoch, &res.stats.algo);
+        options_.max_active_landmarks, query.cache, &res.stats.algo);
     forward_guide = forward_bound_.get();
     source_bound_ = MakeCachedSetBound(
         options_.oracle, query.sources, BoundDirection::kFromSet,
-        query.targets.front(), options_.max_active_landmarks, bound_cache,
-        epoch, &res.stats.algo);
+        query.targets.front(), options_.max_active_landmarks, query.cache,
+        &res.stats.algo);
     source_fallback = source_bound_.get();
   } else {
     forward_bound_.reset();

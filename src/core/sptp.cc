@@ -19,18 +19,14 @@ IterBoundSptpSolver::IterBoundSptpSolver(const Graph& graph,
 bool IterBoundSptpSolver::InitializeQuery(const PreparedQuery& query,
                                           SubspaceEntry* initial,
                                           QueryStats* stats) {
-  TargetBoundCache* bound_cache =
-      query.cache != nullptr ? query.cache->bounds : nullptr;
-  const uint64_t epoch = query.cache != nullptr ? query.cache->epoch : 0;
-
   // Guide PartialSPT (Alg. 6) with lb(s, w): the A* on the reverse graph
   // aims at the source.
   const Heuristic* guide = &zero_;
   if (options_.oracle != nullptr) {
     source_bound_ = MakeCachedSetBound(
         options_.oracle, query.sources, BoundDirection::kFromSet,
-        query.targets.front(), options_.max_active_landmarks, bound_cache,
-        epoch, &stats->algo);
+        query.targets.front(), options_.max_active_landmarks, query.cache,
+        &stats->algo);
     guide = source_bound_.get();
   }
   sptp_.SetHeuristic(guide);
@@ -60,7 +56,7 @@ bool IterBoundSptpSolver::InitializeQuery(const PreparedQuery& query,
   if (options_.oracle != nullptr) {
     oracle_bound_ = MakeCachedSetBound(
         options_.oracle, query.targets, BoundDirection::kToSet, query.root(),
-        options_.max_active_landmarks, bound_cache, epoch, &stats->algo);
+        options_.max_active_landmarks, query.cache, &stats->algo);
     sptp_bound_.emplace(&sptp_, oracle_bound_.get());
   } else {
     sptp_bound_.emplace(&sptp_, &zero_);

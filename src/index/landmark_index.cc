@@ -177,20 +177,6 @@ LandmarkIndex LandmarkIndex::Remap(const Permutation& permutation) const {
   return out;
 }
 
-uint64_t LandmarkIndex::Identity() const {
-  uint64_t h = 14695981039346656037ull;
-  constexpr uint64_t kPrime = 1099511628211ull;
-  auto mix = [&h](uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      h = (h ^ ((value >> (8 * i)) & 0xff)) * kPrime;
-    }
-  };
-  mix(num_nodes_);
-  mix(landmarks_.size());
-  for (NodeId l : landmarks_) mix(l);
-  return h;
-}
-
 PathLength LandmarkIndex::LowerBound(NodeId u, NodeId v) const {
   KPJ_DCHECK(u < num_nodes_ && v < num_nodes_);
   if (u == v) return 0;

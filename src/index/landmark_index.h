@@ -70,13 +70,6 @@ class LandmarkIndex {
 
   NodeId num_nodes() const { return num_nodes_; }
 
-  /// Cache-key fingerprint: FNV-1a over the landmark set and table shape —
-  /// cheap (O(|L|)) and distinct across differently-built indexes with
-  /// overwhelming probability (different landmark node sets). Mixed into
-  /// TargetBoundCache keys so set aggregates computed from one index are
-  /// never served to another.
-  uint64_t Identity() const;
-
   /// δ(landmark_l, v); kInfLength if unreachable.
   PathLength DistFromLandmark(uint32_t l, NodeId v) const {
     return Widen(dist_from_[Slot(l, v)]);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -156,123 +157,6 @@ PathLength LandmarkSetBound::Estimate(NodeId u) const {
     best = std::max(best, std::max(t1, t2));
   }
   return best == kInf32 ? kInfLength : best;
-}
-
-size_t TargetBoundCache::KeyHash::operator()(const Key& key) const {
-  size_t h = 14695981039346656037ull;
-  constexpr size_t kPrime = 1099511628211ull;
-  h = (h ^ key.index) * kPrime;
-  h = (h ^ key.epoch) * kPrime;
-  h = (h ^ static_cast<size_t>(key.direction)) * kPrime;
-  for (NodeId x : key.set) h = (h ^ x) * kPrime;
-  return h;
-}
-
-TargetBoundCache::TargetBoundCache(size_t budget_bytes)
-    : budget_bytes_(budget_bytes) {}
-
-size_t TargetBoundCache::EntryBytes(const Key& key,
-                                    const LandmarkSetAggregates& agg) {
-  return 2 * key.set.capacity() * sizeof(NodeId) + agg.MemoryBytes() + 128;
-}
-
-std::shared_ptr<const LandmarkSetAggregates> TargetBoundCache::Lookup(
-    uint64_t index_identity, uint64_t epoch, BoundDirection direction,
-    std::span<const NodeId> set) {
-  Key key{index_identity, epoch, direction,
-          std::vector<NodeId>(set.begin(), set.end())};
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second->second;
-}
-
-void TargetBoundCache::Insert(
-    uint64_t index_identity, uint64_t epoch, BoundDirection direction,
-    std::span<const NodeId> set,
-    std::shared_ptr<const LandmarkSetAggregates> aggregates) {
-  KPJ_CHECK(aggregates != nullptr);
-  Key key{index_identity, epoch, direction,
-          std::vector<NodeId>(set.begin(), set.end())};
-  size_t bytes = EntryBytes(key, *aggregates);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    bytes_ -= EntryBytes(it->second->first, *it->second->second);
-    bytes_ += bytes;
-    it->second->second = std::move(aggregates);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.emplace_front(std::move(key), std::move(aggregates));
-  index_.emplace(lru_.front().first, lru_.begin());
-  bytes_ += bytes;
-  while (bytes_ > budget_bytes_ && lru_.size() > 1) {
-    auto& victim = lru_.back();
-    bytes_ -= EntryBytes(victim.first, *victim.second);
-    index_.erase(victim.first);
-    lru_.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void TargetBoundCache::PurgeOlderEpochs(uint64_t current_epoch) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->first.epoch < current_epoch) {
-      bytes_ -= EntryBytes(it->first, *it->second);
-      index_.erase(it->first);
-      it = lru_.erase(it);
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      ++it;
-    }
-  }
-}
-
-TargetBoundCacheStats TargetBoundCache::StatsSnapshot() const {
-  TargetBoundCacheStats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.evictions = evictions_.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(mu_);
-  stats.bytes = bytes_;
-  stats.entries = lru_.size();
-  return stats;
-}
-
-void TargetBoundCache::ResetStats() {
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
-}
-
-std::unique_ptr<Heuristic> MakeCachedSetBound(
-    const LandmarkIndex* index, std::span<const NodeId> set,
-    BoundDirection direction, NodeId scoring_node, uint32_t max_active,
-    TargetBoundCache* cache, uint64_t epoch, AlgoStats* algo) {
-  KPJ_CHECK(index != nullptr);
-  std::shared_ptr<const LandmarkSetAggregates> agg;
-  if (cache == nullptr) {
-    agg = LandmarkSetBound::ComputeAggregates(*index, set, direction);
-  } else {
-    const uint64_t identity = index->Identity();
-    agg = cache->Lookup(identity, epoch, direction, set);
-    if (agg != nullptr) {
-      if (algo != nullptr) ++algo->bound_cache_hits;
-    } else {
-      if (algo != nullptr) ++algo->bound_cache_misses;
-      agg = LandmarkSetBound::ComputeAggregates(*index, set, direction);
-      cache->Insert(identity, epoch, direction, set, agg);
-    }
-  }
-  return std::make_unique<LandmarkSetBound>(index, std::move(agg), direction,
-                                            scoring_node, max_active);
 }
 
 }  // namespace kpj

@@ -1,17 +1,11 @@
 #ifndef KPJ_INDEX_TARGET_BOUND_H_
 #define KPJ_INDEX_TARGET_BOUND_H_
 
-#include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "core/instrumentation.h"
 #include "index/landmark_index.h"
 #include "sssp/heuristic.h"
 #include "util/types.h"
@@ -32,7 +26,7 @@ enum class BoundDirection {
 /// Per-landmark distance aggregates over a fixed node set — the O(|L|*|S|)
 /// part of building a LandmarkSetBound, and a pure function of (landmark
 /// tables, set, direction). Shareable across queries hitting the same
-/// category: see TargetBoundCache.
+/// category: the engine caches it as SptCacheKind::kSetBound.
 struct LandmarkSetAggregates {
   std::vector<PathLength> min_primary;   // kToSet: min_x δ(w,x); kFromSet: min_x δ(x,w)
   std::vector<PathLength> max_secondary; // kToSet: max_x δ(x,w); kFromSet: max_x δ(w,x)
@@ -128,80 +122,6 @@ class LandmarkSetBound final : public Heuristic {
   std::vector<uint32_t> p_;
   std::vector<uint32_t> q_;
 };
-
-/// Monotonic operation counters plus the current byte footprint.
-struct TargetBoundCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t evictions = 0;
-  size_t bytes = 0;
-  size_t entries = 0;
-};
-
-/// LRU cache of LandmarkSetAggregates keyed by (index identity, epoch,
-/// direction, node set) — the category-bound cache: repeated KPJ queries
-/// against the same POI category pay the per-set aggregation once.
-/// Thread-safe. LandmarkIndex::Identity() is part of the key, so aggregates
-/// computed from one index are never served to another. Epoch invalidation
-/// is lazy (the epoch is part of the key) plus eager via PurgeOlderEpochs.
-class TargetBoundCache {
- public:
-  explicit TargetBoundCache(size_t budget_bytes);
-
-  TargetBoundCache(const TargetBoundCache&) = delete;
-  TargetBoundCache& operator=(const TargetBoundCache&) = delete;
-
-  std::shared_ptr<const LandmarkSetAggregates> Lookup(
-      uint64_t index_identity, uint64_t epoch, BoundDirection direction,
-      std::span<const NodeId> set);
-
-  void Insert(uint64_t index_identity, uint64_t epoch,
-              BoundDirection direction, std::span<const NodeId> set,
-              std::shared_ptr<const LandmarkSetAggregates> aggregates);
-
-  /// Eagerly removes every entry older than `current_epoch`; removals
-  /// count as evictions.
-  void PurgeOlderEpochs(uint64_t current_epoch);
-
-  TargetBoundCacheStats StatsSnapshot() const;
-  void ResetStats();
-
- private:
-  struct Key {
-    uint64_t index;  // LandmarkIndex::Identity()
-    uint64_t epoch;
-    BoundDirection direction;
-    std::vector<NodeId> set;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    size_t operator()(const Key& key) const;
-  };
-  using LruList = std::list<
-      std::pair<Key, std::shared_ptr<const LandmarkSetAggregates>>>;
-
-  static size_t EntryBytes(const Key& key, const LandmarkSetAggregates& agg);
-
-  size_t budget_bytes_;
-  mutable std::mutex mu_;
-  LruList lru_;  // front = most recently used
-  std::unordered_map<Key, LruList::iterator, KeyHash> index_;
-  size_t bytes_ = 0;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
-};
-
-/// Builds the landmark set bound, serving the O(|L| * |S|) per-set
-/// aggregation from `cache` when possible. With a null cache this is the
-/// plain LandmarkSetBound constructor. Cache hits/misses are counted into
-/// `algo` (if non-null) — and, either way, the returned bound is
-/// byte-identical to an uncached one: aggregates are a pure function of the
-/// key.
-std::unique_ptr<Heuristic> MakeCachedSetBound(
-    const LandmarkIndex* index, std::span<const NodeId> set,
-    BoundDirection direction, NodeId scoring_node, uint32_t max_active,
-    TargetBoundCache* cache, uint64_t epoch, AlgoStats* algo);
 
 }  // namespace kpj
 

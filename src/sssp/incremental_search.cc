@@ -80,18 +80,6 @@ void IncrementalSearch::AdvanceToBound(
   }
 }
 
-bool IncrementalSearch::AdvanceUntilSettled(
-    NodeId stop, const std::function<void(NodeId)>& on_settle) {
-  if (Settled(stop)) return true;
-  while (!heap_.empty()) {
-    if (cancel_ != nullptr && cancel_->ShouldStop()) return false;
-    NodeId u = heap_.Pop();
-    Settle(u, on_settle);
-    if (u == stop) return true;
-  }
-  return false;
-}
-
 NodeId IncrementalSearch::AdvanceUntilAnySettled(
     const EpochSet& stops, const std::function<void(NodeId)>& on_settle) {
   while (!heap_.empty()) {

@@ -75,8 +75,7 @@ class IncrementalSearch {
 
   /// Installs a cooperative cancellation token polled once per settled
   /// node in the Advance* loops; a tripped token makes them return early
-  /// (AdvanceUntilSettled false / AdvanceUntilAnySettled kInvalidNode, as
-  /// if exhausted). nullptr (the default) disables polling. Callers must
+  /// (AdvanceUntilAnySettled with kInvalidNode, as if exhausted). nullptr (the default) disables polling. Callers must
   /// check the token after an advance before trusting the outcome.
   void SetCancelToken(const CancellationToken* cancel) { cancel_ = cancel; }
 
@@ -93,14 +92,9 @@ class IncrementalSearch {
   void AdvanceToBound(PathLength bound,
                       const std::function<void(NodeId)>& on_settle = nullptr);
 
-  /// Settles nodes until `stop` is settled or the frontier is exhausted.
-  /// Returns true if `stop` was settled.
-  bool AdvanceUntilSettled(NodeId stop,
-                           const std::function<void(NodeId)>& on_settle =
-                               nullptr);
-
   /// Settles nodes until some member of `stops` is settled; returns that
-  /// node, or kInvalidNode if the frontier is exhausted first.
+  /// node, or kInvalidNode if the frontier is exhausted first. Only a node
+  /// this call settles stops it: a member settled earlier does not.
   NodeId AdvanceUntilAnySettled(const EpochSet& stops,
                                 const std::function<void(NodeId)>& on_settle =
                                     nullptr);

@@ -177,10 +177,12 @@ TEST_P(CacheReuseTest, RepeatedSourcesActuallyHitTheCache) {
   EXPECT_EQ(own.answer_cache_misses, snap.algo.answer_cache_misses);
   EXPECT_EQ(snap.algo.answer_cache_hits + snap.algo.answer_cache_misses,
             batch.size());
-  // Each miss here is a complete, small answer, so each one is inserted:
-  // the insertions beyond the answer misses are SPT substrate.
-  const uint64_t spt_insertions =
-      snap.spt_cache_insertions - snap.algo.answer_cache_misses;
+  // Each miss here is a complete, small answer, and each set-bound miss
+  // inserts its small aggregates, so each one is inserted: the insertions
+  // beyond the answer and set-bound misses are SPT substrate.
+  const uint64_t spt_insertions = snap.spt_cache_insertions -
+                                  snap.algo.answer_cache_misses -
+                                  snap.algo.bound_cache_misses;
   // DA has no cacheable substrate, and SPT_P caches none: it makes no SPT
   // lookup and inserts nothing but its answers. Every other algorithm
   // must both miss (first sight of a source) and hit (the same source at

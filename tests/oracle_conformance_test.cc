@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/instrumentation.h"
+#include "core/spt_cache.h"
 #include "graph/graph_builder.h"
 #include "graph/reorder.h"
 #include "index/landmark_index.h"
@@ -223,14 +224,15 @@ TEST(OracleConformanceTest, CachedSetBoundMatchesUncached) {
   Graph rev = g.Reverse();
   std::unique_ptr<LandmarkIndex> oracle = MakeOracle(g, rev);
   std::vector<NodeId> set = {2, 18, 33};
-  TargetBoundCache cache(1 << 20);
+  SptCache cache(1 << 20);
+  const QueryCacheContext context{&cache, /*epoch=*/1};
   AlgoStats algo;
   std::unique_ptr<Heuristic> plain = MakeCachedSetBound(
       oracle.get(), set, BoundDirection::kToSet, /*scoring_node=*/4,
-      /*max_active=*/2, /*cache=*/nullptr, /*epoch=*/1, nullptr);
+      /*max_active=*/2, /*cache=*/nullptr, nullptr);
   for (int round = 0; round < 2; ++round) {  // Round 0 misses, 1 hits.
     std::unique_ptr<Heuristic> cached = MakeCachedSetBound(
-        oracle.get(), set, BoundDirection::kToSet, 4, 2, &cache, 1, &algo);
+        oracle.get(), set, BoundDirection::kToSet, 4, 2, &context, &algo);
     for (NodeId u = 0; u < g.NumNodes(); ++u) {
       ASSERT_EQ(cached->Estimate(u), plain->Estimate(u))
           << "round " << round << " u=" << u;
@@ -238,19 +240,6 @@ TEST(OracleConformanceTest, CachedSetBoundMatchesUncached) {
   }
   EXPECT_EQ(algo.bound_cache_misses, 1u);
   EXPECT_EQ(algo.bound_cache_hits, 1u);
-}
-
-TEST(OracleConformanceTest, IdentityIsStableAndContentBound) {
-  Graph g = RandomGraph(26, 35, 0.1, true);
-  Graph rev = g.Reverse();
-  std::unique_ptr<LandmarkIndex> a = MakeOracle(g, rev);
-  std::unique_ptr<LandmarkIndex> b = MakeOracle(g, rev);
-  // Same build recipe => same identity (cache keys survive rebuilds)...
-  EXPECT_EQ(a->Identity(), b->Identity());
-  // ...different graph => different identity (no cross-content reuse).
-  Graph other = RandomGraph(27, 35, 0.1, true);
-  std::unique_ptr<LandmarkIndex> c = MakeOracle(other, other.Reverse());
-  EXPECT_NE(a->Identity(), c->Identity());
 }
 
 TEST(OracleRemapTest, RemapRoundTrips) {

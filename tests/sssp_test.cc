@@ -133,7 +133,7 @@ TEST(IncrementalSearchTest, MultiSourceInitialOffsets) {
   EXPECT_EQ(inc.Parent(2), 1u);
 }
 
-TEST(IncrementalSearchTest, AdvanceUntilSettledStopsWithExactDistance) {
+TEST(IncrementalSearchTest, AdvanceUntilAnySettledStopsWithExactDistance) {
   struct Case {
     uint64_t graph_seed;
     NodeId n;
@@ -148,10 +148,14 @@ TEST(IncrementalSearchTest, AdvanceUntilSettledStopsWithExactDistance) {
     ZeroHeuristic zero;
     IncrementalSearch inc(g, &zero);
     std::vector<PathLength> expected = BellmanFord(g, c.source);
+    EpochSet stop(g.NumNodes());
     for (NodeId t : c.stops) {
       std::pair<NodeId, PathLength> source[] = {{c.source, 0}};
       inc.Initialize(source);
-      EXPECT_EQ(inc.AdvanceUntilSettled(t), expected[t] != kInfLength);
+      stop.ClearAll();
+      stop.Insert(t);
+      EXPECT_EQ(inc.AdvanceUntilAnySettled(stop),
+                expected[t] != kInfLength ? t : kInvalidNode);
       if (expected[t] != kInfLength) {
         EXPECT_EQ(inc.Distance(t), expected[t]);
       }
@@ -174,12 +178,15 @@ TEST(IncrementalSearchTest, LandmarkHeuristicIsExactAndAdmissible) {
   std::vector<NodeId> targets = {13};
   LandmarkSetBound bound(&landmarks, targets, BoundDirection::kToSet);
   IncrementalSearch astar(g, &bound);
+  EpochSet stop(g.NumNodes());
+  stop.Insert(13);
   for (NodeId s = 0; s < g.NumNodes(); ++s) {
     std::vector<PathLength> expected = BellmanFord(g, s);
     EXPECT_LE(bound.Estimate(s), expected[13]) << "source " << s;
     std::pair<NodeId, PathLength> source[] = {{s, 0}};
     astar.Initialize(source);
-    EXPECT_EQ(astar.AdvanceUntilSettled(13), expected[13] != kInfLength)
+    EXPECT_EQ(astar.AdvanceUntilAnySettled(stop),
+              expected[13] != kInfLength ? 13 : kInvalidNode)
         << "source " << s;
     if (expected[13] != kInfLength) {
       EXPECT_EQ(astar.Distance(13), expected[13]) << "source " << s;
@@ -238,7 +245,9 @@ TEST(IncrementalSearchTest, UnreachableNodesStayInfinite) {
   EXPECT_EQ(inc.Distance(2), kInfLength);
   EXPECT_FALSE(inc.Settled(2));
   EXPECT_TRUE(inc.PathTo(2).empty());
-  EXPECT_FALSE(inc.AdvanceUntilSettled(2));
+  EpochSet stop(g.NumNodes());
+  stop.Insert(2);
+  EXPECT_EQ(inc.AdvanceUntilAnySettled(stop), kInvalidNode);
 }
 
 TEST(IncrementalSearchTest, DistancesToSetHelper) {
