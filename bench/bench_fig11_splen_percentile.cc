@@ -42,15 +42,15 @@ int main() {
     // Sampled all-pairs distance population.
     Rng rng(31);
     ZeroHeuristic zero;
-    IncrementalSearch forward(ds.graph, &zero);
+    IncrementalSearch forward(ds.graph);
     std::vector<double> population;
     // Subsample recorded distances on big graphs to bound memory.
     size_t stride = std::max<size_t>(1, ds.graph.NumNodes() / 100000);
     for (int s = 0; s < kPopulationSources; ++s) {
       NodeId src = static_cast<NodeId>(rng.NextBounded(ds.graph.NumNodes()));
       const std::pair<NodeId, PathLength> seed[] = {{src, 0}};
-      forward.Initialize(seed);
-      forward.AdvanceToBound(kInfLength);
+      forward.Initialize(seed, zero);
+      forward.AdvanceToBound(kInfLength, zero);
       for (NodeId v = 0; v < ds.graph.NumNodes(); v += stride) {
         PathLength d = forward.Distance(v);
         if (d != kInfLength) population.push_back(static_cast<double>(d));

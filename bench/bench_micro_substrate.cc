@@ -53,13 +53,13 @@ BENCHMARK(BM_IndexedHeapPushPop)->Arg(1024)->Arg(65536);
 void BM_DijkstraFullSssp(benchmark::State& state) {
   const Graph& g = Network().graph;
   ZeroHeuristic zero;
-  IncrementalSearch engine(g, &zero);
+  IncrementalSearch engine(g);
   Rng rng(3);
   for (auto _ : state) {
     const std::pair<NodeId, PathLength> source[] = {
         {static_cast<NodeId>(rng.NextBounded(g.NumNodes())), 0}};
-    engine.Initialize(source);
-    engine.AdvanceToBound(kInfLength);
+    engine.Initialize(source, zero);
+    engine.AdvanceToBound(kInfLength, zero);
     benchmark::DoNotOptimize(engine.Distance(0));
   }
   state.SetItemsProcessed(state.iterations() * g.NumNodes());
@@ -69,17 +69,17 @@ BENCHMARK(BM_DijkstraFullSssp);
 void BM_PointToPointDijkstra(benchmark::State& state) {
   const Graph& g = Network().graph;
   ZeroHeuristic zero;
-  IncrementalSearch engine(g, &zero);
+  IncrementalSearch engine(g);
   EpochSet stop(g.NumNodes());
   Rng rng(4);
   for (auto _ : state) {
     NodeId s = static_cast<NodeId>(rng.NextBounded(g.NumNodes()));
     NodeId t = static_cast<NodeId>(rng.NextBounded(g.NumNodes()));
     const std::pair<NodeId, PathLength> source[] = {{s, 0}};
-    engine.Initialize(source);
+    engine.Initialize(source, zero);
     stop.ClearAll();
     stop.Insert(t);
-    benchmark::DoNotOptimize(engine.AdvanceUntilAnySettled(stop));
+    benchmark::DoNotOptimize(engine.AdvanceUntilAnySettled(stop, zero));
   }
 }
 BENCHMARK(BM_PointToPointDijkstra);
@@ -88,20 +88,18 @@ void BM_PointToPointAStarLandmarks(benchmark::State& state) {
   const Graph& g = Network().graph;
   const LandmarkIndex& landmarks = Landmarks();
   Rng rng(4);  // Same seed: same (s, t) pairs as the Dijkstra bench.
-  ZeroHeuristic zero;
-  IncrementalSearch astar(g, &zero);
+  IncrementalSearch astar(g);
   EpochSet stop(g.NumNodes());
   for (auto _ : state) {
     NodeId s = static_cast<NodeId>(rng.NextBounded(g.NumNodes()));
     NodeId t = static_cast<NodeId>(rng.NextBounded(g.NumNodes()));
     std::vector<NodeId> set = {t};
     LandmarkSetBound bound(&landmarks, set, BoundDirection::kToSet);
-    astar.SetHeuristic(&bound);
     const std::pair<NodeId, PathLength> source[] = {{s, 0}};
-    astar.Initialize(source);
+    astar.Initialize(source, bound);
     stop.ClearAll();
     stop.Insert(t);
-    benchmark::DoNotOptimize(astar.AdvanceUntilAnySettled(stop));
+    benchmark::DoNotOptimize(astar.AdvanceUntilAnySettled(stop, bound));
   }
 }
 BENCHMARK(BM_PointToPointAStarLandmarks);

@@ -109,11 +109,11 @@ struct StrategyRow {
 double MeanDijkstraMillis(const Graph& graph,
                           const std::vector<NodeId>& sources) {
   ZeroHeuristic zero;
-  IncrementalSearch engine(graph, &zero);
+  IncrementalSearch engine(graph);
   auto run = [&](NodeId s) {
     const std::pair<NodeId, PathLength> seed[] = {{s, 0}};
-    engine.Initialize(seed);
-    engine.AdvanceToBound(kInfLength);
+    engine.Initialize(seed, zero);
+    engine.AdvanceToBound(kInfLength, zero);
   };
   run(sources.front());
   Timer timer;
@@ -126,13 +126,13 @@ double MeanDijkstraMillis(const Graph& graph,
 /// the rest of the solver.
 double MeanSptiMillis(const Graph& graph, const std::vector<NodeId>& sources) {
   ZeroHeuristic zero;
-  IncrementalSearch engine(graph, &zero);
+  IncrementalSearch engine(graph);
   auto grow = [&](NodeId s) {
     const std::pair<NodeId, PathLength> seed[] = {{s, 0}};
-    engine.Initialize(seed);
+    engine.Initialize(seed, zero);
     PathLength bound = 1 << 12;
     while (!engine.Exhausted()) {
-      engine.AdvanceToBound(bound);
+      engine.AdvanceToBound(bound, zero);
       bound *= 2;
     }
   };

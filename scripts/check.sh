@@ -121,15 +121,41 @@ echo "observability smoke OK"
 # --- Landmark smoke: build landmark (ALT) tables offline, then answer the
 # same query with and without them; the top-k length profiles must agree
 # (path identities may differ under ties, so only the "(len N)" suffixes
-# are compared).
-"$cli" landmarks --graph "$smoke_dir/g.bin" --out "$smoke_dir/g.lm" \
-  --count 4 > /dev/null
-"$cli" query --graph "$smoke_dir/g.bin" --landmarks "$smoke_dir/g.lm" \
-  --source 0 --targets 100,200,300 --k 5 \
-  | grep -o 'len [0-9]*' > "$smoke_dir/alt_lens.txt"
-"$cli" query --graph "$smoke_dir/g.bin" --source 0 \
-  --targets 100,200,300 --k 5 | grep -o 'len [0-9]*' > "$smoke_dir/plain_lens.txt"
-diff "$smoke_dir/alt_lens.txt" "$smoke_dir/plain_lens.txt"
+# are compared). The build must be byte-identical at any thread count. It
+# runs on the generated road graph, which is its own reverse (one forward
+# run per landmark fills both tables), and on a small DIMACS graph with
+# one-way arcs, which also needs the backward runs.
+python3 - "$smoke_dir/oneway.gr" <<'PY'
+import random, sys
+rng = random.Random(5)
+n = 300
+arcs = {}
+for u in range(1, n + 1):
+    arcs[(u, u % n + 1)] = rng.randint(1, 20)  # A cycle: strongly connected.
+    for _ in range(3):
+        v = rng.randint(1, n)
+        if v != u:
+            arcs[(u, v)] = rng.randint(1, 20)
+with open(sys.argv[1], "w") as f:
+    f.write("p sp %d %d\n" % (n, len(arcs)))
+    for (u, v), w in sorted(arcs.items()):
+        f.write("a %d %d %d\n" % (u, v, w))
+PY
+for graph in g.bin oneway.gr; do
+  base="$smoke_dir/${graph%.*}"
+  "$cli" landmarks --graph "$smoke_dir/$graph" --out "$base.lm" \
+    --count 4 --threads 1 > /dev/null
+  "$cli" landmarks --graph "$smoke_dir/$graph" --out "$base.t3.lm" \
+    --count 4 --threads 3 > /dev/null
+  cmp "$base.lm" "$base.t3.lm"
+  "$cli" query --graph "$smoke_dir/$graph" --landmarks "$base.lm" \
+    --source 0 --targets 100,200,250 --k 5 \
+    | grep -o 'len [0-9]*' > "$base.alt_lens.txt"
+  "$cli" query --graph "$smoke_dir/$graph" --source 0 \
+    --targets 100,200,250 --k 5 | grep -o 'len [0-9]*' > "$base.plain_lens.txt"
+  [[ -s "$base.plain_lens.txt" ]]
+  diff "$base.alt_lens.txt" "$base.plain_lens.txt"
+done
 echo "landmark smoke OK"
 
 # --- Zero-copy (v4) smoke: convert the graph to the mmap format with the

@@ -39,7 +39,7 @@ bool BestFirstFramework::ComputeRootPath(const PreparedQuery& query,
   request.cancel = cancel_;
 
   ++stats->shortest_path_computations;
-  SubspaceSearchResult result = search_.Run(request, *heuristic_, stats);
+  SubspaceSearchResult result = search_.Run(request, bound_, stats);
   if (result.outcome != SearchOutcome::kFound) return false;
 
   initial->vertex = tree_.root();
@@ -57,14 +57,13 @@ bool BestFirstFramework::InitializeQuery(const PreparedQuery& query,
   SptCache* spt_cache = query.cache != nullptr ? query.cache->spt : nullptr;
   const uint64_t epoch = query.cache != nullptr ? query.cache->epoch : 0;
 
+  LandmarkSetBound oracle_bound;
   if (options_.oracle != nullptr) {
-    oracle_bound_ = MakeCachedSetBound(
+    oracle_bound = MakeCachedSetBound(
         options_.oracle, query.targets, BoundDirection::kToSet, query.root(),
         options_.max_active_landmarks, query.cache, &stats->algo);
-    heuristic_ = oracle_bound_.get();
-  } else {
-    heuristic_ = &zero_;
   }
+  bound_ = TreeBound(/*tree=*/nullptr, std::move(oracle_bound));
 
   // Cross-query reuse: the overall shortest path (including "there is
   // none") is a pure function of (sources, targets, heuristic config), so
@@ -130,7 +129,7 @@ double BestFirstFramework::CompLB(uint32_t v, uint32_t limit,
       }
     }
     if (banned) continue;
-    PathLength h = heuristic_->Estimate(e.to);
+    PathLength h = bound_.Estimate(e.to);
     if (h == kInfLength) continue;  // Proven dead end.
     double est = static_cast<double>(
         SatAdd(vx.prefix_length, SatAdd(e.weight, h)));
@@ -204,7 +203,6 @@ KpjResult BestFirstFramework::Run(const PreparedQuery& query) {
     }
     return res;
   }
-  KPJ_DCHECK(heuristic_ != nullptr);
 
   SubspaceQueue queue;
   ++res.stats.algo.candidates_generated;
@@ -254,8 +252,7 @@ KpjResult BestFirstFramework::Run(const PreparedQuery& query) {
     } else {
       ++res.stats.shortest_path_computations;
     }
-    SubspaceSearchResult result =
-        search_.Run(request, *heuristic_, &res.stats);
+    SubspaceSearchResult result = search_.Run(request, bound_, &res.stats);
     if (cancel_ != nullptr && cancel_->ShouldStop()) break;
     switch (result.outcome) {
       case SearchOutcome::kFound: {

@@ -1,17 +1,15 @@
 #ifndef KPJ_CORE_BEST_FIRST_H_
 #define KPJ_CORE_BEST_FIRST_H_
 
-#include <memory>
-#include <optional>
+#include <vector>
 
 #include "core/constraint.h"
+#include "core/heuristics.h"
 #include "core/intra.h"
 #include "core/kpj_query.h"
 #include "core/pseudo_tree.h"
 #include "core/solver.h"
 #include "core/subspace.h"
-#include "index/target_bound.h"
-#include "sssp/heuristic.h"
 
 namespace kpj {
 
@@ -39,7 +37,7 @@ class BestFirstFramework : public KpjSolver {
   BestFirstFramework(const Graph& graph, const Graph& reverse,
                      const KpjOptions& options, bool iterative_bounding);
 
-  /// Prepares per-query state: must set `heuristic_` (a lower bound on
+  /// Prepares per-query state: must set `bound_` (a lower bound on
   /// distance-to-destination-set, admissible under the subspace
   /// constraints) and fill `initial` with the overall shortest path as a
   /// root-subspace entry. Returns false if the query has no path at all.
@@ -56,13 +54,12 @@ class BestFirstFramework : public KpjSolver {
   const KpjOptions options_;
   ConstrainedSearch search_;
   PseudoTree tree_;
-  ZeroHeuristic zero_;
-  /// Per-query heuristic; set by InitializeQuery. Estimate() is const over
-  /// state the main loop does not mutate mid-round, so deviation lanes
-  /// share it without synchronization.
-  const Heuristic* heuristic_ = nullptr;
-  /// Storage for the base class's per-query oracle set bound (Eq. (2)).
-  std::unique_ptr<Heuristic> oracle_bound_;
+  /// Per-query bound: the oracle's Eq. (2) bound (zero without one), with
+  /// SPT_P's exact distances in front for IterBound-SPT_P. Set by
+  /// InitializeQuery. Estimate() is const over state the main loop does
+  /// not mutate mid-round, so deviation lanes share it without
+  /// synchronization.
+  TreeBound bound_;
   /// Per-query cancellation token (from PreparedQuery); set by Run before
   /// InitializeQuery so derived initializers can honor it too.
   const CancellationToken* cancel_ = nullptr;

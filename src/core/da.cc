@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "sssp/heuristic.h"
+
 namespace kpj {
 
 DaSolver::DaSolver(const Graph& graph, const Graph& reverse,
@@ -22,7 +24,7 @@ bool DaSolver::ComputeCandidate(uint32_t v, ConstrainedSearch& cs,
 
   ++stats->shortest_path_computations;
   ++stats->subspaces_created;
-  SubspaceSearchResult result = cs.Run(request, zero_, stats);
+  SubspaceSearchResult result = cs.Run(request, ZeroHeuristic{}, stats);
   if (result.outcome != SearchOutcome::kFound) {
     ++stats->algo.candidates_pruned;
     return false;

@@ -11,7 +11,6 @@
 #include "core/pseudo_tree.h"
 #include "core/solver.h"
 #include "core/subspace.h"
-#include "sssp/heuristic.h"
 
 namespace kpj {
 
@@ -52,7 +51,6 @@ class DaSolver final : public KpjSolver {
   const Graph& graph_;
   ConstrainedSearch search_;
   PseudoTree tree_;
-  ZeroHeuristic zero_;
   /// Per-query cancellation token (from PreparedQuery); set by Run.
   const CancellationToken* cancel_ = nullptr;
   /// Per-query intra-parallelism context (from PreparedQuery); set by Run.

@@ -15,7 +15,7 @@ DaSptSolver::DaSptSolver(const Graph& graph, const Graph& reverse,
     : graph_(graph),
       reverse_(reverse),
       search_(graph),
-      reverse_search_(reverse, &zero_) {
+      reverse_search_(reverse) {
   (void)options;  // DA-SPT uses neither landmarks nor alpha.
 }
 
@@ -197,8 +197,8 @@ KpjResult DaSptSolver::Run(const PreparedQuery& query) {
     for (NodeId t : query.targets) seeds.emplace_back(t, 0);
     reverse_search_.SetCancelToken(cancel_);
     reverse_search_.SetAlgoStats(&res.stats.algo);
-    reverse_search_.Initialize(seeds);
-    reverse_search_.AdvanceToBound(kInfLength);
+    reverse_search_.Initialize(seeds, ZeroHeuristic{});
+    reverse_search_.AdvanceToBound(kInfLength, ZeroHeuristic{});
     reverse_search_.SetAlgoStats(nullptr);  // res is stack storage.
     res.stats.nodes_settled += reverse_search_.stats().nodes_settled;
     res.stats.edges_relaxed += reverse_search_.stats().edges_relaxed;

@@ -58,7 +58,6 @@ class DaSptSolver final : public KpjSolver {
   const Graph& graph_;
   const Graph& reverse_;
   ConstrainedSearch search_;
-  ZeroHeuristic zero_;
   /// Plain Dijkstra (zero heuristic) on the reverse graph, run to
   /// exhaustion from all of V_T to build full_spt_.
   IncrementalSearch reverse_search_;

@@ -1,7 +1,9 @@
 #ifndef KPJ_CORE_HEURISTICS_H_
 #define KPJ_CORE_HEURISTICS_H_
 
-#include "sssp/heuristic.h"
+#include <utility>
+
+#include "index/target_bound.h"
 #include "sssp/incremental_search.h"
 #include "sssp/spt.h"
 #include "util/types.h"
@@ -12,60 +14,60 @@ namespace kpj {
 /// shortest path tree (§3): dist[u] is the exact unconstrained distance
 /// from u to the destination set, which is an admissible (and maximally
 /// informed) bound inside any subspace.
-class FullSptBound final : public Heuristic {
+class FullSptBound {
  public:
   /// `spt` must outlive this object; dist is indexed by node id.
   explicit FullSptBound(const SptResult* spt) : spt_(spt) {}
 
-  PathLength Estimate(NodeId u) const override {
+  PathLength Estimate(NodeId u) const {
     KPJ_DCHECK(u < spt_->dist.size());
     return spt_->dist[u];  // kInfLength marks proven unreachability.
   }
+  void Prefetch(NodeId) const {}
 
  private:
   const SptResult* spt_;
 };
 
-/// SPT_P-augmented bound (§5.2): exact distance for nodes inside the
-/// partial shortest path tree, fallback bound (Eq. (2) landmarks, or zero)
-/// elsewhere. "We give SPT_P a higher priority, because ... the lower bound
-/// computed using SPT_P is guaranteed to be not smaller."
-class SptpBound final : public Heuristic {
+/// Tree-augmented bound: the exact distance for nodes a search tree has
+/// settled, the landmark fallback (Eq. (2), or zero from an empty index)
+/// elsewhere. It serves two roles:
+///  * SPT_P (§5.2): the tree is the reverse-graph PartialSPT from V_T, so
+///    a settled node's distance is its exact distance to the destination
+///    set. "We give SPT_P a higher priority, because ... the lower bound
+///    computed using SPT_P is guaranteed to be not smaller."
+///  * SPT_I (§5.3): the tree is the forward incremental tree from the
+///    source, so a settled node's distance is the exact remaining distance
+///    of the reverse-oriented search. Outside the tree the fallback only
+///    matters to CompLB-SPT_I: TestLB-SPT_I never visits such nodes.
+/// With no tree (BestFirst, IterBound) it is the fallback alone.
+class TreeBound {
  public:
-  /// `sptp` is the reverse-graph incremental search whose settled set is
-  /// the partial SPT; `fallback` supplies bounds outside it. Both must
-  /// outlive this object.
-  SptpBound(const IncrementalSearch* sptp, const Heuristic* fallback)
-      : sptp_(sptp), fallback_(fallback) {}
+  /// The all-zero bound.
+  TreeBound() = default;
 
-  PathLength Estimate(NodeId u) const override {
-    if (sptp_->Settled(u)) return sptp_->Distance(u);
-    return fallback_->Estimate(u);
+  /// `tree` (may be null: no tree) must outlive this object.
+  TreeBound(const IncrementalSearch* tree, LandmarkSetBound fallback)
+      : tree_(tree), fallback_(std::move(fallback)) {}
+
+  PathLength Estimate(NodeId u) const {
+    if (InTree(u)) return tree_->Distance(u);
+    return fallback_.Estimate(u);
+  }
+
+  /// Only the fallback reads memory worth prefetching. Always inlined,
+  /// like LandmarkSetBound::Prefetch.
+  [[gnu::always_inline]] void Prefetch(NodeId u) const {
+    if (!InTree(u)) fallback_.Prefetch(u);
   }
 
  private:
-  const IncrementalSearch* sptp_;
-  const Heuristic* fallback_;
-};
-
-/// Source-distance bound for the reverse-oriented SPT_I search (§5.3):
-/// ds(v) from the forward incremental tree is the exact distance from the
-/// source to v, hence an admissible bound on the remaining reverse-search
-/// distance v -> source. Outside the tree the fallback applies (only
-/// reachable from CompLB-SPT_I; TestLB-SPT_I never visits such nodes).
-class SptiSourceBound final : public Heuristic {
- public:
-  SptiSourceBound(const IncrementalSearch* spti, const Heuristic* fallback)
-      : spti_(spti), fallback_(fallback) {}
-
-  PathLength Estimate(NodeId u) const override {
-    if (spti_->Settled(u)) return spti_->Distance(u);
-    return fallback_->Estimate(u);
+  bool InTree(NodeId u) const {
+    return tree_ != nullptr && tree_->Settled(u);
   }
 
- private:
-  const IncrementalSearch* spti_;
-  const Heuristic* fallback_;
+  const IncrementalSearch* tree_ = nullptr;
+  LandmarkSetBound fallback_;
 };
 
 }  // namespace kpj

@@ -189,7 +189,7 @@ void SptCache::ResetStats() {
   evictions_.store(0, std::memory_order_relaxed);
 }
 
-std::unique_ptr<Heuristic> MakeCachedSetBound(
+LandmarkSetBound MakeCachedSetBound(
     const LandmarkIndex* index, std::span<const NodeId> set,
     BoundDirection direction, NodeId scoring_node, uint32_t max_active,
     const QueryCacheContext* cache, AlgoStats* algo) {
@@ -212,8 +212,8 @@ std::unique_ptr<Heuristic> MakeCachedSetBound(
       spt->Insert(std::move(key), std::move(value));
     }
   }
-  return std::make_unique<LandmarkSetBound>(index, std::move(agg), direction,
-                                            scoring_node, max_active);
+  return LandmarkSetBound(index, std::move(agg), direction, scoring_node,
+                          max_active);
 }
 
 }  // namespace kpj

@@ -268,7 +268,7 @@ struct QueryCacheContext {
 /// key. The key omits the index itself: an engine's cache serves one
 /// instance with one fixed set of options, whose landmarks change only
 /// with its epoch.
-std::unique_ptr<Heuristic> MakeCachedSetBound(
+LandmarkSetBound MakeCachedSetBound(
     const LandmarkIndex* index, std::span<const NodeId> set,
     BoundDirection direction, NodeId scoring_node, uint32_t max_active,
     const QueryCacheContext* cache, AlgoStats* algo);

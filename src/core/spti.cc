@@ -34,7 +34,7 @@ IterBoundSptiSolver::IterBoundSptiSolver(const Graph& graph,
       options_(options),
       use_landmarks_(use_landmarks),
       rev_search_(reverse),
-      spti_(graph, &zero_),
+      spti_(graph),
       path_rank_(reverse.NumNodes(), kUnranked),
       target_membership_(graph.NumNodes()) {
   KPJ_CHECK(options_.alpha > 1.0) << "alpha must exceed 1";
@@ -42,7 +42,7 @@ IterBoundSptiSolver::IterBoundSptiSolver(const Graph& graph,
 
 void IterBoundSptiSolver::GrowTree(double tau, QueryStats* stats) {
   size_t before = spti_.num_settled();
-  spti_.AdvanceToBound(TauToBound(tau), [this](NodeId v) {
+  spti_.AdvanceToBound(TauToBound(tau), forward_bound_, [this](NodeId v) {
     if (target_membership_.Contains(v)) d_.push_back(v);
   });
   // A "resume hit" answered the new τ entirely from the existing tree —
@@ -100,7 +100,7 @@ double IterBoundSptiSolver::CompLb(uint32_t v, uint32_t limit,
       }
     }
     if (banned) continue;
-    PathLength h = reverse_heuristic_->Estimate(e.to);
+    PathLength h = reverse_bound_.Estimate(e.to);
     if (h == kInfLength) continue;
     lb = std::min(lb, static_cast<double>(
                           SatAdd(vx.prefix_length, SatAdd(e.weight, h))));
@@ -163,23 +163,18 @@ KpjResult IterBoundSptiSolver::Run(const PreparedQuery& query) {
   const uint64_t epoch = query.cache != nullptr ? query.cache->epoch : 0;
 
   // Per-query bounds (§4.2 / §6).
-  const Heuristic* forward_guide = &zero_;
-  const Heuristic* source_fallback = &zero_;
+  forward_bound_ = LandmarkSetBound();
+  LandmarkSetBound source_bound;  // lb(s, v), Eq. (2)
   if (use_landmarks_ && options_.oracle != nullptr) {
     forward_bound_ = MakeCachedSetBound(
         options_.oracle, query.targets, BoundDirection::kToSet, query.root(),
         options_.max_active_landmarks, query.cache, &res.stats.algo);
-    forward_guide = forward_bound_.get();
-    source_bound_ = MakeCachedSetBound(
+    source_bound = MakeCachedSetBound(
         options_.oracle, query.sources, BoundDirection::kFromSet,
         query.targets.front(), options_.max_active_landmarks, query.cache,
         &res.stats.algo);
-    source_fallback = source_bound_.get();
-  } else {
-    forward_bound_.reset();
-    source_bound_.reset();
   }
-  reverse_heuristic_.emplace(&spti_, source_fallback);
+  reverse_bound_ = TreeBound(&spti_, std::move(source_bound));
 
   // Phase 1 of SPT_I: the initial shortest path as a by-product (§5.3).
   // Cross-query reuse caches the *end-of-phase-1* state only: the grown
@@ -187,7 +182,6 @@ KpjResult IterBoundSptiSolver::Run(const PreparedQuery& query) {
   // warm superset tree would change lower bounds (hence tie-breaking).
   // The phase-1 state is a pure function of (sources, targets, heuristic
   // config), so restoring it is byte-identical to recomputing it.
-  spti_.SetHeuristic(forward_guide);
   target_membership_.ClearAll();
   for (NodeId t : query.targets) target_membership_.Insert(t);
   d_.clear();
@@ -218,9 +212,9 @@ KpjResult IterBoundSptiSolver::Run(const PreparedQuery& query) {
     std::vector<std::pair<NodeId, PathLength>> seeds;
     seeds.reserve(query.sources.size());
     for (NodeId s : query.sources) seeds.emplace_back(s, 0);
-    spti_.Initialize(seeds);
+    spti_.Initialize(seeds, forward_bound_);
     hit = spti_.AdvanceUntilAnySettled(
-        target_membership_,
+        target_membership_, forward_bound_,
         [this](NodeId v) {
           if (target_membership_.Contains(v)) d_.push_back(v);
         });
@@ -318,7 +312,7 @@ KpjResult IterBoundSptiSolver::Run(const PreparedQuery& query) {
       ++res.stats.shortest_path_computations;
     }
     SubspaceSearchResult result =
-        rev_search_.Run(request, *reverse_heuristic_, &res.stats);
+        rev_search_.Run(request, reverse_bound_, &res.stats);
     if (cancel_ != nullptr && cancel_->ShouldStop()) break;
     switch (result.outcome) {
       case SearchOutcome::kFound: {

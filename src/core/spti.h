@@ -1,8 +1,6 @@
 #ifndef KPJ_CORE_SPTI_H_
 #define KPJ_CORE_SPTI_H_
 
-#include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/constraint.h"
@@ -70,9 +68,6 @@ class IterBoundSptiSolver final : public KpjSolver {
   const KpjOptions options_;
   const bool use_landmarks_;
 
-  // Declared before spti_, whose constructor takes &zero_: members are
-  // built in declaration order.
-  ZeroHeuristic zero_;
   ConstrainedSearch rev_search_;  // Bound to the reverse graph.
   IncrementalSearch spti_;        // Bound to the forward graph.
   PseudoTree tree_;
@@ -83,10 +78,9 @@ class IterBoundSptiSolver final : public KpjSolver {
   EpochSet target_membership_;
   std::vector<NodeId> d_;  // D: settled targets, in settle order.
 
-  // Per-query bound objects.
-  std::unique_ptr<Heuristic> forward_bound_;  // lb(v, V_T), Eq. (2)
-  std::unique_ptr<Heuristic> source_bound_;   // lb(s, v), Eq. (2)
-  std::optional<SptiSourceBound> reverse_heuristic_;
+  // Per-query bounds; all zero outside the tree for IterBound_I-NL.
+  LandmarkSetBound forward_bound_;  // lb(v, V_T), Eq. (2): guides SPT_I.
+  TreeBound reverse_bound_;         // ds(v) in SPT_I, else lb(s, v).
 
   /// Per-query cancellation token (from PreparedQuery); set by Run.
   const CancellationToken* cancel_ = nullptr;

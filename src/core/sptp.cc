@@ -13,7 +13,7 @@ IterBoundSptpSolver::IterBoundSptpSolver(const Graph& graph,
                                          const KpjOptions& options)
     : BestFirstFramework(graph, reverse, options,
                          /*iterative_bounding=*/true),
-      sptp_(reverse, &zero_),
+      sptp_(reverse),
       source_set_(reverse.NumNodes()) {}
 
 bool IterBoundSptpSolver::InitializeQuery(const PreparedQuery& query,
@@ -21,27 +21,26 @@ bool IterBoundSptpSolver::InitializeQuery(const PreparedQuery& query,
                                           QueryStats* stats) {
   // Guide PartialSPT (Alg. 6) with lb(s, w): the A* on the reverse graph
   // aims at the source.
-  const Heuristic* guide = &zero_;
+  source_bound_ = LandmarkSetBound();
   if (options_.oracle != nullptr) {
     source_bound_ = MakeCachedSetBound(
         options_.oracle, query.sources, BoundDirection::kFromSet,
         query.targets.front(), options_.max_active_landmarks, query.cache,
         &stats->algo);
-    guide = source_bound_.get();
   }
-  sptp_.SetHeuristic(guide);
   sptp_.SetCancelToken(query.cancel);
 
   sptp_.SetAlgoStats(&stats->algo);
   std::vector<std::pair<NodeId, PathLength>> seeds;
   seeds.reserve(query.targets.size());
   for (NodeId t : query.targets) seeds.emplace_back(t, 0);
-  sptp_.Initialize(seeds);
+  sptp_.Initialize(seeds, source_bound_);
   source_set_.ClearAll();
   for (NodeId s : query.sources) source_set_.Insert(s);
   // The first source settled is the nearest one: the virtual source's
   // shortest path enters through it.
-  const NodeId entry = sptp_.AdvanceUntilAnySettled(source_set_);
+  const NodeId entry =
+      sptp_.AdvanceUntilAnySettled(source_set_, source_bound_);
   sptp_.SetAlgoStats(nullptr);  // stats points at caller stack storage.
   stats->nodes_settled += sptp_.stats().nodes_settled;
   stats->edges_relaxed += sptp_.stats().edges_relaxed;
@@ -53,15 +52,13 @@ bool IterBoundSptpSolver::InitializeQuery(const PreparedQuery& query,
 
   // lb(v, V_T): exact inside SPT_P, the oracle's Eq. (2) bound outside
   // (§5.2).
+  LandmarkSetBound fallback;
   if (options_.oracle != nullptr) {
-    oracle_bound_ = MakeCachedSetBound(
+    fallback = MakeCachedSetBound(
         options_.oracle, query.targets, BoundDirection::kToSet, query.root(),
         options_.max_active_landmarks, query.cache, &stats->algo);
-    sptp_bound_.emplace(&sptp_, oracle_bound_.get());
-  } else {
-    sptp_bound_.emplace(&sptp_, &zero_);
   }
-  heuristic_ = &*sptp_bound_;
+  bound_ = TreeBound(&sptp_, std::move(fallback));
 
   // The reverse-graph tree path from a target root down to the entry
   // source is the forward shortest path read backwards.

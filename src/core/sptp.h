@@ -1,11 +1,8 @@
 #ifndef KPJ_CORE_SPTP_H_
 #define KPJ_CORE_SPTP_H_
 
-#include <memory>
-#include <optional>
-
 #include "core/best_first.h"
-#include "core/heuristics.h"
+#include "index/target_bound.h"
 #include "sssp/incremental_search.h"
 
 namespace kpj {
@@ -31,9 +28,7 @@ class IterBoundSptpSolver final : public BestFirstFramework {
   IncrementalSearch sptp_;  // Reverse-graph A*; settled set = SPT_P.
   EpochSet source_set_;     // The query's sources: SPT_P's stop set.
   /// Per-query source-side bound guiding SPT_P construction (lb(s, w)).
-  std::unique_ptr<Heuristic> source_bound_;
-  /// Per-query SPT_P-over-oracle bound used by CompLB / TestLB.
-  std::optional<SptpBound> sptp_bound_;
+  LandmarkSetBound source_bound_;
 };
 
 }  // namespace kpj

@@ -34,13 +34,25 @@ LandmarkIndex LandmarkIndex::Build(const Graph& graph,
 
   Rng rng(options.seed);
   const bool farthest = options.selection == LandmarkSelection::kFarthest;
-  // Every run below is a full SSSP: the zero heuristic makes the engine
-  // plain Dijkstra, and AdvanceToBound(kInfLength) runs it to exhaustion.
+  // On a symmetric graph (every arc has its reverse twin of equal weight,
+  // as on the paper's bidirectional road networks) the reverse graph is
+  // the graph itself, so δ(v, w) = δ(w, v): one forward run per landmark
+  // fills both tables, and no backward run is needed.
+  const bool symmetric = graph.Equals(reverse_graph);
+  // Every run below is a full SSSP: the zero bound makes the engine plain
+  // Dijkstra, and AdvanceToBound(kInfLength) runs it to exhaustion.
   ZeroHeuristic zero;
-  auto run = [](IncrementalSearch& engine, NodeId source) {
+  auto run = [&zero](IncrementalSearch& engine, NodeId source) {
     std::pair<NodeId, PathLength> seed[] = {{source, 0}};
-    engine.Initialize(seed);
-    engine.AdvanceToBound(kInfLength);
+    engine.Initialize(seed, zero);
+    engine.AdvanceToBound(kInfLength, zero);
+  };
+  // Column l of `table` from a finished run's distances.
+  auto store = [n, num](const IncrementalSearch& engine,
+                        std::vector<uint32_t>& table, size_t l) {
+    for (NodeId v = 0; v < n; ++v) {
+      table[static_cast<size_t>(v) * num + l] = Narrow(engine.Distance(v));
+    }
   };
 
   if (!farthest) {
@@ -57,7 +69,7 @@ LandmarkIndex LandmarkIndex::Build(const Graph& graph,
     // depends on the SSSP of landmark l — so it runs on one thread; the
     // forward distances it computes are kept, and only the remaining
     // (independent) per-landmark runs are parallelized below.
-    IncrementalSearch forward(graph, &zero);
+    IncrementalSearch forward(graph);
     NodeId start = static_cast<NodeId>(rng.NextBounded(n));
     run(forward, start);
     NodeId first = start;
@@ -75,10 +87,10 @@ LandmarkIndex LandmarkIndex::Build(const Graph& graph,
     for (uint32_t l = 0; l < num; ++l) {
       index.landmarks_.push_back(next);
       run(forward, next);
+      store(forward, from_table, l);
+      if (symmetric) store(forward, to_table, l);
       for (NodeId v = 0; v < n; ++v) {
-        PathLength df = forward.Distance(v);
-        from_table[static_cast<size_t>(v) * num + l] = Narrow(df);
-        if (df < min_dist[v]) min_dist[v] = df;
+        min_dist[v] = std::min(min_dist[v], forward.Distance(v));
       }
       // Choose the next landmark: reachable node farthest from the set.
       next = index.landmarks_.front();
@@ -94,11 +106,14 @@ LandmarkIndex LandmarkIndex::Build(const Graph& graph,
     }
   }
 
-  // Table filling: one backward (and, for random selection, one forward)
-  // Dijkstra per landmark. The runs are independent and write disjoint
-  // strided slots, so they parallelize trivially; each worker keeps its own
-  // engines (O(n) workspace each). Distances are exact, so the result is
-  // byte-identical to the serial build for any thread count.
+  // Table filling: per landmark, the forward run random selection has not
+  // made yet and, unless the graph is symmetric, one backward run. The runs
+  // are independent and write disjoint strided slots, so they parallelize
+  // trivially; each worker keeps its own engines (O(n) workspace each).
+  // Distances are exact, so the result is byte-identical to the serial
+  // build for any thread count. Farthest-point selection on a symmetric
+  // graph has filled both tables already: 1 + |L| runs in all, against
+  // 1 + 2|L| otherwise.
   const uint32_t actual_count = static_cast<uint32_t>(index.landmarks_.size());
   struct Workspace {
     std::unique_ptr<IncrementalSearch> forward;
@@ -108,28 +123,29 @@ LandmarkIndex LandmarkIndex::Build(const Graph& graph,
   std::vector<Workspace> workspaces(workers);
   auto fill = [&](size_t l, unsigned worker) {
     Workspace& ws = workspaces[worker];
-    if (ws.backward == nullptr) {
-      ws.backward = std::make_unique<IncrementalSearch>(reverse_graph, &zero);
-      if (!farthest) {
-        ws.forward = std::make_unique<IncrementalSearch>(graph, &zero);
-      }
-    }
     const NodeId landmark = index.landmarks_[l];
-    run(*ws.backward, landmark);
-    if (!farthest) run(*ws.forward, landmark);
-    for (NodeId v = 0; v < n; ++v) {
-      to_table[static_cast<size_t>(v) * num + l] =
-          Narrow(ws.backward->Distance(v));
-      if (!farthest) {
-        from_table[static_cast<size_t>(v) * num + l] =
-            Narrow(ws.forward->Distance(v));
+    if (!farthest) {
+      if (ws.forward == nullptr) {
+        ws.forward = std::make_unique<IncrementalSearch>(graph);
       }
+      run(*ws.forward, landmark);
+      store(*ws.forward, from_table, l);
+      if (symmetric) store(*ws.forward, to_table, l);
+    }
+    if (!symmetric) {
+      if (ws.backward == nullptr) {
+        ws.backward = std::make_unique<IncrementalSearch>(reverse_graph);
+      }
+      run(*ws.backward, landmark);
+      store(*ws.backward, to_table, l);
     }
   };
-  if (workers == 1) {
-    for (size_t l = 0; l < actual_count; ++l) fill(l, 0);
-  } else {
-    ThreadPool(workers).ParallelFor(actual_count, fill);
+  if (!farthest || !symmetric) {
+    if (workers == 1) {
+      for (size_t l = 0; l < actual_count; ++l) fill(l, 0);
+    } else {
+      ThreadPool(workers).ParallelFor(actual_count, fill);
+    }
   }
   const uint32_t actual = static_cast<uint32_t>(index.landmarks_.size());
   if (actual == num) {

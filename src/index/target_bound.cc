@@ -129,34 +129,4 @@ PathLength LandmarkSetBound::EstimateOne(uint32_t l, NodeId u) const {
   return best;
 }
 
-PathLength LandmarkSetBound::Estimate(NodeId u) const {
-  // Real nodes only: the solvers' virtual endpoints are pseudo-tree roots
-  // and never reach a bound. (An empty index reads no row at all.)
-  KPJ_DCHECK(u < index_->num_nodes() || p_.empty());
-  // EstimateOne's two difference bounds, over 32-bit table values where
-  // kInf32 is infinity, without a branch: an infinite minuend (the "proof"
-  // case) turns the term into all ones, an infinite other operand (the
-  // bound does not apply) into 0. A finite difference is below kInf32, so
-  // a kInf32 maximum can only come from a proof. Inactive landmarks have
-  // p = 0, q = kInf32 and contribute 0. A plain loop: gcc vectorises it at
-  // -O3 with baseline SSE2.
-  constexpr uint32_t kInf32 = LandmarkIndex::kUnreachable32;
-  const size_t num = p_.size();
-  const uint32_t* a = a_table_ + static_cast<size_t>(u) * num;
-  const uint32_t* b = b_table_ + static_cast<size_t>(u) * num;
-  const uint32_t* p = p_.data();
-  const uint32_t* q = q_.data();
-  uint32_t best = 0;
-  for (size_t l = 0; l < num; ++l) {
-    const uint32_t t1 =
-        ((std::max(p[l], a[l]) - a[l]) | -uint32_t{p[l] == kInf32}) &
-        -uint32_t{a[l] != kInf32};
-    const uint32_t t2 =
-        ((std::max(b[l], q[l]) - q[l]) | -uint32_t{b[l] == kInf32}) &
-        -uint32_t{q[l] != kInf32};
-    best = std::max(best, std::max(t1, t2));
-  }
-  return best == kInf32 ? kInfLength : best;
-}
-
 }  // namespace kpj

@@ -1,13 +1,14 @@
 #ifndef KPJ_INDEX_TARGET_BOUND_H_
 #define KPJ_INDEX_TARGET_BOUND_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "index/landmark_index.h"
-#include "sssp/heuristic.h"
+#include "util/logging.h"
 #include "util/types.h"
 
 namespace kpj {
@@ -43,8 +44,10 @@ struct LandmarkSetAggregates {
 ///
 /// Construction aggregates each landmark's distance to/from the set once —
 /// O(|L| * |S|), the paper's "computed only once for each query" — after
-/// which Estimate costs O(|L|): one branch-free pass over u's node-major
-/// table rows.
+/// which Estimate costs O(|L|): one branch-free, inline pass over u's
+/// node-major table rows. Prefetch(u) starts the loads of those rows (one
+/// 64-byte line per table with 16 landmarks in a v4 file), so a search can
+/// issue them for all heads of a settled node before it estimates any.
 ///
 /// For kToSet with landmark w:
 ///   dist(u, S) >= min_{x in S} δ(w, x) - δ(w, u)   (Eq. (2))
@@ -58,10 +61,14 @@ struct LandmarkSetAggregates {
 /// (index, set, direction, scoring_node, max_active):
 /// equal inputs give byte-identical bounds, which is what makes
 /// cross-query caching and the engine's determinism guarantees sound.
-class LandmarkSetBound final : public Heuristic {
+class LandmarkSetBound {
  public:
-  /// An empty `index` (zero landmarks) yields all-zero bounds: this is the
-  /// "computing without landmark" mode of Section 6.
+  /// The all-zero bound, as from an empty index: the "computing without
+  /// landmark" mode of Section 6.
+  LandmarkSetBound() = default;
+
+  /// An empty `index` (zero landmarks) yields all-zero bounds, like the
+  /// default constructor.
   ///
   /// Active-landmark selection (extension; classic ALT trick): when
   /// `max_active > 0` and `scoring_node` is a real node, only the
@@ -90,7 +97,49 @@ class LandmarkSetBound final : public Heuristic {
       BoundDirection direction);
 
   /// Lower bound on the distance between `u` and the set, per direction.
-  PathLength Estimate(NodeId u) const override;
+  PathLength Estimate(NodeId u) const {
+    // Real nodes only: the solvers' virtual endpoints are pseudo-tree roots
+    // and never reach a bound. (An empty index reads no row at all.)
+    KPJ_DCHECK(p_.empty() || u < index_->num_nodes());
+    // EstimateOne's two difference bounds, over 32-bit table values where
+    // kInf32 is infinity, without a branch: an infinite minuend (the
+    // "proof" case) turns the term into all ones, an infinite other operand
+    // (the bound does not apply) into 0. A finite difference is below
+    // kInf32, so a kInf32 maximum can only come from a proof. Inactive
+    // landmarks have p = 0, q = kInf32 and contribute 0. A plain loop: gcc
+    // vectorises it at -O3 with baseline SSE2.
+    constexpr uint32_t kInf32 = LandmarkIndex::kUnreachable32;
+    const size_t num = p_.size();
+    const uint32_t* a = a_table_ + static_cast<size_t>(u) * num;
+    const uint32_t* b = b_table_ + static_cast<size_t>(u) * num;
+    const uint32_t* p = p_.data();
+    const uint32_t* q = q_.data();
+    uint32_t best = 0;
+    for (size_t l = 0; l < num; ++l) {
+      const uint32_t t1 =
+          ((std::max(p[l], a[l]) - a[l]) | -uint32_t{p[l] == kInf32}) &
+          -uint32_t{a[l] != kInf32};
+      const uint32_t t2 =
+          ((std::max(b[l], q[l]) - q[l]) | -uint32_t{b[l] == kInf32}) &
+          -uint32_t{q[l] != kInf32};
+      best = std::max(best, std::max(t1, t2));
+    }
+    return best == kInf32 ? kInfLength : best;
+  }
+
+  /// Starts loading the table rows Estimate(u) reads: their first and last
+  /// entries, so a row that straddles two cache lines is covered too.
+  /// Always inlined: gcc deems an out-of-line function of prefetches alone
+  /// pure, and then deletes every call to it.
+  [[gnu::always_inline]] void Prefetch(NodeId u) const {
+    const size_t num = p_.size();
+    if (num == 0) return;
+    const size_t row = static_cast<size_t>(u) * num;
+    __builtin_prefetch(a_table_ + row);
+    __builtin_prefetch(a_table_ + row + num - 1);
+    __builtin_prefetch(b_table_ + row);
+    __builtin_prefetch(b_table_ + row + num - 1);
+  }
 
   BoundDirection direction() const { return direction_; }
 
@@ -106,8 +155,8 @@ class LandmarkSetBound final : public Heuristic {
   /// of Estimate's kernel; used to score landmarks in SelectActive.
   PathLength EstimateOne(uint32_t l, NodeId u) const;
 
-  const LandmarkIndex* index_;
-  BoundDirection direction_;
+  const LandmarkIndex* index_ = nullptr;
+  BoundDirection direction_ = BoundDirection::kToSet;
   // Aggregates over the set per landmark; shared when cached. "primary"
   // powers the difference whose minuend is a set aggregate; "secondary"
   // the one whose subtrahend is a set aggregate. See EstimateOne.

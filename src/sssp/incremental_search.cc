@@ -6,90 +6,12 @@
 
 namespace kpj {
 
-IncrementalSearch::IncrementalSearch(const Graph& graph,
-                                     const Heuristic* heuristic)
+IncrementalSearch::IncrementalSearch(const Graph& graph)
     : graph_(graph),
-      heuristic_(heuristic),
       dist_(graph.NumNodes(), kInfLength),
       parent_(graph.NumNodes(), kInvalidNode),
       settled_(graph.NumNodes()),
-      heap_(graph.NumNodes()) {
-  KPJ_CHECK(heuristic_ != nullptr);
-}
-
-void IncrementalSearch::Initialize(
-    std::span<const std::pair<NodeId, PathLength>> sources) {
-  dist_.NewEpoch();
-  parent_.NewEpoch();
-  settled_.ClearAll();
-  heap_.Clear();
-  touched_.clear();
-  stats_.Reset();
-  num_settled_ = 0;
-  for (const auto& [node, d0] : sources) {
-    KPJ_CHECK(node < graph_.NumNodes());
-    if (d0 < dist_.Get(node)) {
-      Touch(node);
-      dist_.Set(node, d0);
-      parent_.Set(node, kInvalidNode);
-      if (algo_ != nullptr) {
-        if (heap_.Contains(node)) {
-          ++algo_->heap_decrease_keys;
-        } else {
-          ++algo_->heap_pushes;
-        }
-      }
-      heap_.PushOrDecrease(node, SatAdd(d0, heuristic_->Estimate(node)));
-    }
-  }
-}
-
-void IncrementalSearch::Settle(NodeId u,
-                               const std::function<void(NodeId)>& on_settle) {
-  settled_.Insert(u);
-  ++num_settled_;
-  ++stats_.nodes_settled;
-  if (algo_ != nullptr) ++algo_->node_expansions;
-  if (on_settle) on_settle(u);
-  PathLength du = dist_.Get(u);
-  for (const OutEdge& e : graph_.OutEdges(u)) {
-    ++stats_.edges_relaxed;
-    if (settled_.Contains(e.to)) continue;
-    PathLength nd = du + e.weight;
-    if (nd < dist_.Get(e.to)) {
-      Touch(e.to);
-      dist_.Set(e.to, nd);
-      parent_.Set(e.to, u);
-      if (algo_ != nullptr) {
-        if (heap_.Contains(e.to)) {
-          ++algo_->heap_decrease_keys;
-        } else {
-          ++algo_->heap_pushes;
-        }
-      }
-      heap_.PushOrDecrease(e.to, SatAdd(nd, heuristic_->Estimate(e.to)));
-    }
-  }
-}
-
-void IncrementalSearch::AdvanceToBound(
-    PathLength bound, const std::function<void(NodeId)>& on_settle) {
-  while (!heap_.empty() && heap_.TopKey() <= bound) {
-    if (cancel_ != nullptr && cancel_->ShouldStop()) return;
-    Settle(heap_.Pop(), on_settle);
-  }
-}
-
-NodeId IncrementalSearch::AdvanceUntilAnySettled(
-    const EpochSet& stops, const std::function<void(NodeId)>& on_settle) {
-  while (!heap_.empty()) {
-    if (cancel_ != nullptr && cancel_->ShouldStop()) return kInvalidNode;
-    NodeId u = heap_.Pop();
-    Settle(u, on_settle);
-    if (stops.Contains(u)) return u;
-  }
-  return kInvalidNode;
-}
+      heap_(graph.NumNodes()) {}
 
 void IncrementalSearch::ExportSnapshot(SearchSnapshot* out) const {
   out->touched = touched_;
@@ -156,22 +78,22 @@ std::vector<NodeId> IncrementalSearch::PathTo(NodeId u) const {
 
 SptResult SingleSourceShortestPaths(const Graph& graph, NodeId source) {
   ZeroHeuristic zero;
-  IncrementalSearch engine(graph, &zero);
+  IncrementalSearch engine(graph);
   std::pair<NodeId, PathLength> seed[] = {{source, 0}};
-  engine.Initialize(seed);
-  engine.AdvanceToBound(kInfLength);
+  engine.Initialize(seed, zero);
+  engine.AdvanceToBound(kInfLength, zero);
   return engine.ExportDense();
 }
 
 SptResult DistancesToSet(const Graph& reverse_graph,
                          std::span<const NodeId> targets) {
   ZeroHeuristic zero;
-  IncrementalSearch engine(reverse_graph, &zero);
+  IncrementalSearch engine(reverse_graph);
   std::vector<std::pair<NodeId, PathLength>> seeds;
   seeds.reserve(targets.size());
   for (NodeId t : targets) seeds.emplace_back(t, 0);
-  engine.Initialize(seeds);
-  engine.AdvanceToBound(kInfLength);
+  engine.Initialize(seeds, zero);
+  engine.AdvanceToBound(kInfLength, zero);
   return engine.ExportDense();
 }
 

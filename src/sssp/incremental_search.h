@@ -1,7 +1,6 @@
 #ifndef KPJ_SSSP_INCREMENTAL_SEARCH_H_
 #define KPJ_SSSP_INCREMENTAL_SEARCH_H_
 
-#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -45,7 +44,7 @@ struct SearchSnapshot {
 ///
 /// It is the one shortest-path engine outside the subspace searches
 /// (core/constraint.h): with a ZeroHeuristic it is plain Dijkstra, run to
-/// exhaustion with `AdvanceToBound(kInfLength)` or stopped early at a target
+/// exhaustion with `AdvanceToBound(kInfLength, zero)` or stopped early at a target
 /// or target set; with a landmark bound it is A*. Workspace (labels,
 /// parents, heap) is epoch-reset by Initialize, so thousands of per-query
 /// searches cost O(touched) each rather than O(n).
@@ -61,43 +60,50 @@ struct SearchSnapshot {
 ///
 /// Keys are `g(u) + h(u)` with a consistent heuristic, so settled nodes are
 /// final and the frontier key is monotonically non-decreasing.
+///
+/// The seeding and advancing calls are templates over the bound type (see
+/// sssp/heuristic.h) and the settle callback, so the per-arc bound call and
+/// the per-node callback are direct calls. Every call of one search must
+/// pass the same bound: the heap keys already hold its estimates.
 class IncrementalSearch {
  public:
-  /// Keeps references to `graph` and `heuristic`; both must outlive this.
-  IncrementalSearch(const Graph& graph, const Heuristic* heuristic);
-
-  /// Swaps the heuristic for the next Initialize (per-query bounds reuse
-  /// one engine and its O(n) workspace).
-  void SetHeuristic(const Heuristic* heuristic) {
-    KPJ_CHECK(heuristic != nullptr);
-    heuristic_ = heuristic;
-  }
+  /// Keeps a reference to `graph`, which must outlive this.
+  explicit IncrementalSearch(const Graph& graph);
 
   /// Installs a cooperative cancellation token polled once per settled
   /// node in the Advance* loops; a tripped token makes them return early
-  /// (AdvanceUntilAnySettled with kInvalidNode, as if exhausted). nullptr (the default) disables polling. Callers must
-  /// check the token after an advance before trusting the outcome.
+  /// (AdvanceUntilAnySettled with kInvalidNode, as if exhausted). nullptr
+  /// (the default) disables polling. Callers must check the token after an
+  /// advance before trusting the outcome.
   void SetCancelToken(const CancellationToken* cancel) { cancel_ = cancel; }
 
   /// Installs an optional per-query counter sink (null disables counting).
   /// The pointee must outlive every subsequent Initialize/Advance call.
   void SetAlgoStats(AlgoStats* algo) { algo_ = algo; }
 
-  /// Resets all state and seeds the frontier. Settle callbacks fire later,
-  /// during Advance* calls, never here.
-  void Initialize(std::span<const std::pair<NodeId, PathLength>> sources);
+  /// The default settle callback: does nothing.
+  struct IgnoreSettled {
+    void operator()(NodeId) const {}
+  };
 
-  /// Settles nodes while the minimum frontier key is `<= bound`, invoking
-  /// `on_settle` (if non-null) for each newly settled node.
-  void AdvanceToBound(PathLength bound,
-                      const std::function<void(NodeId)>& on_settle = nullptr);
+  /// Resets all state and seeds the frontier, keyed by `bound`. Settle
+  /// callbacks fire later, during Advance* calls, never here.
+  template <typename Bound>
+  void Initialize(std::span<const std::pair<NodeId, PathLength>> sources,
+                  const Bound& bound);
+
+  /// Settles nodes while the minimum frontier key is `<= limit`, invoking
+  /// `on_settle` for each newly settled node.
+  template <typename Bound, typename OnSettle = IgnoreSettled>
+  void AdvanceToBound(PathLength limit, const Bound& bound,
+                      OnSettle&& on_settle = {});
 
   /// Settles nodes until some member of `stops` is settled; returns that
   /// node, or kInvalidNode if the frontier is exhausted first. Only a node
   /// this call settles stops it: a member settled earlier does not.
-  NodeId AdvanceUntilAnySettled(const EpochSet& stops,
-                                const std::function<void(NodeId)>& on_settle =
-                                    nullptr);
+  template <typename Bound, typename OnSettle = IgnoreSettled>
+  NodeId AdvanceUntilAnySettled(const EpochSet& stops, const Bound& bound,
+                                OnSettle&& on_settle = {});
 
   bool Settled(NodeId u) const { return settled_.Contains(u); }
 
@@ -132,21 +138,31 @@ class IncrementalSearch {
   void ExportSnapshot(SearchSnapshot* out) const;
 
   /// Replaces all state with a snapshot previously captured from a search
-  /// over the same graph with a heuristic producing identical estimates.
+  /// over the same graph with a bound producing identical estimates.
   /// Per-call SearchStats are zeroed: they report work actually performed
   /// after the restore, not work embodied in the adopted tree.
   void RestoreSnapshot(const SearchSnapshot& snap);
 
  private:
-  void Settle(NodeId u, const std::function<void(NodeId)>& on_settle);
+  template <typename Bound, typename OnSettle>
+  void Settle(NodeId u, const Bound& bound, OnSettle& on_settle);
 
-  /// Records the first labelling of `u` for snapshot export.
-  void Touch(NodeId u) {
-    if (!dist_.Stamped(u)) touched_.push_back(u);
+  /// Labels `u` with distance `d` via `parent` and queues it at `key`.
+  void Label(NodeId u, PathLength d, NodeId parent, PathLength key) {
+    if (!dist_.Stamped(u)) touched_.push_back(u);  // For snapshot export.
+    dist_.Set(u, d);
+    parent_.Set(u, parent);
+    const HeapUpdate update = heap_.PushOrDecrease(u, key);
+    if (algo_ != nullptr) {
+      if (update == HeapUpdate::kPushed) {
+        ++algo_->heap_pushes;
+      } else {
+        ++algo_->heap_decrease_keys;
+      }
+    }
   }
 
   const Graph& graph_;
-  const Heuristic* heuristic_;
   EpochArray<PathLength> dist_;
   EpochArray<NodeId> parent_;
   EpochSet settled_;
@@ -157,6 +173,72 @@ class IncrementalSearch {
   const CancellationToken* cancel_ = nullptr;
   AlgoStats* algo_ = nullptr;
 };
+
+template <typename Bound>
+void IncrementalSearch::Initialize(
+    std::span<const std::pair<NodeId, PathLength>> sources,
+    const Bound& bound) {
+  dist_.NewEpoch();
+  parent_.NewEpoch();
+  settled_.ClearAll();
+  heap_.Clear();
+  touched_.clear();
+  stats_.Reset();
+  num_settled_ = 0;
+  for (const auto& [node, d0] : sources) {
+    KPJ_CHECK(node < graph_.NumNodes());
+    if (d0 < dist_.Get(node)) {
+      Label(node, d0, kInvalidNode, SatAdd(d0, bound.Estimate(node)));
+    }
+  }
+}
+
+template <typename Bound, typename OnSettle>
+void IncrementalSearch::Settle(NodeId u, const Bound& bound,
+                               OnSettle& on_settle) {
+  settled_.Insert(u);
+  ++num_settled_;
+  ++stats_.nodes_settled;
+  if (algo_ != nullptr) ++algo_->node_expansions;
+  on_settle(u);
+  const std::span<const OutEdge> arcs = graph_.OutEdges(u);
+  // Start the bound's loads for every head before the first Estimate, so
+  // their cache misses overlap instead of queueing behind each other.
+  for (const OutEdge& e : arcs) {
+    if (!settled_.Contains(e.to)) bound.Prefetch(e.to);
+  }
+  const PathLength du = dist_.Get(u);
+  for (const OutEdge& e : arcs) {
+    ++stats_.edges_relaxed;
+    if (settled_.Contains(e.to)) continue;
+    const PathLength nd = du + e.weight;
+    if (nd < dist_.Get(e.to)) {
+      Label(e.to, nd, u, SatAdd(nd, bound.Estimate(e.to)));
+    }
+  }
+}
+
+template <typename Bound, typename OnSettle>
+void IncrementalSearch::AdvanceToBound(PathLength limit, const Bound& bound,
+                                       OnSettle&& on_settle) {
+  while (!heap_.empty() && heap_.TopKey() <= limit) {
+    if (cancel_ != nullptr && cancel_->ShouldStop()) return;
+    Settle(heap_.Pop(), bound, on_settle);
+  }
+}
+
+template <typename Bound, typename OnSettle>
+NodeId IncrementalSearch::AdvanceUntilAnySettled(const EpochSet& stops,
+                                                 const Bound& bound,
+                                                 OnSettle&& on_settle) {
+  while (!heap_.empty()) {
+    if (cancel_ != nullptr && cancel_->ShouldStop()) return kInvalidNode;
+    const NodeId u = heap_.Pop();
+    Settle(u, bound, on_settle);
+    if (stops.Contains(u)) return u;
+  }
+  return kInvalidNode;
+}
 
 /// One-shot convenience: full SSSP from `source`, densely exported.
 SptResult SingleSourceShortestPaths(const Graph& graph, NodeId source);

@@ -11,6 +11,13 @@
 
 namespace kpj {
 
+/// What IndexedHeap::PushOrDecrease did with an item.
+enum class HeapUpdate : uint8_t {
+  kPushed,     // The item was absent and is now in the heap.
+  kDecreased,  // The item was present and its key fell.
+  kUnchanged,  // The item was present with a key no larger than the new one.
+};
+
 /// Indexed d-ary min-heap over item ids `[0, capacity)` with decrease-key.
 ///
 /// This is the priority queue used by all Dijkstra/A* style searches: items
@@ -64,23 +71,24 @@ class IndexedHeap {
   /// Lowers the key of a contained item; `key` must be <= current key.
   void DecreaseKey(uint32_t id, Key key) {
     KPJ_DCHECK(Contains(id));
-    size_t i = pos_[id];
-    KPJ_DCHECK(!(heap_[i].key < key));
-    heap_[i].key = key;
-    SiftUp(i);
+    DecreaseAt(pos_[id], key);
   }
 
-  /// Inserts or decreases: returns true if the item's key changed.
-  bool PushOrDecrease(uint32_t id, Key key) {
-    if (!Contains(id)) {
+  /// Inserts an absent item, or lowers a contained item's key to `key` if
+  /// that is smaller, and reports which case applied — one position probe
+  /// answers both the update and the caller's push/decrease accounting.
+  HeapUpdate PushOrDecrease(uint32_t id, Key key) {
+    KPJ_DCHECK(id < pos_.size());
+    const size_t i = pos_[id];
+    if (i == kAbsent) {
       Push(id, key);
-      return true;
+      return HeapUpdate::kPushed;
     }
-    if (key < KeyOf(id)) {
-      DecreaseKey(id, key);
-      return true;
+    if (key < heap_[i].key) {
+      DecreaseAt(i, key);
+      return HeapUpdate::kDecreased;
     }
-    return false;
+    return HeapUpdate::kUnchanged;
   }
 
   /// Minimum key; heap must be non-empty.
@@ -147,6 +155,12 @@ class IndexedHeap {
   };
 
   static constexpr size_t kAbsent = static_cast<size_t>(-1);
+
+  void DecreaseAt(size_t i, Key key) {
+    KPJ_DCHECK(!(heap_[i].key < key));
+    heap_[i].key = key;
+    SiftUp(i);
+  }
 
   void SiftUp(size_t i) {
     Entry e = heap_[i];

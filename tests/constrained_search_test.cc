@@ -176,10 +176,10 @@ TEST_F(ConstrainedSearchTest, RestrictToSettledNodes) {
   // Grow an incremental search only around node 0 (bound 1), then require
   // the constrained search to stay inside it.
   ZeroHeuristic zero;
-  IncrementalSearch inc(graph_, &zero);
+  IncrementalSearch inc(graph_);
   std::pair<NodeId, PathLength> seed[] = {{0, 0}};
-  inc.Initialize(seed);
-  inc.AdvanceToBound(1);  // Settles 0 and 1 only.
+  inc.Initialize(seed, zero);
+  inc.AdvanceToBound(1, zero);  // Settles 0 and 1 only.
   ASSERT_TRUE(inc.Settled(1));
   ASSERT_FALSE(inc.Settled(2));
 
@@ -192,7 +192,7 @@ TEST_F(ConstrainedSearchTest, RestrictToSettledNodes) {
   // Path to 3 requires nodes outside the tree: bounded, not empty.
   EXPECT_EQ(r.outcome, SearchOutcome::kBounded);
 
-  inc.AdvanceToBound(kInfLength);  // Now exhausted: everything settled.
+  inc.AdvanceToBound(kInfLength, zero);  // Now exhausted: everything settled.
   search_.ClearForbidden();
   r = Run(req);
   EXPECT_EQ(r.outcome, SearchOutcome::kFound);
@@ -201,9 +201,9 @@ TEST_F(ConstrainedSearchTest, RestrictToSettledNodes) {
 
 TEST_F(ConstrainedSearchTest, InfiniteHeuristicMeansEmpty) {
   // A heuristic that proves unreachability short-circuits to kEmpty.
-  class InfHeuristic final : public Heuristic {
-   public:
-    PathLength Estimate(NodeId) const override { return kInfLength; }
+  struct InfHeuristic {
+    PathLength Estimate(NodeId) const { return kInfLength; }
+    void Prefetch(NodeId) const {}
   } inf;
   SubspaceSearchRequest req;
   req.start = 0;

@@ -1,5 +1,6 @@
-// Admissibility of the online-index heuristics (FullSptBound, SptpBound,
-// SptiSourceBound) — the property every solver's correctness rests on.
+// Admissibility of the online-index heuristics (FullSptBound, and TreeBound
+// in its SPT_P and SPT_I roles) — the property every solver's correctness
+// rests on.
 
 #include <gtest/gtest.h>
 
@@ -41,7 +42,7 @@ TEST(FullSptBoundTest, ExactDistancesToTargetSet) {
   }
 }
 
-TEST(SptpBoundTest, ExactInsideTreeAdmissibleOutside) {
+TEST(TreeBoundTest, SptpRoleExactInsideTreeAdmissibleOutside) {
   Graph g = RandomGraph(2, 60, 0.08);
   Graph rev = g.Reverse();
   std::vector<NodeId> targets = {5, 30};
@@ -54,12 +55,12 @@ TEST(SptpBoundTest, ExactInsideTreeAdmissibleOutside) {
 
   // Partial tree: advance the reverse search only part way.
   ZeroHeuristic zero;
-  IncrementalSearch sptp(rev, &zero);
+  IncrementalSearch sptp(rev);
   std::vector<std::pair<NodeId, PathLength>> seeds = {{5, 0}, {30, 0}};
-  sptp.Initialize(seeds);
-  sptp.AdvanceToBound(10);
+  sptp.Initialize(seeds, zero);
+  sptp.AdvanceToBound(10, zero);
 
-  SptpBound bound(&sptp, &fallback);
+  TreeBound bound(&sptp, fallback);
   for (NodeId u = 0; u < g.NumNodes(); ++u) {
     PathLength h = bound.Estimate(u);
     if (truth.dist[u] != kInfLength) {
@@ -71,17 +72,17 @@ TEST(SptpBoundTest, ExactInsideTreeAdmissibleOutside) {
   }
 }
 
-TEST(SptiSourceBoundTest, ExactForSettledNodes) {
+TEST(TreeBoundTest, SptiRoleExactForSettledNodes) {
   Graph g = RandomGraph(3, 50, 0.1);
   SptResult truth = SingleSourceShortestPaths(g, 0);
 
   ZeroHeuristic zero;
-  IncrementalSearch spti(g, &zero);
+  IncrementalSearch spti(g);
   std::pair<NodeId, PathLength> seed[] = {{0, 0}};
-  spti.Initialize(seed);
-  spti.AdvanceToBound(15);
+  spti.Initialize(seed, zero);
+  spti.AdvanceToBound(15, zero);
 
-  SptiSourceBound bound(&spti, &zero);
+  TreeBound bound(&spti, LandmarkSetBound());
   for (NodeId u = 0; u < g.NumNodes(); ++u) {
     if (spti.Settled(u)) {
       EXPECT_EQ(bound.Estimate(u), truth.dist[u]);
@@ -91,7 +92,7 @@ TEST(SptiSourceBoundTest, ExactForSettledNodes) {
   }
 }
 
-TEST(SptiSourceBoundTest, LandmarkFallbackIsAdmissible) {
+TEST(TreeBoundTest, SptiRoleLandmarkFallbackIsAdmissible) {
   Graph g = RandomGraph(4, 50, 0.1);
   Graph rev = g.Reverse();
   SptResult truth = SingleSourceShortestPaths(g, 2);
@@ -102,16 +103,32 @@ TEST(SptiSourceBoundTest, LandmarkFallbackIsAdmissible) {
   LandmarkSetBound fallback(&landmarks, source, BoundDirection::kFromSet);
 
   ZeroHeuristic zero;
-  IncrementalSearch spti(g, &zero);
+  IncrementalSearch spti(g);
   std::pair<NodeId, PathLength> seed[] = {{2, 0}};
-  spti.Initialize(seed);
-  spti.AdvanceToBound(8);
+  spti.Initialize(seed, zero);
+  spti.AdvanceToBound(8, zero);
 
-  SptiSourceBound bound(&spti, &fallback);
+  TreeBound bound(&spti, fallback);
   for (NodeId u = 0; u < g.NumNodes(); ++u) {
     if (truth.dist[u] != kInfLength) {
       EXPECT_LE(bound.Estimate(u), truth.dist[u]) << "node " << u;
     }
+  }
+}
+
+TEST(TreeBoundTest, WithoutTreeIsTheFallback) {
+  Graph g = RandomGraph(5, 40, 0.1);
+  Graph rev = g.Reverse();
+  LandmarkIndexOptions lopt;
+  lopt.num_landmarks = 4;
+  LandmarkIndex landmarks = LandmarkIndex::Build(g, rev, lopt);
+  std::vector<NodeId> targets = {7, 21};
+  LandmarkSetBound fallback(&landmarks, targets, BoundDirection::kToSet);
+  TreeBound bound(/*tree=*/nullptr, fallback);
+  TreeBound zero;
+  for (NodeId u = 0; u < g.NumNodes(); ++u) {
+    EXPECT_EQ(bound.Estimate(u), fallback.Estimate(u)) << "node " << u;
+    EXPECT_EQ(zero.Estimate(u), 0u) << "node " << u;
   }
 }
 

@@ -56,11 +56,15 @@ TEST(IndexedHeapTest, DecreaseKeyReordersTop) {
 
 TEST(IndexedHeapTest, PushOrDecreaseSemantics) {
   IndexedHeap<uint64_t> heap(4);
-  EXPECT_TRUE(heap.PushOrDecrease(1, 10));   // Insert.
-  EXPECT_FALSE(heap.PushOrDecrease(1, 15));  // Larger: no change.
+  EXPECT_EQ(heap.PushOrDecrease(1, 10), HeapUpdate::kPushed);
+  EXPECT_EQ(heap.PushOrDecrease(1, 15), HeapUpdate::kUnchanged);  // Larger.
   EXPECT_EQ(heap.KeyOf(1), 10u);
-  EXPECT_TRUE(heap.PushOrDecrease(1, 4));  // Smaller: decrease.
+  EXPECT_EQ(heap.PushOrDecrease(1, 10), HeapUpdate::kUnchanged);  // Equal.
+  EXPECT_EQ(heap.PushOrDecrease(1, 4), HeapUpdate::kDecreased);
   EXPECT_EQ(heap.KeyOf(1), 4u);
+  EXPECT_EQ(heap.PushOrDecrease(2, 6), HeapUpdate::kPushed);
+  EXPECT_EQ(heap.Pop(), 1u);
+  EXPECT_EQ(heap.Pop(), 2u);
 }
 
 TEST(IndexedHeapTest, ClearKeepsCapacityAndEmpties) {

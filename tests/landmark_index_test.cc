@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <vector>
 
@@ -46,12 +47,9 @@ TEST(LandmarkIndexTest, BuildSelectsDistinctLandmarks) {
   EXPECT_EQ(std::unique(lms.begin(), lms.end()), lms.end());
 }
 
-TEST(LandmarkIndexTest, StoredDistancesAreExact) {
-  Graph g = RandomGraph(2, 50, 0.12, false);
-  Graph rev = g.Reverse();
-  LandmarkIndexOptions opt;
-  opt.num_landmarks = 5;
-  LandmarkIndex index = LandmarkIndex::Build(g, rev, opt);
+/// Expects every stored table entry to equal a reference Dijkstra's.
+void ExpectExactTables(const Graph& g, const Graph& rev,
+                       const LandmarkIndex& index) {
   for (uint32_t l = 0; l < index.num_landmarks(); ++l) {
     NodeId w = index.landmarks()[l];
     SptResult from = SingleSourceShortestPaths(g, w);
@@ -60,6 +58,59 @@ TEST(LandmarkIndexTest, StoredDistancesAreExact) {
       EXPECT_EQ(index.DistFromLandmark(l, v), from.dist[v]);
       EXPECT_EQ(index.DistToLandmark(l, v), to.dist[v]);
     }
+  }
+}
+
+TEST(LandmarkIndexTest, StoredDistancesAreExact) {
+  // A directed graph takes the forward-and-backward build; a bidirectional
+  // one (graph == reverse) fills both tables from forward runs alone.
+  for (bool bidir : {false, true}) {
+    Graph g = RandomGraph(2, 50, 0.12, bidir);
+    Graph rev = g.Reverse();
+    EXPECT_EQ(g.Equals(rev), bidir);
+    for (LandmarkSelection selection :
+         {LandmarkSelection::kFarthest, LandmarkSelection::kRandom}) {
+      SCOPED_TRACE(testing::Message() << "bidir=" << bidir << " selection="
+                                      << static_cast<int>(selection));
+      LandmarkIndexOptions opt;
+      opt.num_landmarks = 5;
+      opt.selection = selection;
+      ExpectExactTables(g, rev, LandmarkIndex::Build(g, rev, opt));
+    }
+  }
+}
+
+TEST(LandmarkIndexTest, OneAsymmetricArcTakesTheTwoRunBuild) {
+  // A bidirectional graph with one arc made lighter than its twin is no
+  // longer its own reverse: the build must run backward searches, and the
+  // tables it stores must still be exact.
+  Graph sym = RandomGraph(5, 50, 0.12, true);
+  std::vector<WeightedEdge> edges = sym.ToEdgeList();
+  auto heavy = std::find_if(edges.begin(), edges.end(),
+                            [](const WeightedEdge& e) { return e.weight > 5; });
+  ASSERT_NE(heavy, edges.end());
+  heavy->weight = 1;
+  Graph g = BuildGraph(sym.NumNodes(), edges);
+  Graph rev = g.Reverse();
+  ASSERT_FALSE(g.Equals(rev));
+  for (LandmarkSelection selection :
+       {LandmarkSelection::kFarthest, LandmarkSelection::kRandom}) {
+    SCOPED_TRACE(testing::Message()
+                 << "selection=" << static_cast<int>(selection));
+    LandmarkIndexOptions opt;
+    opt.num_landmarks = 5;
+    opt.selection = selection;
+    LandmarkIndex index = LandmarkIndex::Build(g, rev, opt);
+    ExpectExactTables(g, rev, index);
+    // The changed arc shows in the tables: some landmark is nearer in one
+    // direction than in the other, which a forward-only build would miss.
+    bool asymmetric = false;
+    for (uint32_t l = 0; l < index.num_landmarks(); ++l) {
+      for (NodeId v = 0; v < g.NumNodes(); ++v) {
+        asymmetric |= index.DistFromLandmark(l, v) != index.DistToLandmark(l, v);
+      }
+    }
+    EXPECT_TRUE(asymmetric);
   }
 }
 
@@ -132,10 +183,10 @@ TEST(LandmarkIndexTest, SetBoundFromSetIsAdmissible) {
   LandmarkSetBound bound(&index, set, BoundDirection::kFromSet);
   // dist(set, u) via forward multi-source Dijkstra.
   ZeroHeuristic zero;
-  IncrementalSearch engine(g, &zero);
+  IncrementalSearch engine(g);
   std::vector<std::pair<NodeId, PathLength>> seeds = {{2, 0}, {9, 0}};
-  engine.Initialize(seeds);
-  engine.AdvanceToBound(kInfLength);
+  engine.Initialize(seeds, zero);
+  engine.AdvanceToBound(kInfLength, zero);
   for (NodeId u = 0; u < g.NumNodes(); ++u) {
     PathLength truth = engine.Distance(u);
     if (truth != kInfLength) {

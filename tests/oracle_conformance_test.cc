@@ -84,8 +84,8 @@ TEST(OracleConformanceTest, SetBoundAdmissibleConsistentBothDirections) {
 
   for (BoundDirection dir :
        {BoundDirection::kToSet, BoundDirection::kFromSet}) {
-    std::unique_ptr<Heuristic> bound = std::make_unique<LandmarkSetBound>(
-        oracle.get(), set, dir, /*scoring_node=*/0, /*max_active=*/0);
+    const LandmarkSetBound bound(oracle.get(), set, dir, /*scoring_node=*/0,
+                                 /*max_active=*/0);
 
     // True node<->set distances, one Dijkstra per set member.
     std::vector<PathLength> truth(g.NumNodes(), kInfLength);
@@ -98,25 +98,25 @@ TEST(OracleConformanceTest, SetBoundAdmissibleConsistentBothDirections) {
     }
 
     for (NodeId u = 0; u < g.NumNodes(); ++u) {
-      PathLength est = bound->Estimate(u);
+      PathLength est = bound.Estimate(u);
       if (truth[u] != kInfLength) {
         ASSERT_LE(est, truth[u]) << "u=" << u;
       }
     }
-    for (NodeId x : set) ASSERT_EQ(bound->Estimate(x), 0u);
+    for (NodeId x : set) ASSERT_EQ(bound.Estimate(x), 0u);
 
     // Consistency along arcs, in the direction the solvers search:
     // kToSet guides forward searches, kFromSet backward ones.
     for (NodeId u = 0; u < g.NumNodes(); ++u) {
       for (const OutEdge& e : g.OutEdges(u)) {
         if (dir == BoundDirection::kToSet) {
-          PathLength hv = bound->Estimate(e.to);
+          PathLength hv = bound.Estimate(e.to);
           if (hv == kInfLength) continue;
-          ASSERT_LE(bound->Estimate(u), hv + e.weight);
+          ASSERT_LE(bound.Estimate(u), hv + e.weight);
         } else {
-          PathLength hu = bound->Estimate(u);
+          PathLength hu = bound.Estimate(u);
           if (hu == kInfLength) continue;
-          ASSERT_LE(bound->Estimate(e.to), hu + e.weight);
+          ASSERT_LE(bound.Estimate(e.to), hu + e.weight);
         }
       }
     }
@@ -227,14 +227,14 @@ TEST(OracleConformanceTest, CachedSetBoundMatchesUncached) {
   SptCache cache(1 << 20);
   const QueryCacheContext context{&cache, /*epoch=*/1};
   AlgoStats algo;
-  std::unique_ptr<Heuristic> plain = MakeCachedSetBound(
+  const LandmarkSetBound plain = MakeCachedSetBound(
       oracle.get(), set, BoundDirection::kToSet, /*scoring_node=*/4,
       /*max_active=*/2, /*cache=*/nullptr, nullptr);
   for (int round = 0; round < 2; ++round) {  // Round 0 misses, 1 hits.
-    std::unique_ptr<Heuristic> cached = MakeCachedSetBound(
+    const LandmarkSetBound cached = MakeCachedSetBound(
         oracle.get(), set, BoundDirection::kToSet, 4, 2, &context, &algo);
     for (NodeId u = 0; u < g.NumNodes(); ++u) {
-      ASSERT_EQ(cached->Estimate(u), plain->Estimate(u))
+      ASSERT_EQ(cached.Estimate(u), plain.Estimate(u))
           << "round " << round << " u=" << u;
     }
   }

@@ -567,13 +567,13 @@ TEST_F(BoundCacheTest, CachedSetBoundMatchesPlainConstruction) {
   std::vector<NodeId> set = {5, 17, 40};
   AlgoStats algo;
   for (int round = 0; round < 2; ++round) {  // Round 0 misses, 1 hits.
-    std::unique_ptr<Heuristic> cached =
+    const LandmarkSetBound cached =
         MakeCachedSetBound(&landmarks_, set, BoundDirection::kToSet,
                            /*scoring_node=*/12, /*max_active=*/2, &context,
                            &algo);
     LandmarkSetBound plain(&landmarks_, set, BoundDirection::kToSet, 12, 2);
     for (NodeId u = 0; u < graph_.NumNodes(); ++u) {
-      ASSERT_EQ(cached->Estimate(u), plain.Estimate(u))
+      ASSERT_EQ(cached.Estimate(u), plain.Estimate(u))
           << "round " << round << " node " << u;
     }
   }
@@ -588,11 +588,11 @@ TEST_F(BoundCacheTest, CachedSetBoundMatchesPlainConstruction) {
 
   // Null cache degrades to direct construction and counts nothing.
   AlgoStats no_cache;
-  std::unique_ptr<Heuristic> uncached = MakeCachedSetBound(
+  const LandmarkSetBound uncached = MakeCachedSetBound(
       &landmarks_, set, BoundDirection::kToSet, 12, 2, nullptr, &no_cache);
   LandmarkSetBound plain(&landmarks_, set, BoundDirection::kToSet, 12, 2);
   for (NodeId u = 0; u < graph_.NumNodes(); ++u) {
-    ASSERT_EQ(uncached->Estimate(u), plain.Estimate(u));
+    ASSERT_EQ(uncached.Estimate(u), plain.Estimate(u));
   }
   EXPECT_EQ(no_cache.bound_cache_misses, 0u);
   EXPECT_EQ(no_cache.bound_cache_hits, 0u);

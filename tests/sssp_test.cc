@@ -54,8 +54,9 @@ Graph RandomGraph(uint64_t seed, NodeId n, double p) {
 /// Seeds `engine` with `sources` and runs it to exhaustion.
 void RunFull(IncrementalSearch& engine,
              std::span<const std::pair<NodeId, PathLength>> sources) {
-  engine.Initialize(sources);
-  engine.AdvanceToBound(kInfLength);
+  ZeroHeuristic zero;
+  engine.Initialize(sources, zero);
+  engine.AdvanceToBound(kInfLength, zero);
 }
 
 TEST(IncrementalSearchTest, FullyAdvancedMatchesBellmanFord) {
@@ -67,8 +68,7 @@ TEST(IncrementalSearchTest, FullyAdvancedMatchesBellmanFord) {
   for (uint64_t seed = 0; seed < 10; ++seed) cases.push_back({seed, 0.1});
   for (const auto& [seed, p] : cases) {
     Graph g = RandomGraph(seed, 40, p);
-    ZeroHeuristic zero;
-    IncrementalSearch inc(g, &zero);
+    IncrementalSearch inc(g);
     std::pair<NodeId, PathLength> source[] = {{0, 0}};
     RunFull(inc, source);
     EXPECT_TRUE(inc.Exhausted());
@@ -84,8 +84,7 @@ TEST(IncrementalSearchTest, FullyAdvancedMatchesBellmanFord) {
 
 TEST(IncrementalSearchTest, PathToReconstructsConsistentPath) {
   Graph g = RandomGraph(3, 30, 0.15);
-  ZeroHeuristic zero;
-  IncrementalSearch inc(g, &zero);
+  IncrementalSearch inc(g);
   std::pair<NodeId, PathLength> source[] = {{0, 0}};
   RunFull(inc, source);
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
@@ -106,8 +105,7 @@ TEST(IncrementalSearchTest, PathToReconstructsConsistentPath) {
 
 TEST(IncrementalSearchTest, MultiSourceIsMinOverSources) {
   Graph g = RandomGraph(7, 35, 0.12);
-  ZeroHeuristic zero;
-  IncrementalSearch inc(g, &zero);
+  IncrementalSearch inc(g);
   std::vector<std::pair<NodeId, PathLength>> seeds = {{3, 0}, {11, 0}, {20, 0}};
   RunFull(inc, seeds);
   std::vector<PathLength> d3 = BellmanFord(g, 3);
@@ -125,8 +123,7 @@ TEST(IncrementalSearchTest, MultiSourceInitialOffsets) {
   b.AddEdge(0, 2, 10);
   b.AddEdge(1, 2, 10);
   Graph g = b.Build();
-  ZeroHeuristic zero;
-  IncrementalSearch inc(g, &zero);
+  IncrementalSearch inc(g);
   std::vector<std::pair<NodeId, PathLength>> seeds = {{0, 5}, {1, 1}};
   RunFull(inc, seeds);
   EXPECT_EQ(inc.Distance(2), 11u);  // Via node 1.
@@ -146,15 +143,15 @@ TEST(IncrementalSearchTest, AdvanceUntilAnySettledStopsWithExactDistance) {
   for (const Case& c : cases) {
     Graph g = RandomGraph(c.graph_seed, c.n, c.p);
     ZeroHeuristic zero;
-    IncrementalSearch inc(g, &zero);
+    IncrementalSearch inc(g);
     std::vector<PathLength> expected = BellmanFord(g, c.source);
     EpochSet stop(g.NumNodes());
     for (NodeId t : c.stops) {
       std::pair<NodeId, PathLength> source[] = {{c.source, 0}};
-      inc.Initialize(source);
+      inc.Initialize(source, zero);
       stop.ClearAll();
       stop.Insert(t);
-      EXPECT_EQ(inc.AdvanceUntilAnySettled(stop),
+      EXPECT_EQ(inc.AdvanceUntilAnySettled(stop, zero),
                 expected[t] != kInfLength ? t : kInvalidNode);
       if (expected[t] != kInfLength) {
         EXPECT_EQ(inc.Distance(t), expected[t]);
@@ -177,15 +174,15 @@ TEST(IncrementalSearchTest, LandmarkHeuristicIsExactAndAdmissible) {
   LandmarkIndex landmarks = LandmarkIndex::Build(g, rev, lopt);
   std::vector<NodeId> targets = {13};
   LandmarkSetBound bound(&landmarks, targets, BoundDirection::kToSet);
-  IncrementalSearch astar(g, &bound);
+  IncrementalSearch astar(g);
   EpochSet stop(g.NumNodes());
   stop.Insert(13);
   for (NodeId s = 0; s < g.NumNodes(); ++s) {
     std::vector<PathLength> expected = BellmanFord(g, s);
     EXPECT_LE(bound.Estimate(s), expected[13]) << "source " << s;
     std::pair<NodeId, PathLength> source[] = {{s, 0}};
-    astar.Initialize(source);
-    EXPECT_EQ(astar.AdvanceUntilAnySettled(stop),
+    astar.Initialize(source, bound);
+    EXPECT_EQ(astar.AdvanceUntilAnySettled(stop, bound),
               expected[13] != kInfLength ? 13 : kInvalidNode)
         << "source " << s;
     if (expected[13] != kInfLength) {
@@ -203,8 +200,7 @@ TEST(IncrementalSearchTest, ExportDenseMatchesBellmanFordWithTightParents) {
     for (const OutEdge& e : base.OutEdges(u)) b.AddEdge(u, e.to, e.weight);
   }
   Graph g = b.Build();
-  ZeroHeuristic zero;
-  IncrementalSearch inc(g, &zero);
+  IncrementalSearch inc(g);
   std::vector<std::pair<NodeId, PathLength>> seeds = {{0, 0}, {30, 0}};
   RunFull(inc, seeds);
   SptResult spt = inc.ExportDense();
@@ -239,7 +235,7 @@ TEST(IncrementalSearchTest, UnreachableNodesStayInfinite) {
   b.EnsureNode(2);
   Graph g = b.Build();
   ZeroHeuristic zero;
-  IncrementalSearch inc(g, &zero);
+  IncrementalSearch inc(g);
   std::pair<NodeId, PathLength> source[] = {{0, 0}};
   RunFull(inc, source);
   EXPECT_EQ(inc.Distance(2), kInfLength);
@@ -247,7 +243,7 @@ TEST(IncrementalSearchTest, UnreachableNodesStayInfinite) {
   EXPECT_TRUE(inc.PathTo(2).empty());
   EpochSet stop(g.NumNodes());
   stop.Insert(2);
-  EXPECT_EQ(inc.AdvanceUntilAnySettled(stop), kInvalidNode);
+  EXPECT_EQ(inc.AdvanceUntilAnySettled(stop, zero), kInvalidNode);
 }
 
 TEST(IncrementalSearchTest, DistancesToSetHelper) {
@@ -268,13 +264,13 @@ TEST(IncrementalSearchTest, BoundCoverageProperty) {
   // and no settled node exceeds B.
   Graph g = RandomGraph(37, 50, 0.1);
   ZeroHeuristic zero;
-  IncrementalSearch inc(g, &zero);
+  IncrementalSearch inc(g);
   std::pair<NodeId, PathLength> seed[] = {{1, 0}};
-  inc.Initialize(seed);
+  inc.Initialize(seed, zero);
   std::vector<PathLength> expected = BellmanFord(g, 1);
   PathLength previous = 0;
   for (PathLength bound : {5u, 12u, 30u, 80u}) {
-    inc.AdvanceToBound(bound);
+    inc.AdvanceToBound(bound, zero);
     for (NodeId v = 0; v < g.NumNodes(); ++v) {
       if (expected[v] <= bound) {
         EXPECT_TRUE(inc.Settled(v)) << "bound " << bound << " node " << v;
@@ -291,11 +287,11 @@ TEST(IncrementalSearchTest, BoundCoverageProperty) {
 TEST(IncrementalSearchTest, SettleCallbackSeesEveryNodeOnce) {
   Graph g = RandomGraph(41, 30, 0.15);
   ZeroHeuristic zero;
-  IncrementalSearch inc(g, &zero);
+  IncrementalSearch inc(g);
   std::pair<NodeId, PathLength> seed[] = {{0, 0}};
-  inc.Initialize(seed);
+  inc.Initialize(seed, zero);
   std::vector<int> count(g.NumNodes(), 0);
-  inc.AdvanceToBound(kInfLength, [&](NodeId v) { ++count[v]; });
+  inc.AdvanceToBound(kInfLength, zero, [&](NodeId v) { ++count[v]; });
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     EXPECT_EQ(count[v], inc.Settled(v) ? 1 : 0);
   }
@@ -319,13 +315,13 @@ TEST(IncrementalSearchTest, AdvanceUntilAnySettledStopsAtNearest) {
   for (const Case& c : cases) {
     Graph g = RandomGraph(c.graph_seed, c.n, c.p);
     ZeroHeuristic zero;
-    IncrementalSearch inc(g, &zero);
+    IncrementalSearch inc(g);
     std::vector<std::pair<NodeId, PathLength>> seeds;
     for (NodeId s : c.sources) seeds.emplace_back(s, 0);
-    inc.Initialize(seeds);
+    inc.Initialize(seeds, zero);
     EpochSet stops(g.NumNodes());
     for (NodeId t : c.stops) stops.Insert(t);
-    NodeId hit = inc.AdvanceUntilAnySettled(stops);
+    NodeId hit = inc.AdvanceUntilAnySettled(stops, zero);
     PathLength best = kInfLength;
     for (NodeId s : c.sources) {
       std::vector<PathLength> expected = BellmanFord(g, s);
@@ -345,17 +341,56 @@ TEST(IncrementalSearchTest, ReinitializeResetsState) {
   // One engine reused across runs: each Initialize forgets the last run.
   Graph g = RandomGraph(47, 30, 0.15);
   ZeroHeuristic zero;
-  IncrementalSearch inc(g, &zero);
+  IncrementalSearch inc(g);
   for (NodeId s : {0u, 5u, 9u, 0u}) {
     std::pair<NodeId, PathLength> source[] = {{s, 0}};
-    inc.Initialize(source);
+    inc.Initialize(source, zero);
     EXPECT_EQ(inc.num_settled(), 0u);
-    inc.AdvanceToBound(kInfLength);
+    inc.AdvanceToBound(kInfLength, zero);
     std::vector<PathLength> expected = BellmanFord(g, s);
     for (NodeId v = 0; v < g.NumNodes(); ++v) {
       EXPECT_EQ(inc.Distance(v), expected[v]) << "source " << s;
       EXPECT_EQ(inc.Settled(v), expected[v] != kInfLength) << "source " << s;
     }
+  }
+}
+
+TEST(IncrementalSearchTest, EmptyIndexBoundSettlesLikeZeroBound) {
+  // IterBound_I-NL guides SPT_I with a landmark bound over no landmarks
+  // instead of ZeroHeuristic: both must settle the same nodes in the same
+  // order, with the same labels and heap work.
+  Graph g = RandomGraph(53, 60, 0.08);
+  LandmarkIndex empty;
+  std::vector<NodeId> targets = {7, 31};
+  const LandmarkSetBound from_empty_index(&empty, targets,
+                                          BoundDirection::kToSet);
+  const LandmarkSetBound default_bound;
+  ZeroHeuristic zero;
+  for (NodeId s : {0u, 11u, 42u}) {
+    std::pair<NodeId, PathLength> source[] = {{s, 0}};
+    auto settle_order = [&](const auto& bound, AlgoStats* algo) {
+      IncrementalSearch inc(g);
+      inc.SetAlgoStats(algo);
+      std::vector<std::pair<NodeId, PathLength>> order;
+      inc.Initialize(source, bound);
+      inc.AdvanceToBound(kInfLength, bound, [&](NodeId v) {
+        order.emplace_back(v, inc.Distance(v));
+      });
+      return order;
+    };
+    AlgoStats zero_algo;
+    AlgoStats empty_algo;
+    AlgoStats default_algo;
+    const auto expected = settle_order(zero, &zero_algo);
+    EXPECT_EQ(settle_order(from_empty_index, &empty_algo), expected)
+        << "source " << s;
+    EXPECT_EQ(settle_order(default_bound, &default_algo), expected)
+        << "source " << s;
+    EXPECT_EQ(empty_algo.heap_pushes, zero_algo.heap_pushes);
+    EXPECT_EQ(empty_algo.heap_decrease_keys, zero_algo.heap_decrease_keys);
+    EXPECT_EQ(default_algo.heap_pushes, zero_algo.heap_pushes);
+    EXPECT_EQ(default_algo.heap_decrease_keys, zero_algo.heap_decrease_keys);
+    EXPECT_GT(zero_algo.heap_decrease_keys, 0u);
   }
 }
 
