@@ -38,8 +38,9 @@
 # the zero-copy v4 format with them embedded, and requires --mmap answers
 # byte-identical to the heap load, then boots kpjd on loopback with an
 # access log and round-trips
-# health/query/GKPJ query (twice)/traced-query/stats/metrics/drain
-# through kpj_client, runs
+# health/query/GKPJ query (twice)/batch/traced-query/stats/metrics/drain
+# through kpj_client (query and batch answers diffed against the
+# in-process kpj_cli), runs
 # a short kpj_loadgen burst, validates the merged wire trace, stats
 # payload, access log, and loadgen report (failing on any leaked daemon
 # process), and finally boots kpjd again on the mmap'd v4 file, where a
@@ -231,6 +232,20 @@ diff "$smoke_dir/gkpj_cli.txt" "$smoke_dir/gkpj_wire.txt"
   --source 0,7 --targets 100,200,300 --k 5 \
   | grep ' -> ' > "$smoke_dir/gkpj_repeat.txt"
 diff "$smoke_dir/gkpj_wire.txt" "$smoke_dir/gkpj_repeat.txt"
+
+# Batch over the wire: the streamed BatchResponse must carry, query by
+# query, the length profiles the in-process batch computes on the same
+# graph and queries (comment and blank lines keep the line labels honest).
+printf '# source k targets...\n0 5 100 200 300\n\n7 3 50\n11 10 400 900\n0 5 100 200 300\n' \
+  > "$smoke_dir/batch_queries.txt"
+"$kpj_client" batch --port-file "$smoke_dir/kpjd.port" \
+  --queries "$smoke_dir/batch_queries.txt" \
+  | grep '^query ' > "$smoke_dir/batch_wire.txt"
+"$cli" batch --graph "$smoke_dir/g.bin" \
+  --queries "$smoke_dir/batch_queries.txt" \
+  | grep '^query ' > "$smoke_dir/batch_cli.txt"
+[[ $(wc -l < "$smoke_dir/batch_cli.txt") -eq 4 ]]
+diff "$smoke_dir/batch_cli.txt" "$smoke_dir/batch_wire.txt"
 
 # Wire-to-solver tracing: a traced query must come back with server spans
 # that merge with the client's into one timeline sharing one trace_id.

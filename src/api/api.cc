@@ -98,10 +98,18 @@ KpjEngineOptions EngineConfig::ToEngineOptions() const {
   return options;
 }
 
-KpjQuery QueryRequest::ToQuery() const {
+KpjQuery QueryRequest::ToQuery() const& {
   KpjQuery query;
   query.sources = sources;
   query.targets = targets;
+  query.k = k;
+  return query;
+}
+
+KpjQuery QueryRequest::ToQuery() && {
+  KpjQuery query;
+  query.sources = std::move(sources);
+  query.targets = std::move(targets);
   query.k = k;
   return query;
 }

@@ -107,7 +107,9 @@ struct QueryRequest {
   /// planner for this query. Unknown spellings are rejected.
   std::string algorithm;
 
-  KpjQuery ToQuery() const;
+  KpjQuery ToQuery() const&;
+  /// Moves the node lists into the query instead of copying them.
+  KpjQuery ToQuery() &&;
   static QueryRequest FromQuery(const KpjQuery& query);
 };
 

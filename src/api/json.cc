@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <utility>
 
 #include "util/string_util.h"
 
@@ -241,14 +242,6 @@ struct Parser {
   }
 };
 
-void AppendDouble(double v, std::string* out) {
-  // JSON has no NaN/Inf; mirror the engine exposition's FiniteOrZero.
-  if (!std::isfinite(v)) v = 0.0;
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out->append(buf);
-}
-
 Status MissingField(std::string_view key) {
   return Status::InvalidArgument("missing field '" + std::string(key) + "'");
 }
@@ -262,9 +255,11 @@ Result<int64_t> IntOf(const JsonValue& v, std::string_view key) {
   if (v.is_int()) return v.int_value();
   if (v.is_double()) {
     double d = v.number_value();
+    // int64 max rounds up to 2^63 as a double, which no int64 holds, so
+    // the upper bound is exclusive.
     if (d == std::floor(d) &&
         d >= static_cast<double>(std::numeric_limits<int64_t>::min()) &&
-        d <= static_cast<double>(std::numeric_limits<int64_t>::max())) {
+        d < static_cast<double>(std::numeric_limits<int64_t>::max())) {
       return static_cast<int64_t>(d);
     }
   }
@@ -287,54 +282,138 @@ const JsonValue* JsonValue::Find(std::string_view key) const {
   return nullptr;
 }
 
-void JsonValue::DumpTo(std::string* out) const {
-  switch (kind()) {
-    case Kind::kNull:
-      out->append("null");
-      return;
-    case Kind::kBool:
-      out->append(bool_value() ? "true" : "false");
-      return;
-    case Kind::kInt:
-      out->append(std::to_string(int_value()));
-      return;
-    case Kind::kDouble:
-      AppendDouble(number_value(), out);
-      return;
-    case Kind::kString:
-      out->append(JsonEscape(string_value()));
-      return;
-    case Kind::kArray: {
-      out->push_back('[');
-      bool first = true;
-      for (const JsonValue& item : items()) {
-        if (!first) out->push_back(',');
-        first = false;
-        item.DumpTo(out);
-      }
-      out->push_back(']');
-      return;
-    }
-    case Kind::kObject: {
-      out->push_back('{');
-      bool first = true;
-      for (const Member& m : members()) {
-        if (!first) out->push_back(',');
-        first = false;
-        out->append(JsonEscape(m.first));
-        out->push_back(':');
-        m.second.DumpTo(out);
-      }
-      out->push_back('}');
-      return;
-    }
-  }
+JsonValue* JsonValue::Find(std::string_view key) {
+  return const_cast<JsonValue*>(std::as_const(*this).Find(key));
 }
 
 std::string JsonValue::Dump() const {
   std::string out;
-  DumpTo(&out);
+  JsonWriter(&out).Value(*this);
   return out;
+}
+
+// --- JsonWriter -------------------------------------------------------------
+
+JsonWriter& JsonWriter::BeginObject() {
+  Separate();
+  out_->push_back('{');
+  need_comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::EndObject() {
+  out_->push_back('}');
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::BeginArray() {
+  Separate();
+  out_->push_back('[');
+  need_comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::EndArray() {
+  out_->push_back(']');
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Key(std::string_view key) {
+  Separate();
+  AppendJsonEscaped(key, out_);
+  out_->push_back(':');
+  need_comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Null() {
+  Separate();
+  out_->append("null");
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Bool(bool v) {
+  Separate();
+  out_->append(v ? "true" : "false");
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Int(int64_t v) {
+  Separate();
+  char buf[24];
+  std::to_chars_result end = std::to_chars(buf, buf + sizeof(buf), v);
+  out_->append(buf, end.ptr);
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Uint(uint64_t v) {
+  constexpr uint64_t kMax = std::numeric_limits<int64_t>::max();
+  return Int(static_cast<int64_t>(v > kMax ? kMax : v));
+}
+
+JsonWriter& JsonWriter::Double(double v) {
+  Separate();
+  if (!std::isfinite(v)) v = 0.0;
+  char buf[32];
+  int n = std::snprintf(buf, sizeof(buf), "%.17g", v);
+  out_->append(buf, static_cast<size_t>(n));
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::String(std::string_view v) {
+  Separate();
+  AppendJsonEscaped(v, out_);
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Uint32Array(std::span<const uint32_t> values) {
+  constexpr size_t kMaxDigits = 10;  // 4294967295
+  Separate();
+  const size_t start = out_->size();
+  out_->resize(start + 2 + values.size() * (kMaxDigits + 1));
+  char* p = out_->data() + start;
+  *p++ = '[';
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (i != 0) *p++ = ',';
+    p = std::to_chars(p, p + kMaxDigits, values[i]).ptr;
+  }
+  *p++ = ']';
+  out_->resize(static_cast<size_t>(p - out_->data()));
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Value(const JsonValue& value) {
+  switch (value.kind()) {
+    case JsonValue::Kind::kNull:
+      return Null();
+    case JsonValue::Kind::kBool:
+      return Bool(value.bool_value());
+    case JsonValue::Kind::kInt:
+      return Int(value.int_value());
+    case JsonValue::Kind::kDouble:
+      return Double(value.number_value());
+    case JsonValue::Kind::kString:
+      return String(value.string_value());
+    case JsonValue::Kind::kArray:
+      BeginArray();
+      for (const JsonValue& item : value.items()) Value(item);
+      return EndArray();
+    case JsonValue::Kind::kObject:
+      BeginObject();
+      for (const JsonValue::Member& m : value.members()) {
+        Key(m.first).Value(m.second);
+      }
+      return EndObject();
+  }
+  return *this;
 }
 
 Result<JsonValue> JsonValue::Parse(std::string_view text) {

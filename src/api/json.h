@@ -2,6 +2,7 @@
 #define KPJ_API_JSON_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -11,6 +12,54 @@
 #include "util/status.h"
 
 namespace kpj::api {
+
+class JsonValue;
+
+/// Append-only JSON writer: the one place that formats JSON numbers and
+/// strings. It appends compact text to a caller-owned string, inserting
+/// the separators itself, so a payload can be streamed straight into a
+/// frame buffer with no tree in between (api/wire.h ResponseWriter), and
+/// JsonValue::Dump is a walk over it.
+///
+/// Integers go through std::to_chars; Uint clamps past int64 range like
+/// JsonValue::Uint. Doubles use "%.17g" (enough digits to round-trip), and
+/// NaN/Inf, which JSON cannot express, are written as 0 like the engine's
+/// metrics exposition does. Strings go through AppendJsonEscaped.
+///
+/// The writer does not check nesting: every Begin needs its End, and
+/// inside an object every value needs a Key first.
+class JsonWriter {
+ public:
+  explicit JsonWriter(std::string* out) : out_(out) {}
+
+  JsonWriter& BeginObject();
+  JsonWriter& EndObject();
+  JsonWriter& BeginArray();
+  JsonWriter& EndArray();
+  /// Object member name; the next call writes its value.
+  JsonWriter& Key(std::string_view key);
+
+  JsonWriter& Null();
+  JsonWriter& Bool(bool v);
+  JsonWriter& Int(int64_t v);
+  JsonWriter& Uint(uint64_t v);
+  JsonWriter& Double(double v);
+  JsonWriter& String(std::string_view v);
+  JsonWriter& Value(const JsonValue& value);
+  /// A whole array of 32-bit unsigned values (a path's node ids, the hot
+  /// loop of a query answer), formatted in one pass into a pre-sized tail
+  /// of the buffer.
+  JsonWriter& Uint32Array(std::span<const uint32_t> values);
+
+ private:
+  /// Writes the ',' that precedes every element but a container's first.
+  void Separate() {
+    if (need_comma_) out_->push_back(',');
+  }
+
+  std::string* out_;
+  bool need_comma_ = false;
+};
 
 /// Owning JSON document tree used by the wire protocol (api/wire.h): one
 /// type serves both directions, so every request/response struct has a
@@ -90,10 +139,11 @@ class JsonValue {
   /// First member named `key`, or nullptr. Lookups are linear: wire
   /// objects have a dozen keys, not thousands.
   const JsonValue* Find(std::string_view key) const;
+  /// Mutable lookup, so a parser can move a member out of its document.
+  JsonValue* Find(std::string_view key);
 
-  /// Compact single-line serialization (the wire format). Doubles use
-  /// enough digits to round-trip; NaN/Inf (which JSON cannot express)
-  /// serialize as 0 like the engine's metrics exposition does.
+  /// Compact single-line serialization (the wire format), written by
+  /// JsonWriter.
   std::string Dump() const;
 
   /// Parses one JSON document; trailing non-whitespace is an error, as is
@@ -107,8 +157,6 @@ class JsonValue {
   explicit JsonValue(int64_t v) : value_(v) {}
   explicit JsonValue(double v) : value_(v) {}
   explicit JsonValue(std::string v) : value_(std::move(v)) {}
-
-  void DumpTo(std::string* out) const;
 
   std::variant<std::nullptr_t, bool, int64_t, double, std::string,
                std::vector<JsonValue>, std::vector<Member>>

@@ -49,6 +49,34 @@ JsonValue NodeArray(const std::vector<NodeId>& nodes) {
   return array;
 }
 
+/// One QueryResponse as a JSON object, in the order QueryResponseFromJson
+/// reads it.
+void WriteQueryResponse(const QueryResponse& response, JsonWriter& json) {
+  json.BeginObject();
+  json.Key("status").String(StatusCodeName(response.status));
+  if (!response.message.empty()) json.Key("message").String(response.message);
+  json.Key("paths").BeginArray();
+  for (const PathPayload& path : response.paths) {
+    json.BeginObject().Key("nodes").Uint32Array(path.nodes);
+    json.Key("length").Uint(path.length).EndObject();
+  }
+  json.EndArray();
+  json.Key("epoch").Uint(response.epoch);
+  json.Key("elapsed_ms").Double(response.elapsed_ms);
+  json.Key("queue_ms").Double(response.queue_ms);
+  json.Key("sp_computations").Uint(response.sp_computations);
+  json.Key("nodes_settled").Uint(response.nodes_settled);
+  // Additive v1 fields: omitted when the query never reached a solver, so
+  // pre-planner clients see byte-identical error responses.
+  if (!response.algorithm_chosen.empty()) {
+    json.Key("algorithm_chosen").String(response.algorithm_chosen);
+  }
+  if (!response.planner_reason.empty()) {
+    json.Key("planner_reason").String(response.planner_reason);
+  }
+  json.EndObject();
+}
+
 }  // namespace
 
 const char* RequestTypeName(RequestType type) {
@@ -122,36 +150,6 @@ Result<QueryRequest> QueryRequestFromJson(const JsonValue& json) {
 }
 
 // --- QueryResponse --------------------------------------------------------
-
-JsonValue ToJson(const QueryResponse& response) {
-  JsonValue object = JsonValue::Object();
-  object.Set("status", JsonValue::Str(StatusCodeName(response.status)));
-  if (!response.message.empty()) {
-    object.Set("message", JsonValue::Str(response.message));
-  }
-  JsonValue paths = JsonValue::Array();
-  for (const PathPayload& path : response.paths) {
-    JsonValue entry = JsonValue::Object();
-    entry.Set("nodes", NodeArray(path.nodes));
-    entry.Set("length", JsonValue::Uint(path.length));
-    paths.Append(std::move(entry));
-  }
-  object.Set("paths", std::move(paths));
-  object.Set("epoch", JsonValue::Uint(response.epoch));
-  object.Set("elapsed_ms", JsonValue::Double(response.elapsed_ms));
-  object.Set("queue_ms", JsonValue::Double(response.queue_ms));
-  object.Set("sp_computations", JsonValue::Uint(response.sp_computations));
-  object.Set("nodes_settled", JsonValue::Uint(response.nodes_settled));
-  // Additive v1 fields: omitted when the query never reached a solver, so
-  // pre-planner clients see byte-identical error responses.
-  if (!response.algorithm_chosen.empty()) {
-    object.Set("algorithm_chosen", JsonValue::Str(response.algorithm_chosen));
-  }
-  if (!response.planner_reason.empty()) {
-    object.Set("planner_reason", JsonValue::Str(response.planner_reason));
-  }
-  return object;
-}
 
 Result<QueryResponse> QueryResponseFromJson(const JsonValue& json) {
   if (!json.is_object()) {
@@ -242,20 +240,6 @@ Result<BatchRequest> BatchRequestFromJson(const JsonValue& json) {
   if (!deadline.ok()) return deadline.status();
   request.deadline_ms = deadline.value();
   return request;
-}
-
-JsonValue ToJson(const BatchResponse& response) {
-  JsonValue object = JsonValue::Object();
-  object.Set("status", JsonValue::Str(StatusCodeName(response.status)));
-  if (!response.message.empty()) {
-    object.Set("message", JsonValue::Str(response.message));
-  }
-  JsonValue results = JsonValue::Array();
-  for (const QueryResponse& result : response.results) {
-    results.Append(ToJson(result));
-  }
-  object.Set("results", std::move(results));
-  return object;
 }
 
 Result<BatchResponse> BatchResponseFromJson(const JsonValue& json) {
@@ -480,30 +464,23 @@ Result<StatsInfo> StatsInfoFromJson(const JsonValue& json) {
 
 // --- Envelopes ------------------------------------------------------------
 
-namespace {
-
-/// The request-side trace block: {"id":"<16 hex>","collect":bool}.
-JsonValue TraceBlock(uint64_t trace_id, bool collect) {
-  JsonValue block = JsonValue::Object();
-  block.Set("id", JsonValue::Str(FormatTraceId(trace_id)));
-  if (collect) block.Set("collect", JsonValue::Bool(true));
-  return block;
-}
-
-}  // namespace
-
 std::string SerializeRequest(const RequestEnvelope& request) {
-  JsonValue object = JsonValue::Object();
-  object.Set("v", JsonValue::Uint(request.version));
-  object.Set("id", JsonValue::Uint(request.id));
-  object.Set("type", JsonValue::Str(RequestTypeName(request.type)));
-  if (!request.payload.is_null()) {
-    object.Set("payload", request.payload);
-  }
+  std::string out;
+  JsonWriter json(&out);
+  json.BeginObject();
+  json.Key("v").Uint(request.version);
+  json.Key("id").Uint(request.id);
+  json.Key("type").String(RequestTypeName(request.type));
+  if (!request.payload.is_null()) json.Key("payload").Value(request.payload);
   if (request.trace_id != 0) {
-    object.Set("trace", TraceBlock(request.trace_id, request.collect_spans));
+    // The request-side trace block: {"id":"<16 hex>","collect":true}.
+    json.Key("trace").BeginObject();
+    json.Key("id").String(FormatTraceId(request.trace_id));
+    if (request.collect_spans) json.Key("collect").Bool(true);
+    json.EndObject();
   }
-  return object.Dump();
+  json.EndObject();
+  return out;
 }
 
 namespace {
@@ -531,7 +508,7 @@ Result<std::pair<uint32_t, uint64_t>> ParseEnvelopePrefix(
 Result<RequestEnvelope> ParseRequest(std::string_view text) {
   Result<JsonValue> parsed = JsonValue::Parse(text);
   if (!parsed.ok()) return parsed.status();
-  const JsonValue& object = parsed.value();
+  JsonValue& object = parsed.value();
   if (!object.is_object()) {
     return Status::InvalidArgument("request must be a JSON object");
   }
@@ -545,8 +522,9 @@ Result<RequestEnvelope> ParseRequest(std::string_view text) {
   Result<RequestType> parsed_type = ParseRequestType(type.value());
   if (!parsed_type.ok()) return parsed_type.status();
   request.type = parsed_type.value();
-  if (const JsonValue* payload = object.Find("payload"); payload != nullptr) {
-    request.payload = *payload;
+  // The payload moves out of the parsed document; nothing reads it there.
+  if (JsonValue* payload = object.Find("payload"); payload != nullptr) {
+    request.payload = std::move(*payload);
   }
   // Trace context is best-effort telemetry: a malformed block parses as "no
   // trace" rather than failing the request.
@@ -564,41 +542,62 @@ Result<RequestEnvelope> ParseRequest(std::string_view text) {
   return request;
 }
 
-std::string SerializeResponse(const ResponseEnvelope& response) {
-  JsonValue object = JsonValue::Object();
-  object.Set("v", JsonValue::Uint(response.version));
-  object.Set("id", JsonValue::Uint(response.id));
-  object.Set("status", JsonValue::Str(StatusCodeName(response.status)));
+void ResponseWriter::Open(uint64_t id, StatusCode status,
+                          std::string_view message) {
+  json_.BeginObject();
+  json_.Key("v").Uint(kApiVersion);
+  json_.Key("id").Uint(id);
+  json_.Key("status").String(StatusCodeName(status));
+  if (!message.empty()) json_.Key("message").String(message);
+}
+
+void ResponseWriter::Payload(const QueryResponse& response) {
+  WriteQueryResponse(response, json_.Key("payload"));
+}
+
+void ResponseWriter::Payload(const BatchResponse& response) {
+  json_.Key("payload").BeginObject();
+  json_.Key("status").String(StatusCodeName(response.status));
   if (!response.message.empty()) {
-    object.Set("message", JsonValue::Str(response.message));
+    json_.Key("message").String(response.message);
   }
-  if (!response.payload.is_null()) {
-    object.Set("payload", response.payload);
+  json_.Key("results").BeginArray();
+  for (const QueryResponse& result : response.results) {
+    WriteQueryResponse(result, json_);
   }
-  if (response.trace_id != 0) {
-    JsonValue trace = JsonValue::Object();
-    trace.Set("id", JsonValue::Str(FormatTraceId(response.trace_id)));
-    if (!response.trace_spans.empty()) {
-      JsonValue spans = JsonValue::Array();
-      for (const TraceSpanWire& span : response.trace_spans) {
-        JsonValue entry = JsonValue::Object();
-        entry.Set("name", JsonValue::Str(span.name));
-        entry.Set("ts", JsonValue::Int(span.ts_us));
-        entry.Set("dur", JsonValue::Int(span.dur_us));
-        entry.Set("tid", JsonValue::Uint(span.tid));
-        spans.Append(std::move(entry));
+  json_.EndArray().EndObject();
+}
+
+void ResponseWriter::Payload(const JsonValue& payload) {
+  if (!payload.is_null()) json_.Key("payload").Value(payload);
+}
+
+void ResponseWriter::Close(uint64_t trace_id,
+                           const std::vector<TraceSpanWire>& spans) {
+  if (trace_id != 0) {
+    json_.Key("trace").BeginObject();
+    json_.Key("id").String(FormatTraceId(trace_id));
+    if (!spans.empty()) {
+      json_.Key("spans").BeginArray();
+      for (const TraceSpanWire& span : spans) {
+        json_.BeginObject();
+        json_.Key("name").String(span.name);
+        json_.Key("ts").Int(span.ts_us);
+        json_.Key("dur").Int(span.dur_us);
+        json_.Key("tid").Uint(span.tid);
+        json_.EndObject();
       }
-      trace.Set("spans", std::move(spans));
+      json_.EndArray();
     }
-    object.Set("trace", std::move(trace));
+    json_.EndObject();
   }
-  return object.Dump();
+  json_.EndObject();
 }
 
 Result<ResponseEnvelope> ParseResponse(std::string_view text) {
   Result<JsonValue> parsed = JsonValue::Parse(text);
   if (!parsed.ok()) return parsed.status();
-  const JsonValue& object = parsed.value();
+  JsonValue& object = parsed.value();
   if (!object.is_object()) {
     return Status::InvalidArgument("response must be a JSON object");
   }
@@ -615,8 +614,8 @@ Result<ResponseEnvelope> ParseResponse(std::string_view text) {
   Result<std::string> message = GetString(object, "message", "");
   if (!message.ok()) return message.status();
   response.message = std::move(message).value();
-  if (const JsonValue* payload = object.Find("payload"); payload != nullptr) {
-    response.payload = *payload;
+  if (JsonValue* payload = object.Find("payload"); payload != nullptr) {
+    response.payload = std::move(*payload);
   }
   if (const JsonValue* trace = object.Find("trace");
       trace != nullptr && trace->is_object()) {
@@ -642,15 +641,6 @@ Result<ResponseEnvelope> ParseResponse(std::string_view text) {
       }
     }
   }
-  return response;
-}
-
-ResponseEnvelope ErrorResponse(uint64_t id, StatusCode status,
-                               std::string message) {
-  ResponseEnvelope response;
-  response.id = id;
-  response.status = status;
-  response.message = std::move(message);
   return response;
 }
 

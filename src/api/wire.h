@@ -111,8 +111,9 @@ struct RequestEnvelope {
   bool collect_spans = false;
 };
 
-/// One response frame:
+/// One parsed response frame:
 /// {"v":1,"id":7,"status":"ok","message":"","payload":{...}}.
+/// Responses are written by ResponseWriter, never from this struct.
 struct ResponseEnvelope {
   uint32_t version = kApiVersion;
   uint64_t id = 0;
@@ -131,13 +132,13 @@ struct ResponseEnvelope {
 JsonValue ToJson(const QueryRequest& request);
 Result<QueryRequest> QueryRequestFromJson(const JsonValue& json);
 
-JsonValue ToJson(const QueryResponse& response);
+/// Query and batch responses have no tree builder: ResponseWriter streams
+/// them, and these parse them back.
 Result<QueryResponse> QueryResponseFromJson(const JsonValue& json);
 
 JsonValue ToJson(const BatchRequest& request);
 Result<BatchRequest> BatchRequestFromJson(const JsonValue& json);
 
-JsonValue ToJson(const BatchResponse& response);
 Result<BatchResponse> BatchResponseFromJson(const JsonValue& json);
 
 JsonValue ToJson(const MetricsRequest& request);
@@ -166,12 +167,34 @@ std::string SerializeRequest(const RequestEnvelope& request);
 /// both versions); unknown fields are ignored.
 Result<RequestEnvelope> ParseRequest(std::string_view text);
 
-std::string SerializeResponse(const ResponseEnvelope& response);
-Result<ResponseEnvelope> ParseResponse(std::string_view text);
+/// Writes one response frame body into a caller-owned buffer, field by
+/// field in wire order:
+/// {"v":1,"id":7,"status":"ok","message":"..","payload":{..},"trace":{..}}.
+/// Open writes the head (the message only when non-empty), at most one
+/// Payload call writes the payload in place, and Close writes the trace
+/// block and closes the object. Query and batch answers are formatted
+/// straight from their structs, with no JSON tree and no copy; kpjd hands
+/// the writer a frame buffer that already holds the socket layer's length
+/// slot (util/socket.h SendFrame), so the frame is built once and sent as
+/// it stands.
+class ResponseWriter {
+ public:
+  explicit ResponseWriter(std::string* out) : json_(out) {}
 
-/// Convenience: an error response echoing `id`.
-ResponseEnvelope ErrorResponse(uint64_t id, StatusCode status,
-                               std::string message);
+  void Open(uint64_t id, StatusCode status, std::string_view message);
+  void Payload(const QueryResponse& response);
+  void Payload(const BatchResponse& response);
+  /// A tree payload (health, stats, metrics, swap); Null writes nothing.
+  void Payload(const JsonValue& payload);
+  /// Writes {"trace":{"id":"<16 hex>","spans":[...]}} when `trace_id` is
+  /// nonzero (spans only when there are any), then closes the envelope.
+  void Close(uint64_t trace_id, const std::vector<TraceSpanWire>& spans);
+
+ private:
+  JsonWriter json_;
+};
+
+Result<ResponseEnvelope> ParseResponse(std::string_view text);
 
 }  // namespace kpj::api
 

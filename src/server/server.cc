@@ -17,6 +17,11 @@
 namespace kpj::server {
 namespace {
 
+/// A connection keeps its response buffer between requests unless one
+/// response grew it past this (a large batch or metrics body), so an idle
+/// connection holds at most this much.
+constexpr size_t kRetainedReplyBytes = size_t{1} << 20;
+
 double FiniteOrZero(double value) {
   return std::isfinite(value) ? value : 0.0;
 }
@@ -269,6 +274,10 @@ void KpjServer::ConnectionLoop(Socket socket) {
   const ReadWaiter wait_mid_frame = [this, &grace_end](int fd) {
     return WaitMidFrame(fd, drain_.fd(), grace_end);
   };
+  // The connection's one response buffer: each response is written into it
+  // behind the frame's length slot and sent as it stands, and its capacity
+  // carries over to the next response (up to kRetainedReplyBytes).
+  std::string reply;
   for (;;) {
     // Drain: pipelined requests already on the wire are still answered
     // (the socket wins the poll); the connection closes once idle.
@@ -283,22 +292,25 @@ void KpjServer::ConnectionLoop(Socket socket) {
                        << kDrainMidFrameGrace.count() << " ms drain grace";
       break;
     }
+    reply.assign(kFramePrefixBytes, '\0');
+    api::ResponseWriter out(&reply);
     if (!frame.ok()) {
       metrics_.server_rejected.Increment();
-      api::ResponseEnvelope response = api::ErrorResponse(
-          0, api::StatusCode::kInvalidArgument, frame.status().message());
-      (void)WriteFrame(socket, api::SerializeResponse(response));
+      out.Open(0, api::StatusCode::kInvalidArgument, frame.status().message());
+      out.Close(0, {});
+      (void)SendFrame(socket, &reply);
       break;
     }
     if (frame.value().eof) break;
     int64_t parse_start_us = rec.NowUs();
-    api::ResponseEnvelope response;
+    uint64_t trace_id = 0;
+    std::vector<api::TraceSpanWire> spans;
     Result<api::RequestEnvelope> request =
         api::ParseRequest(frame.value().payload);
     if (!request.ok()) {
       metrics_.server_rejected.Increment();
-      response = api::ErrorResponse(0, api::StatusCode::kInvalidArgument,
-                                    request.status().message());
+      out.Open(0, api::StatusCode::kInvalidArgument,
+               request.status().message());
       AccessLogEntry entry;
       entry.peer = conn.peer;
       entry.type = "invalid";
@@ -326,46 +338,44 @@ void KpjServer::ConnectionLoop(Socket socket) {
                                parse_end_us - parse_start_us);
         }
         conn.first_request = false;
-        response = Handle(req, conn);
+        Handle(req, conn, &out);
       }
-      if (collect) response.trace_spans = EndSpanCollection(req.trace_id);
-      if (req.trace_id != 0) response.trace_id = req.trace_id;
+      // The trace block goes last, after every span it carries has ended.
+      if (collect) spans = EndSpanCollection(req.trace_id);
+      trace_id = req.trace_id;
     }
-    if (!WriteFrame(socket, api::SerializeResponse(response)).ok()) break;
+    out.Close(trace_id, spans);
+    if (!SendFrame(socket, &reply).ok()) break;
+    if (reply.capacity() > kRetainedReplyBytes) std::string().swap(reply);
   }
 }
 
-api::ResponseEnvelope KpjServer::Handle(const api::RequestEnvelope& request,
-                                        ConnContext& conn) {
+void KpjServer::Handle(const api::RequestEnvelope& request, ConnContext& conn,
+                       api::ResponseWriter* out) {
   switch (request.type) {
     case api::RequestType::kQuery:
-      return HandleQuery(request, conn);
+      return HandleQuery(request, conn, out);
     case api::RequestType::kBatch:
-      return HandleBatch(request, conn);
+      return HandleBatch(request, conn, out);
     case api::RequestType::kMetrics:
-      return HandleMetrics(request);
+      return HandleMetrics(request, out);
     case api::RequestType::kHealth:
-      return HandleHealth(request);
+      return HandleHealth(request, out);
     case api::RequestType::kStats:
-      return HandleStats(request);
-    case api::RequestType::kDrain: {
+      return HandleStats(request, out);
+    case api::RequestType::kDrain:
       KPJ_TRACE_INSTANT("server.drain");
       RequestDrain();
-      api::ResponseEnvelope response;
-      response.id = request.id;
-      return response;
-    }
+      return out->Open(request.id, api::StatusCode::kOk, "");
     case api::RequestType::kSwap:
-      return HandleSwap(request);
+      return HandleSwap(request, out);
   }
-  return api::ErrorResponse(request.id, api::StatusCode::kInternal,
-                            "unhandled request type");
+  out->Open(request.id, api::StatusCode::kInternal, "unhandled request type");
 }
 
 api::QueryResponse KpjServer::RunAdmitted(
-    const std::shared_ptr<ServingState>& state,
-    const api::QueryRequest& request, double batch_deadline_ms,
-    uint64_t trace_id) {
+    const std::shared_ptr<ServingState>& state, api::QueryRequest request,
+    double batch_deadline_ms, uint64_t trace_id) {
   double deadline_ms = request.deadline_ms >= 0.0 ? request.deadline_ms
                        : batch_deadline_ms >= 0.0 ? batch_deadline_ms
                                                   : options_.engine.deadline_ms;
@@ -420,7 +430,7 @@ api::QueryResponse KpjServer::RunAdmitted(
   Result<KpjResult> result = [&] {
     TraceSpan execute_span("server.execute");
     return state->engine
-        ->Submit(request.ToQuery(), remaining_ms,
+        ->Submit(std::move(request).ToQuery(), remaining_ms,
                  QueryContext{trace_id, queue_ms, algorithm_override})
         .get();
   }();
@@ -430,8 +440,8 @@ api::QueryResponse KpjServer::RunAdmitted(
   return api::BuildQueryResponse(result, state->epoch, elapsed_ms, queue_ms);
 }
 
-api::ResponseEnvelope KpjServer::HandleQuery(
-    const api::RequestEnvelope& request, ConnContext& conn) {
+void KpjServer::HandleQuery(const api::RequestEnvelope& request,
+                            ConnContext& conn, api::ResponseWriter* out) {
   AccessLogEntry entry;
   entry.trace_id = request.trace_id;
   entry.peer = conn.peer;
@@ -442,8 +452,8 @@ api::ResponseEnvelope KpjServer::HandleQuery(
     metrics_.server_rejected.Increment();
     entry.status = api::StatusCode::kInvalidArgument;
     LogAccess(std::move(entry));
-    return api::ErrorResponse(request.id, api::StatusCode::kInvalidArgument,
-                              query.status().message());
+    return out->Open(request.id, api::StatusCode::kInvalidArgument,
+                     query.status().message());
   }
   entry.k = query.value().k;
   std::shared_ptr<ServingState> serving = state();
@@ -451,12 +461,12 @@ api::ResponseEnvelope KpjServer::HandleQuery(
     metrics_.server_rejected.Increment();
     entry.status = api::StatusCode::kUnavailable;
     LogAccess(std::move(entry));
-    return api::ErrorResponse(request.id, api::StatusCode::kUnavailable,
-                              "server is draining");
+    return out->Open(request.id, api::StatusCode::kUnavailable,
+                     "server is draining");
   }
   api::QueryResponse response =
-      RunAdmitted(serving, query.value(), /*batch_deadline_ms=*/-1.0,
-                  request.trace_id);
+      RunAdmitted(serving, std::move(query).value(),
+                  /*batch_deadline_ms=*/-1.0, request.trace_id);
 
   bool shed = response.status == api::StatusCode::kOverloaded;
   window_.Record(response.queue_ms + response.elapsed_ms, shed,
@@ -475,21 +485,15 @@ api::ResponseEnvelope KpjServer::HandleQuery(
   if (shed) entry.shed_reason = response.message;
   LogAccess(std::move(entry));
 
-  api::ResponseEnvelope envelope;
-  envelope.id = request.id;
-  envelope.status = response.status;
-  envelope.message = response.message;
-  {
-    // The span set ships *inside* the envelope, so the serialize span can
-    // only cover building the payload, not the envelope dump itself.
-    TraceSpan serialize_span("server.serialize");
-    envelope.payload = api::ToJson(response);
-  }
-  return envelope;
+  // The serialize span covers the whole frame but its trace block, which
+  // carries this span and is written once the spans are collected.
+  TraceSpan serialize_span("server.serialize");
+  out->Open(request.id, response.status, response.message);
+  out->Payload(response);
 }
 
-api::ResponseEnvelope KpjServer::HandleBatch(
-    const api::RequestEnvelope& request, ConnContext& conn) {
+void KpjServer::HandleBatch(const api::RequestEnvelope& request,
+                            ConnContext& conn, api::ResponseWriter* out) {
   AccessLogEntry entry;
   entry.trace_id = request.trace_id;
   entry.peer = conn.peer;
@@ -500,8 +504,8 @@ api::ResponseEnvelope KpjServer::HandleBatch(
     metrics_.server_rejected.Increment();
     entry.status = api::StatusCode::kInvalidArgument;
     LogAccess(std::move(entry));
-    return api::ErrorResponse(request.id, api::StatusCode::kInvalidArgument,
-                              batch.status().message());
+    return out->Open(request.id, api::StatusCode::kInvalidArgument,
+                     batch.status().message());
   }
   // Batch lines carry the query count in `k` (there is no single per-line
   // k) and the batch wall time in exec_ms.
@@ -511,10 +515,10 @@ api::ResponseEnvelope KpjServer::HandleBatch(
     metrics_.server_rejected.Increment();
     entry.status = api::StatusCode::kUnavailable;
     LogAccess(std::move(entry));
-    return api::ErrorResponse(request.id, api::StatusCode::kUnavailable,
-                              "server is draining");
+    return out->Open(request.id, api::StatusCode::kUnavailable,
+                     "server is draining");
   }
-  const std::vector<api::QueryRequest>& queries = batch.value().queries;
+  std::vector<api::QueryRequest>& queries = batch.value().queries;
   double deadline_ms = batch.value().deadline_ms >= 0.0
                            ? batch.value().deadline_ms
                            : options_.engine.deadline_ms;
@@ -535,8 +539,8 @@ api::ResponseEnvelope KpjServer::HandleBatch(
       metrics_.server_rejected.Increment();
       entry.status = api::StatusCode::kInvalidArgument;
       LogAccess(std::move(entry));
-      return api::ErrorResponse(request.id, api::StatusCode::kInvalidArgument,
-                                invalid.message());
+      return out->Open(request.id, api::StatusCode::kInvalidArgument,
+                       invalid.message());
     }
     algorithm_override = parsed.value();
   }
@@ -572,14 +576,13 @@ api::ResponseEnvelope KpjServer::HandleBatch(
     entry.status = api::StatusCode::kOverloaded;
     entry.shed_reason = reason;
     LogAccess(std::move(entry));
-    return api::ErrorResponse(request.id, api::StatusCode::kOverloaded,
-                              reason);
+    return out->Open(request.id, api::StatusCode::kOverloaded, reason);
   }
   metrics_.server_accepted.Add(queries.size());
   std::vector<KpjQuery> engine_queries;
   engine_queries.reserve(queries.size());
-  for (const api::QueryRequest& query : queries) {
-    engine_queries.push_back(query.ToQuery());
+  for (api::QueryRequest& query : queries) {
+    engine_queries.push_back(std::move(query).ToQuery());
   }
   Timer run_timer;
   std::vector<Result<KpjResult>> results;
@@ -607,37 +610,31 @@ api::ResponseEnvelope KpjServer::HandleBatch(
   window_.Record(queue_ms + exec_ms, /*shed=*/false, /*error=*/false);
   entry.exec_ms = exec_ms;
   LogAccess(std::move(entry));
-  api::ResponseEnvelope envelope;
-  envelope.id = request.id;
-  {
-    TraceSpan serialize_span("server.serialize");
-    envelope.payload = api::ToJson(response);
-  }
-  return envelope;
+  TraceSpan serialize_span("server.serialize");
+  out->Open(request.id, api::StatusCode::kOk, "");
+  out->Payload(response);
 }
 
-api::ResponseEnvelope KpjServer::HandleMetrics(
-    const api::RequestEnvelope& request) {
+void KpjServer::HandleMetrics(const api::RequestEnvelope& request,
+                              api::ResponseWriter* out) {
   Result<api::MetricsRequest> metrics =
       api::MetricsRequestFromJson(request.payload);
   if (!metrics.ok()) {
     metrics_.server_rejected.Increment();
-    return api::ErrorResponse(request.id, api::StatusCode::kInvalidArgument,
-                              metrics.status().message());
+    return out->Open(request.id, api::StatusCode::kInvalidArgument,
+                     metrics.status().message());
   }
   std::string body = metrics.value().format == "prom" ? MetricsPrometheus()
                                                       : MetricsJson();
   api::JsonValue payload = api::JsonValue::Object();
   payload.Set("format", api::JsonValue::Str(metrics.value().format));
   payload.Set("body", api::JsonValue::Str(std::move(body)));
-  api::ResponseEnvelope envelope;
-  envelope.id = request.id;
-  envelope.payload = std::move(payload);
-  return envelope;
+  out->Open(request.id, api::StatusCode::kOk, "");
+  out->Payload(payload);
 }
 
-api::ResponseEnvelope KpjServer::HandleHealth(
-    const api::RequestEnvelope& request) {
+void KpjServer::HandleHealth(const api::RequestEnvelope& request,
+                             api::ResponseWriter* out) {
   std::shared_ptr<ServingState> serving = state();
   api::HealthInfo info;
   info.serving = !drain_.triggered() && serving != nullptr;
@@ -648,18 +645,14 @@ api::ResponseEnvelope KpjServer::HandleHealth(
   }
   info.uptime_ms = static_cast<uint64_t>(uptime_.ElapsedMillis());
   info.in_flight = admission_ != nullptr ? admission_->in_flight() : 0;
-  api::ResponseEnvelope envelope;
-  envelope.id = request.id;
-  envelope.payload = api::ToJson(info);
-  return envelope;
+  out->Open(request.id, api::StatusCode::kOk, "");
+  out->Payload(api::ToJson(info));
 }
 
-api::ResponseEnvelope KpjServer::HandleStats(
-    const api::RequestEnvelope& request) {
-  api::ResponseEnvelope envelope;
-  envelope.id = request.id;
-  envelope.payload = api::ToJson(Stats());
-  return envelope;
+void KpjServer::HandleStats(const api::RequestEnvelope& request,
+                            api::ResponseWriter* out) {
+  out->Open(request.id, api::StatusCode::kOk, "");
+  out->Payload(api::ToJson(Stats()));
 }
 
 api::StatsInfo KpjServer::Stats() const {
@@ -682,30 +675,27 @@ api::StatsInfo KpjServer::Stats() const {
   return info;
 }
 
-api::ResponseEnvelope KpjServer::HandleSwap(
-    const api::RequestEnvelope& request) {
+void KpjServer::HandleSwap(const api::RequestEnvelope& request,
+                           api::ResponseWriter* out) {
   Result<api::SwapRequest> swap = api::SwapRequestFromJson(request.payload);
   if (!swap.ok()) {
     metrics_.server_rejected.Increment();
-    return api::ErrorResponse(request.id, api::StatusCode::kInvalidArgument,
-                              swap.status().message());
+    return out->Open(request.id, api::StatusCode::kInvalidArgument,
+                     swap.status().message());
   }
   if (drain_.triggered()) {
     metrics_.server_rejected.Increment();
-    return api::ErrorResponse(request.id, api::StatusCode::kUnavailable,
-                              "server is draining");
+    return out->Open(request.id, api::StatusCode::kUnavailable,
+                     "server is draining");
   }
   Result<api::SwapInfo> info = Swap(swap.value());
   if (!info.ok()) {
     metrics_.server_rejected.Increment();
-    return api::ErrorResponse(request.id,
-                              api::FromCoreStatus(info.status()),
-                              info.status().message());
+    return out->Open(request.id, api::FromCoreStatus(info.status()),
+                     info.status().message());
   }
-  api::ResponseEnvelope envelope;
-  envelope.id = request.id;
-  envelope.payload = api::ToJson(info.value());
-  return envelope;
+  out->Open(request.id, api::StatusCode::kOk, "");
+  out->Payload(api::ToJson(info.value()));
 }
 
 Result<api::SwapInfo> KpjServer::Swap(const api::SwapRequest& request) {

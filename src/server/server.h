@@ -199,22 +199,29 @@ class KpjServer {
   /// one response frame per request.
   void ConnectionLoop(Socket socket);
 
-  api::ResponseEnvelope Handle(const api::RequestEnvelope& request,
-                               ConnContext& conn);
-  api::ResponseEnvelope HandleQuery(const api::RequestEnvelope& request,
-                                    ConnContext& conn);
-  api::ResponseEnvelope HandleBatch(const api::RequestEnvelope& request,
-                                    ConnContext& conn);
-  api::ResponseEnvelope HandleMetrics(const api::RequestEnvelope& request);
-  api::ResponseEnvelope HandleHealth(const api::RequestEnvelope& request);
-  api::ResponseEnvelope HandleSwap(const api::RequestEnvelope& request);
-  api::ResponseEnvelope HandleStats(const api::RequestEnvelope& request);
+  /// Each handler writes exactly one response envelope head and at most
+  /// one payload into `out`; the connection loop closes it with the trace
+  /// block and sends the frame.
+  void Handle(const api::RequestEnvelope& request, ConnContext& conn,
+              api::ResponseWriter* out);
+  void HandleQuery(const api::RequestEnvelope& request, ConnContext& conn,
+                   api::ResponseWriter* out);
+  void HandleBatch(const api::RequestEnvelope& request, ConnContext& conn,
+                   api::ResponseWriter* out);
+  void HandleMetrics(const api::RequestEnvelope& request,
+                     api::ResponseWriter* out);
+  void HandleHealth(const api::RequestEnvelope& request,
+                    api::ResponseWriter* out);
+  void HandleSwap(const api::RequestEnvelope& request,
+                  api::ResponseWriter* out);
+  void HandleStats(const api::RequestEnvelope& request,
+                   api::ResponseWriter* out);
 
   /// Runs one query through admission + the engine on a state snapshot.
   /// `trace_id` tags the server.queue / server.execute spans and rides
   /// into the engine (see core QueryContext).
   api::QueryResponse RunAdmitted(const std::shared_ptr<ServingState>& state,
-                                 const api::QueryRequest& request,
+                                 api::QueryRequest request,
                                  double batch_deadline_ms, uint64_t trace_id);
 
   /// Span collection for requests that asked for their spans back

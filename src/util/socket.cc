@@ -8,6 +8,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 namespace kpj {
@@ -27,15 +28,17 @@ Result<sockaddr_in> MakeAddress(const std::string& host, uint16_t port) {
   return addr;
 }
 
-/// write() the whole buffer, retrying partial writes and EINTR.
+#ifdef MSG_NOSIGNAL
+constexpr int kSendFlags = MSG_NOSIGNAL;
+#else
+constexpr int kSendFlags = 0;
+#endif
+
+/// send() the whole buffer, retrying partial writes and EINTR.
 Status WriteAll(int fd, const char* data, size_t size) {
   size_t written = 0;
   while (written < size) {
-#ifdef MSG_NOSIGNAL
-    ssize_t n = ::send(fd, data + written, size - written, MSG_NOSIGNAL);
-#else
-    ssize_t n = ::write(fd, data + written, size - written);
-#endif
+    ssize_t n = ::send(fd, data + written, size - written, kSendFlags);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Errno("write");
@@ -43,6 +46,14 @@ Status WriteAll(int fd, const char* data, size_t size) {
     written += static_cast<size_t>(n);
   }
   return Status::Ok();
+}
+
+/// The 4-byte big-endian length prefix of a `size`-byte body.
+void EncodePrefix(size_t size, char* prefix) {
+  prefix[0] = static_cast<char>(size >> 24);
+  prefix[1] = static_cast<char>(size >> 16);
+  prefix[2] = static_cast<char>(size >> 8);
+  prefix[3] = static_cast<char>(size);
 }
 
 /// read() exactly `size` bytes. `*got` reports progress so callers can
@@ -169,26 +180,35 @@ Status WriteFrame(const Socket& socket, std::string_view payload) {
   if (payload.size() > UINT32_MAX) {
     return Status::InvalidArgument("frame too large");
   }
-  uint32_t size = static_cast<uint32_t>(payload.size());
-  char prefix[4] = {
-      static_cast<char>(size >> 24),
-      static_cast<char>(size >> 16),
-      static_cast<char>(size >> 8),
-      static_cast<char>(size),
-  };
-  // Coalesce small frames into one write so the prefix and payload share
-  // a segment; large payloads go out as-is to skip the copy (they span
-  // full segments regardless).
-  constexpr size_t kCoalesceLimit = 64 * 1024;
-  if (payload.size() <= kCoalesceLimit) {
-    std::string frame;
-    frame.reserve(4 + payload.size());
-    frame.append(prefix, 4);
-    frame.append(payload.data(), payload.size());
-    return WriteAll(socket.fd(), frame.data(), frame.size());
+  char prefix[kFramePrefixBytes];
+  EncodePrefix(payload.size(), prefix);
+  // One gathering send puts the prefix and the body in one segment without
+  // copying the body; a partial send finishes with plain writes.
+  iovec parts[2] = {{prefix, kFramePrefixBytes},
+                    {const_cast<char*>(payload.data()), payload.size()}};
+  msghdr message{};
+  message.msg_iov = parts;
+  message.msg_iovlen = 2;
+  ssize_t n;
+  do {
+    n = ::sendmsg(socket.fd(), &message, kSendFlags);
+  } while (n < 0 && errno == EINTR);
+  if (n < 0) return Errno("write");
+  size_t sent = static_cast<size_t>(n);
+  if (sent < kFramePrefixBytes) {
+    KPJ_RETURN_IF_ERROR(WriteAll(socket.fd(), prefix + sent,
+                                 kFramePrefixBytes - sent));
+    sent = kFramePrefixBytes;
   }
-  KPJ_RETURN_IF_ERROR(WriteAll(socket.fd(), prefix, 4));
-  return WriteAll(socket.fd(), payload.data(), payload.size());
+  sent -= kFramePrefixBytes;
+  return WriteAll(socket.fd(), payload.data() + sent, payload.size() - sent);
+}
+
+Status SendFrame(const Socket& socket, std::string* frame) {
+  const size_t body = frame->size() - kFramePrefixBytes;
+  if (body > UINT32_MAX) return Status::InvalidArgument("frame too large");
+  EncodePrefix(body, frame->data());
+  return WriteAll(socket.fd(), frame->data(), frame->size());
 }
 
 Result<Frame> ReadFrame(const Socket& socket, size_t max_bytes,

@@ -66,10 +66,19 @@ Result<Socket> AcceptConnection(const Socket& listener);
 /// Connects to `host:port` (blocking).
 Result<Socket> ConnectTcp(const std::string& host, uint16_t port);
 
-/// Writes one frame: 4-byte big-endian length prefix, then the payload.
-/// Handles partial writes and EINTR; SIGPIPE is suppressed (a dead peer
-/// surfaces as an IoError, not a signal).
+/// Bytes of a frame's big-endian length prefix.
+inline constexpr size_t kFramePrefixBytes = 4;
+
+/// Writes one frame: 4-byte big-endian length prefix, then the payload,
+/// gathered into one send. Handles partial writes and EINTR; SIGPIPE is
+/// suppressed (a dead peer surfaces as an IoError, not a signal).
 Status WriteFrame(const Socket& socket, std::string_view payload);
+
+/// Sends a frame built in place: `*frame` opens with kFramePrefixBytes
+/// reserved bytes and the body follows. Fills the slot with the body's
+/// length and sends the buffer with one write, same error rules as
+/// WriteFrame. Requires frame->size() >= kFramePrefixBytes.
+Status SendFrame(const Socket& socket, std::string* frame);
 
 /// Called with the socket's fd before every blocking read of a frame;
 /// returns false to abandon the frame.

@@ -78,38 +78,42 @@ std::string FormatWithCommas(uint64_t value) {
   return out;
 }
 
-std::string JsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  out.push_back('"');
+void AppendJsonEscaped(std::string_view text, std::string* out) {
+  out->push_back('"');
   for (char c : text) {
     switch (c) {
       case '"':
-        out += "\\\"";
+        out->append("\\\"");
         break;
       case '\\':
-        out += "\\\\";
+        out->append("\\\\");
         break;
       case '\n':
-        out += "\\n";
+        out->append("\\n");
         break;
       case '\r':
-        out += "\\r";
+        out->append("\\r");
         break;
       case '\t':
-        out += "\\t";
+        out->append("\\t");
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
           std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
+          out->append(buf);
         } else {
-          out.push_back(c);
+          out->push_back(c);
         }
     }
   }
-  out.push_back('"');
+  out->push_back('"');
+}
+
+std::string JsonEscape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size() + 2);
+  AppendJsonEscaped(text, &out);
   return out;
 }
 

@@ -27,8 +27,12 @@ std::optional<double> ParseDouble(std::string_view text);
 /// Formats `value` with thousands separators ("1,234,567") for tables.
 std::string FormatWithCommas(uint64_t value);
 
-/// Returns `text` as a double-quoted JSON string literal with all required
-/// escapes (quotes, backslash, control characters).
+/// Appends `text` to `out` as a double-quoted JSON string literal with all
+/// required escapes (quotes, backslash, control characters). The one JSON
+/// string escaper: JsonEscape and api::JsonWriter both call it.
+void AppendJsonEscaped(std::string_view text, std::string* out);
+
+/// AppendJsonEscaped into a fresh string.
 std::string JsonEscape(std::string_view text);
 
 }  // namespace kpj

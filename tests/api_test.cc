@@ -6,7 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -161,6 +165,36 @@ TEST(EngineConfigTest, LowersOntoEngineOptions) {
 // ---------------------------------------------------------------------------
 // Payload round-trips
 
+/// One response frame body as kpjd writes it: ResponseWriter straight from
+/// the struct, no tree.
+template <typename Payload>
+std::string ResponseText(uint64_t id, StatusCode status,
+                         std::string_view message, const Payload& payload,
+                         uint64_t trace_id = 0,
+                         const std::vector<TraceSpanWire>& spans = {}) {
+  std::string text;
+  ResponseWriter out(&text);
+  out.Open(id, status, message);
+  out.Payload(payload);
+  out.Close(trace_id, spans);
+  return text;
+}
+
+std::string QueryText(const QueryResponse& response, uint64_t id = 1,
+                      uint64_t trace_id = 0,
+                      const std::vector<TraceSpanWire>& spans = {}) {
+  return ResponseText(id, response.status, response.message, response,
+                      trace_id, spans);
+}
+
+/// The payload member of a streamed response, parsed back.
+JsonValue PayloadOf(const std::string& text) {
+  Result<JsonValue> doc = JsonValue::Parse(text);
+  EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+  if (!doc.ok() || doc.value().Find("payload") == nullptr) return {};
+  return *doc.value().Find("payload");
+}
+
 TEST(WireTest, QueryRequestRoundTrips) {
   QueryRequest request;
   request.sources = {7, 9};
@@ -237,7 +271,8 @@ TEST(WireTest, QueryResponseRoundTrips) {
   path.nodes = {3, 1, 4, 1, 5};
   path.length = 92653;
   response.paths.push_back(path);
-  Result<QueryResponse> back = QueryResponseFromJson(ToJson(response));
+  Result<QueryResponse> back =
+      QueryResponseFromJson(PayloadOf(QueryText(response)));
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back.value().status, StatusCode::kDeadlineExceeded);
   EXPECT_EQ(back.value().message, "deadline");
@@ -268,7 +303,8 @@ TEST(WireTest, BatchRoundTrips) {
   BatchResponse response;
   response.results.resize(2);
   response.results[1].status = StatusCode::kOverloaded;
-  Result<BatchResponse> rback = BatchResponseFromJson(ToJson(response));
+  Result<BatchResponse> rback = BatchResponseFromJson(
+      PayloadOf(ResponseText(1, StatusCode::kOk, "", response)));
   ASSERT_TRUE(rback.ok());
   ASSERT_EQ(rback.value().results.size(), 2u);
   EXPECT_EQ(rback.value().results[1].status, StatusCode::kOverloaded);
@@ -351,9 +387,11 @@ TEST(WireTest, RequestEnvelopeRoundTrips) {
 }
 
 TEST(WireTest, ResponseEnvelopeRoundTrips) {
-  ResponseEnvelope response = ErrorResponse(
-      9, StatusCode::kUnavailable, "server is draining");
-  Result<ResponseEnvelope> back = ParseResponse(SerializeResponse(response));
+  std::string text;
+  ResponseWriter out(&text);
+  out.Open(9, StatusCode::kUnavailable, "server is draining");
+  out.Close(0, {});
+  Result<ResponseEnvelope> back = ParseResponse(text);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back.value().id, 9u);
   EXPECT_EQ(back.value().status, StatusCode::kUnavailable);
@@ -388,6 +426,303 @@ TEST(WireTest, RequestTypeNamesRoundTrip) {
     EXPECT_EQ(parsed.value(), type);
   }
   EXPECT_FALSE(ParseRequestType("restart").ok());
+}
+
+// ---------------------------------------------------------------------------
+// Golden response bytes: each case pins the exact frame body kpjd sends (the
+// strings were taken from the tree serializer these writers replaced), and
+// parsing it back and writing it again must give the same bytes.
+
+PathPayload MakePath(std::vector<NodeId> nodes, uint64_t length) {
+  PathPayload path;
+  path.nodes = std::move(nodes);
+  path.length = length;
+  return path;
+}
+
+/// Both planner fields set.
+QueryResponse OkAnswer() {
+  QueryResponse r;
+  r.paths.push_back(MakePath({5, 17, 42}, 123));
+  r.paths.push_back(MakePath({5, 9, 11, 42}, 130));
+  r.epoch = 3;
+  r.elapsed_ms = 1.5;
+  r.queue_ms = 0.25;
+  r.sp_computations = 4;
+  r.nodes_settled = 321;
+  r.algorithm_chosen = "IterBound_I";
+  r.planner_reason = "warm_reverse_spt";
+  return r;
+}
+
+/// Node ids up to 2^32-2, a length past 2^53, 1e-300, and uint64 values
+/// past int64 range (written clamped); algorithm_chosen without a reason.
+QueryResponse ExtremeAnswer() {
+  QueryResponse r;
+  r.paths.push_back(
+      MakePath({0, 4294967294u, 4294967293u}, 9007199254740993ull));
+  r.paths.push_back(MakePath({4294967294u}, ~uint64_t{0}));
+  r.epoch = ~uint64_t{0};
+  r.elapsed_ms = 1e-300;
+  r.queue_ms = 123456.789;
+  r.sp_computations = 9007199254740993ull;
+  r.nodes_settled = 4294967296ull;
+  r.algorithm_chosen = "DA";
+  return r;
+}
+
+/// No paths and neither planner field.
+QueryResponse EmptyAnswer() {
+  QueryResponse r;
+  r.epoch = 1;
+  return r;
+}
+
+/// An error whose message needs every kind of escape, NaN and Inf timings
+/// (written as 0), and a planner reason without an algorithm.
+QueryResponse ErrorAnswer() {
+  QueryResponse r;
+  r.status = StatusCode::kDeadlineExceeded;
+  r.message = "bad \"quote\" back\\slash\nline \x01 end";
+  r.paths.push_back(MakePath({1, 2}, 7));
+  r.epoch = 2;
+  r.elapsed_ms = std::numeric_limits<double>::quiet_NaN();
+  r.queue_ms = std::numeric_limits<double>::infinity();
+  r.sp_computations = 1;
+  r.nodes_settled = 2;
+  r.planner_reason = "only_reason";
+  return r;
+}
+
+std::vector<TraceSpanWire> GoldenSpans() {
+  return {{"server.serialize", 100, 25, 3},
+          {"engine.query", -5, 0, 4294967295u}};
+}
+
+BatchResponse GoldenBatch() {
+  BatchResponse batch;
+  batch.results.push_back(OkAnswer());
+  QueryResponse shed;
+  shed.status = StatusCode::kOverloaded;
+  shed.message = "admission queue full";
+  shed.queue_ms = 0.5;
+  batch.results.push_back(shed);
+  batch.results.push_back(EmptyAnswer());
+  return batch;
+}
+
+/// Parses `text` as a response frame and writes it again from the parsed
+/// structs; the bytes must not change.
+template <typename Payload, typename FromJson>
+void ExpectRewritesIdentically(const std::string& text, FromJson from_json) {
+  Result<ResponseEnvelope> envelope = ParseResponse(text);
+  ASSERT_TRUE(envelope.ok()) << envelope.status().ToString();
+  Result<Payload> payload = from_json(envelope.value().payload);
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  EXPECT_EQ(ResponseText(envelope.value().id, envelope.value().status,
+                         envelope.value().message, payload.value(),
+                         envelope.value().trace_id,
+                         envelope.value().trace_spans),
+            text);
+}
+
+void ExpectQueryGolden(const std::string& text, const std::string& golden) {
+  EXPECT_EQ(text, golden);
+  ExpectRewritesIdentically<QueryResponse>(text, QueryResponseFromJson);
+}
+
+TEST(WireGoldenTest, OkAnswerWithPaths) {
+  const QueryResponse answer = OkAnswer();
+  const std::string text = QueryText(answer, 7);
+  ExpectQueryGolden(text,
+      R"({"v":1,"id":7,"status":"ok","payload":{"status":"ok","paths":[{"nodes":[5,17,42],"length":123},{"nodes":[5,9,11,42],"length":130}],"epoch":3,"elapsed_ms":1.5,"queue_ms":0.25,"sp_computations":4,"nodes_settled":321,"algorithm_chosen":"IterBound_I","planner_reason":"warm_reverse_spt"}})");
+  Result<QueryResponse> back = QueryResponseFromJson(PayloadOf(text));
+  ASSERT_TRUE(back.ok());
+  ASSERT_EQ(back.value().paths.size(), 2u);
+  EXPECT_EQ(back.value().paths[1].nodes, answer.paths[1].nodes);
+  EXPECT_EQ(back.value().paths[1].length, 130u);
+  EXPECT_EQ(back.value().elapsed_ms, 1.5);
+  EXPECT_EQ(back.value().algorithm_chosen, "IterBound_I");
+  EXPECT_EQ(back.value().planner_reason, "warm_reverse_spt");
+}
+
+TEST(WireGoldenTest, ExtremeIdsLengthsAndTimings) {
+  const std::string text = QueryText(ExtremeAnswer(), 8);
+  ExpectQueryGolden(text,
+      R"({"v":1,"id":8,"status":"ok","payload":{"status":"ok","paths":[{"nodes":[0,4294967294,4294967293],"length":9007199254740993},{"nodes":[4294967294],"length":9223372036854775807}],"epoch":9223372036854775807,"elapsed_ms":1e-300,"queue_ms":123456.789,"sp_computations":9007199254740993,"nodes_settled":4294967296,"algorithm_chosen":"DA"}})");
+  Result<QueryResponse> back = QueryResponseFromJson(PayloadOf(text));
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value().paths[0].nodes,
+            (std::vector<NodeId>{0, 4294967294u, 4294967293u}));
+  EXPECT_EQ(back.value().paths[0].length, 9007199254740993ull);
+  EXPECT_EQ(back.value().elapsed_ms, 1e-300);
+  EXPECT_TRUE(back.value().planner_reason.empty());
+}
+
+TEST(WireGoldenTest, EmptyAnswer) {
+  ExpectQueryGolden(QueryText(EmptyAnswer(), 1),
+      R"({"v":1,"id":1,"status":"ok","payload":{"status":"ok","paths":[],"epoch":1,"elapsed_ms":0,"queue_ms":0,"sp_computations":0,"nodes_settled":0}})");
+}
+
+TEST(WireGoldenTest, ErrorMessageEscapesAndNonFiniteTimings) {
+  const QueryResponse answer = ErrorAnswer();
+  const std::string text = QueryText(answer, 2);
+  ExpectQueryGolden(text,
+      R"({"v":1,"id":2,"status":"deadline_exceeded","message":"bad \"quote\" back\\slash\nline \u0001 end","payload":{"status":"deadline_exceeded","message":"bad \"quote\" back\\slash\nline \u0001 end","paths":[{"nodes":[1,2],"length":7}],"epoch":2,"elapsed_ms":0,"queue_ms":0,"sp_computations":1,"nodes_settled":2,"planner_reason":"only_reason"}})");
+  Result<ResponseEnvelope> envelope = ParseResponse(text);
+  ASSERT_TRUE(envelope.ok());
+  EXPECT_EQ(envelope.value().message, answer.message);
+  Result<QueryResponse> back =
+      QueryResponseFromJson(envelope.value().payload);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value().status, StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(back.value().message, answer.message);
+  EXPECT_EQ(back.value().elapsed_ms, 0.0);
+  EXPECT_EQ(back.value().queue_ms, 0.0);
+  EXPECT_TRUE(back.value().algorithm_chosen.empty());
+}
+
+TEST(WireGoldenTest, EnvelopeOnlyError) {
+  const std::string text = ResponseText(
+      9, StatusCode::kInvalidArgument,
+      "field 'k' must be \"an integer\"\n\x01", JsonValue::Null());
+  EXPECT_EQ(text,
+      R"({"v":1,"id":9,"status":"invalid_argument","message":"field 'k' must be \"an integer\"\n\u0001"})");
+  Result<ResponseEnvelope> back = ParseResponse(text);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value().message, "field 'k' must be \"an integer\"\n\x01");
+  EXPECT_TRUE(back.value().payload.is_null());
+}
+
+TEST(WireGoldenTest, TracedEnvelopes) {
+  const std::string text =
+      QueryText(OkAnswer(), 3, 0x0123456789abcdefull, GoldenSpans());
+  ExpectQueryGolden(text,
+      R"({"v":1,"id":3,"status":"ok","payload":{"status":"ok","paths":[{"nodes":[5,17,42],"length":123},{"nodes":[5,9,11,42],"length":130}],"epoch":3,"elapsed_ms":1.5,"queue_ms":0.25,"sp_computations":4,"nodes_settled":321,"algorithm_chosen":"IterBound_I","planner_reason":"warm_reverse_spt"},"trace":{"id":"0123456789abcdef","spans":[{"name":"server.serialize","ts":100,"dur":25,"tid":3},{"name":"engine.query","ts":-5,"dur":0,"tid":4294967295}]}})");
+  Result<ResponseEnvelope> back = ParseResponse(text);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value().trace_id, 0x0123456789abcdefull);
+  ASSERT_EQ(back.value().trace_spans.size(), 2u);
+  EXPECT_EQ(back.value().trace_spans[1].ts_us, -5);
+  EXPECT_EQ(back.value().trace_spans[1].tid, 4294967295u);
+
+  // A trace id without collected spans echoes the id alone.
+  ExpectQueryGolden(QueryText(EmptyAnswer(), 4, 0xff),
+      R"({"v":1,"id":4,"status":"ok","payload":{"status":"ok","paths":[],"epoch":1,"elapsed_ms":0,"queue_ms":0,"sp_computations":0,"nodes_settled":0},"trace":{"id":"00000000000000ff"}})");
+}
+
+TEST(WireGoldenTest, Batch) {
+  const std::string text =
+      ResponseText(5, StatusCode::kOk, "", GoldenBatch());
+  EXPECT_EQ(text,
+      R"({"v":1,"id":5,"status":"ok","payload":{"status":"ok","results":[{"status":"ok","paths":[{"nodes":[5,17,42],"length":123},{"nodes":[5,9,11,42],"length":130}],"epoch":3,"elapsed_ms":1.5,"queue_ms":0.25,"sp_computations":4,"nodes_settled":321,"algorithm_chosen":"IterBound_I","planner_reason":"warm_reverse_spt"},{"status":"overloaded","message":"admission queue full","paths":[],"epoch":0,"elapsed_ms":0,"queue_ms":0.5,"sp_computations":0,"nodes_settled":0},{"status":"ok","paths":[],"epoch":1,"elapsed_ms":0,"queue_ms":0,"sp_computations":0,"nodes_settled":0}]}})");
+  ExpectRewritesIdentically<BatchResponse>(text, BatchResponseFromJson);
+  Result<BatchResponse> back = BatchResponseFromJson(PayloadOf(text));
+  ASSERT_TRUE(back.ok());
+  ASSERT_EQ(back.value().results.size(), 3u);
+  EXPECT_EQ(back.value().results[0].paths[0].nodes,
+            (std::vector<NodeId>{5, 17, 42}));
+  EXPECT_EQ(back.value().results[1].status, StatusCode::kOverloaded);
+  EXPECT_EQ(back.value().results[1].message, "admission queue full");
+
+  // A batch-level message and a trace block.
+  BatchResponse partial = GoldenBatch();
+  partial.status = StatusCode::kInternal;
+  partial.message = "partial";
+  const std::string traced =
+      ResponseText(5, StatusCode::kOk, "", partial, 42, GoldenSpans());
+  EXPECT_EQ(traced,
+      R"({"v":1,"id":5,"status":"ok","payload":{"status":"internal","message":"partial","results":[{"status":"ok","paths":[{"nodes":[5,17,42],"length":123},{"nodes":[5,9,11,42],"length":130}],"epoch":3,"elapsed_ms":1.5,"queue_ms":0.25,"sp_computations":4,"nodes_settled":321,"algorithm_chosen":"IterBound_I","planner_reason":"warm_reverse_spt"},{"status":"overloaded","message":"admission queue full","paths":[],"epoch":0,"elapsed_ms":0,"queue_ms":0.5,"sp_computations":0,"nodes_settled":0},{"status":"ok","paths":[],"epoch":1,"elapsed_ms":0,"queue_ms":0,"sp_computations":0,"nodes_settled":0}]},"trace":{"id":"000000000000002a","spans":[{"name":"server.serialize","ts":100,"dur":25,"tid":3},{"name":"engine.query","ts":-5,"dur":0,"tid":4294967295}]}})");
+  ExpectRewritesIdentically<BatchResponse>(traced, BatchResponseFromJson);
+}
+
+// ---------------------------------------------------------------------------
+// Hostile JSON: a seeded mutation loop over a valid query frame. Every call
+// must come back with a value or a Status (no crash, hang or sanitizer
+// report); nothing else is asserted about the mutants.
+
+TEST(HostileJsonTest, MutatedQueryFramesReturnValueOrStatus) {
+  RequestEnvelope request;
+  request.id = 77;
+  QueryRequest query;
+  query.sources = {12, 7};
+  query.targets = {100, 4000, 4294967294u};
+  query.k = 10;
+  query.deadline_ms = 2.5;
+  query.algorithm = "auto";
+  request.payload = ToJson(query);
+  request.trace_id = 0xabcdef;
+  request.collect_spans = true;
+  const std::string valid = SerializeRequest(request);
+  ASSERT_TRUE(ParseRequest(valid).ok());
+
+  std::mt19937_64 rng(20240917);
+  auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+  const std::string alphabet = "{}[]\",:0123456789-+.eEtrufalsn\\u \x01\xff";
+  size_t parsed = 0;
+  size_t requests = 0;
+  size_t queries = 0;
+  size_t rejected = 0;
+  constexpr int kIterations = 20000;
+  for (int i = 0; i < kIterations; ++i) {
+    std::string text = valid;
+    switch (i % 4) {
+      case 0:  // Bit flips.
+        for (size_t n = 1 + pick(4); n > 0; --n) {
+          text[pick(text.size())] ^= static_cast<char>(1u << pick(8));
+        }
+        break;
+      case 1:  // Truncation.
+        text.resize(pick(text.size()));
+        break;
+      case 2:  // Insertions of JSON-ish bytes.
+        for (size_t n = 1 + pick(6); n > 0; --n) {
+          const char c = alphabet[pick(alphabet.size())];
+          text.insert(pick(text.size() + 1), 1, c);
+        }
+        break;
+      case 3: {  // Deep nesting, spliced in or wrapped around the payload.
+        const size_t depth = 1 + pick(200);
+        const bool arrays = pick(2) == 0;
+        std::string open, close;
+        for (size_t d = 0; d < depth; ++d) {
+          open += arrays ? "[" : "{\"a\":";
+          close += arrays ? "]" : "}";
+        }
+        const size_t at = text.find("\"payload\":") + 10;
+        if (pick(2) == 0) {
+          text.insert(pick(text.size() + 1), open);
+        } else {
+          text.insert(text.find(",\"trace\""), close);
+          text.insert(at, open);
+        }
+        break;
+      }
+    }
+    Result<JsonValue> doc = JsonValue::Parse(text);
+    EXPECT_TRUE(doc.ok() || !doc.status().ok());
+    if (doc.ok()) {
+      ++parsed;
+      Result<QueryRequest> whole = QueryRequestFromJson(doc.value());
+      EXPECT_TRUE(whole.ok() || !whole.status().ok());
+    }
+    Result<RequestEnvelope> envelope = ParseRequest(text);
+    if (!envelope.ok()) {
+      ++rejected;
+      EXPECT_FALSE(envelope.status().ok());
+      continue;
+    }
+    ++requests;
+    Result<QueryRequest> payload =
+        QueryRequestFromJson(envelope.value().payload);
+    if (payload.ok()) ++queries;
+  }
+  // The loop must reach every layer: some mutants survive each parser and
+  // some are refused.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(requests, 0u);
+  EXPECT_GT(queries, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -51,6 +51,28 @@ TEST(SocketTest, FramesRoundTripInOrder) {
   }
 }
 
+TEST(SocketTest, InPlaceAndPartiallyWrittenFramesRoundTrip) {
+  // An 8 MiB body overflows the loopback socket buffers, so the sender
+  // blocks inside each frame until the reader drains it.
+  LoopbackPair pair = Connect();
+  const std::string big(8 << 20, 'z');
+  std::thread reader([&pair, &big] {
+    for (const std::string& want : {big, std::string("in place"), big}) {
+      Result<Frame> frame = ReadFrame(pair.server, 16 << 20);
+      ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+      EXPECT_EQ(frame.value().payload, want);
+    }
+  });
+  EXPECT_TRUE(WriteFrame(pair.client, big).ok());
+  std::string small(kFramePrefixBytes, '\0');
+  small += "in place";
+  EXPECT_TRUE(SendFrame(pair.client, &small).ok());
+  std::string large(kFramePrefixBytes, '\0');
+  large += big;
+  EXPECT_TRUE(SendFrame(pair.client, &large).ok());
+  reader.join();
+}
+
 TEST(SocketTest, CleanPeerCloseReadsAsEof) {
   LoopbackPair pair = Connect();
   pair.client.Close();
