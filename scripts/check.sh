@@ -38,7 +38,8 @@
 # the zero-copy v4 format with them embedded, and requires --mmap answers
 # byte-identical to the heap load, then boots kpjd on loopback with an
 # access log and round-trips
-# health/query/GKPJ query (twice)/batch/traced-query/stats/metrics/drain
+# health/query/prefix query/GKPJ query (twice)/batch/traced-query/stats/
+# metrics/drain
 # through kpj_client (query and batch answers diffed against the
 # in-process kpj_cli), runs
 # a short kpj_loadgen burst, validates the merged wire trace, stats
@@ -218,6 +219,13 @@ done
   --k 5 | grep ' -> ' > "$smoke_dir/cli_answer.txt"
 grep ' -> ' "$smoke_dir/wire_answer.txt" > "$smoke_dir/wire_paths.txt"
 diff "$smoke_dir/cli_answer.txt" "$smoke_dir/wire_paths.txt"
+# Prefix answers: k = 3 on the same source and targets is served from the
+# cached k = 5 answer, as its first three paths; the access log must mark
+# it answer_cached (checked once drain has flushed the log).
+"$kpj_client" query --port-file "$smoke_dir/kpjd.port" \
+  --source 0 --targets 100,200,300 --k 3 \
+  | grep ' -> ' > "$smoke_dir/prefix_paths.txt"
+head -n 3 "$smoke_dir/cli_answer.txt" | diff - "$smoke_dir/prefix_paths.txt"
 
 # GKPJ over the wire: a two-source query runs the same pooled solvers as
 # KPJ, so the daemon's paths equal the in-process CLI's; sent again, it is
@@ -323,6 +331,11 @@ python3 tools/validate_metrics.py --mode metrics-json --server \
 # above must be on disk as a well-formed JSONL line.
 python3 tools/validate_metrics.py --mode access-log \
   "$smoke_dir/kpjd_access.log"
+# The one k = 3 query above is the prefix hit.
+grep '"type":"query"' "$smoke_dir/kpjd_access.log" | grep '"k":3,' \
+  > "$smoke_dir/prefix_access.txt"
+[[ $(wc -l < "$smoke_dir/prefix_access.txt") -eq 1 ]]
+grep -q '"answer_cached":true' "$smoke_dir/prefix_access.txt"
 grep -q "kpjd drained cleanly" "$smoke_dir/kpjd.log"
 echo "service smoke OK"
 

@@ -1,5 +1,6 @@
 #include "core/kpj_instance.h"
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -112,8 +113,8 @@ Result<KpjQuery> TranslateQuery(const KpjInstance& instance,
 }
 
 /// The answer-cache key of a prepared query: the substrate key fields plus
-/// the solver that runs it and k. Knobs an engine fixes at construction
-/// (alpha) need no field: a cache belongs to one engine.
+/// the solver that runs it, but not k (see ServesK). Knobs an engine fixes
+/// at construction (alpha) need no field: a cache belongs to one engine.
 SptCacheKey AnswerKey(const KpjInstance& instance, const KpjOptions& options,
                       const PreparedQuery& pq, uint64_t epoch) {
   SptCacheKey key;
@@ -125,8 +126,16 @@ SptCacheKey AnswerKey(const KpjInstance& instance, const KpjOptions& options,
       options.max_active_landmarks);
   key.targets = pq.targets;
   key.algorithm = options.algorithm;
-  key.k = pq.k;
   return key;
+}
+
+/// Whether a stored answer computed for k' = `value.answer_k` holds the
+/// top-k answer: it has at least k paths, or fewer than k' because no more
+/// exist. Every solver reads k only as its loop's stop test, so its top-k
+/// answer is the first k paths of its top-k' answer for any k' >= k.
+bool ServesK(const SptCacheValue& value, uint32_t k) {
+  const size_t held = value.answer->size();
+  return held >= k || held < value.answer_k;
 }
 
 }  // namespace
@@ -164,14 +173,18 @@ Result<KpjResult> RunKpjOnInstance(const KpjInstance& instance,
 
   TraceSpan solver_span("solver.run");
   KpjResult result;
-  // A given solver's answer is a pure function of the key, so an exact
-  // repeat is served whole: byte-identical, with zero work counters.
+  // A stored answer that covers k is served as its first k paths:
+  // byte-identical, with zero work counters. Any other lookup is a miss.
   SptCache* answers = cache != nullptr ? cache->spt : nullptr;
   SptCacheKey key;
   if (answers != nullptr) {
     key = AnswerKey(instance, options, pq, cache->epoch);
-    if (std::optional<SptCacheValue> hit = answers->Lookup(key)) {
-      result.paths = *hit->answer;
+    std::optional<SptCacheValue> hit = answers->Lookup(key);
+    if (hit.has_value() && ServesK(*hit, pq.k)) {
+      const std::vector<Path>& stored = *hit->answer;
+      result.paths.assign(
+          stored.begin(),
+          stored.begin() + std::min<size_t>(stored.size(), pq.k));
       result.stats.algo.answer_cache_hits = 1;
     }
   }
@@ -184,11 +197,15 @@ Result<KpjResult> RunKpjOnInstance(const KpjInstance& instance,
     if (answers != nullptr) {
       result.stats.algo.answer_cache_misses = 1;
       // Only complete answers are stored: a deadline-truncated prefix is
-      // not the answer.
+      // not the answer. A miss ran a k the resident entry (if any) did not
+      // cover, so this answer replaces it. Two workers racing on one key
+      // may leave the smaller answer resident; that costs hit rate, never
+      // correctness, since an entry serves only the k it covers.
       if (result.status.ok()) {
         SptCacheValue value;
         value.answer =
             std::make_shared<const std::vector<Path>>(result.paths);
+        value.answer_k = pq.k;
         value.cost = result.stats.nodes_settled;
         answers->Insert(std::move(key), std::move(value));
       }

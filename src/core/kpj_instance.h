@@ -153,11 +153,12 @@ Result<PreparedQuery> PrepareQuery(const KpjInstance& instance,
 /// so far and a kDeadlineExceeded / kCancelled `status`. Validation
 /// failures surface as a non-ok Result instead.
 ///
-/// `cache` (may be null) enables cross-query reuse (core/spt_cache.h). An
-/// exact repeat of a complete answer of `options.algorithm` (the same
-/// source set, in any order, and the same targets and k) is served from
-/// the cache whole, with zero work counters and `answer_cache_hits` = 1.
-/// Results are byte-identical with or without a cache.
+/// `cache` (may be null) enables cross-query reuse (core/spt_cache.h). A
+/// complete answer of `options.algorithm` for the same source set, in any
+/// order, and the same targets serves every k it covers — k at most its
+/// path count, or any k when it holds fewer paths than it was asked for —
+/// as its first k paths, with zero work counters and `answer_cache_hits`
+/// = 1. Results are byte-identical with or without a cache.
 ///
 /// `intra` (may be null) enables intra-query parallel deviation rounds
 /// (core/intra.h). Results are byte-identical with or without it.

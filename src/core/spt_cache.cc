@@ -29,7 +29,6 @@ size_t SptCacheKey::Hash() const {
   h = HashMix(h, config);
   for (NodeId t : targets) h = HashMix(h, t);
   h = HashMix(h, static_cast<uint64_t>(algorithm));
-  h = HashMix(h, k);
   return h;
 }
 
@@ -196,7 +195,7 @@ LandmarkSetBound MakeCachedSetBound(
   KPJ_CHECK(index != nullptr);
   SptCache* spt = cache != nullptr ? cache->spt : nullptr;
   std::shared_ptr<const LandmarkSetAggregates> agg;
-  if (spt == nullptr) {
+  if (spt == nullptr || set.size() == 1) {
     agg = LandmarkSetBound::ComputeAggregates(*index, set, direction);
   } else {
     SptCacheKey key = SetBoundKey(cache->epoch, direction, set);

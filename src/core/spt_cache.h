@@ -35,7 +35,8 @@ namespace kpj {
 ///  * kRootPath         — the initial shortest path of the best-first
 ///                        framework (DA / IterBound).
 ///  * kAnswer           — a whole complete answer of the solver named in
-///                        the key (RunKpjOnInstance).
+///                        the key, for the k it records (RunKpjOnInstance
+///                        serves any smaller k from its prefix).
 ///  * kSetBound         — the per-landmark aggregates of Eq. (2)'s set
 ///                        bound over one node set (MakeCachedSetBound).
 enum class SptCacheKind : uint8_t {
@@ -56,10 +57,12 @@ enum class SptCacheKind : uint8_t {
 /// every kind under one contract; kReverseTargetSpt depends on the targets
 /// alone and leaves `sources` empty. kSetBound keys one node set with
 /// `config` 0: a kToSet set in `targets`, a kFromSet set in `sources`, so
-/// the two directions of one set never meet. `algorithm` and `k` are set
-/// for kAnswer only (an answer is a function of the solver that ran and of
-/// k; the substrate kinds are not). Equality is exact — hashing only picks
-/// the shard and bucket, so collisions cannot cross-contaminate results.
+/// the two directions of one set never meet. `algorithm` is set for
+/// kAnswer only (an answer is a function of the solver that ran; the
+/// substrate kinds are not). No key holds k: one kAnswer entry serves
+/// every k its value covers (RunKpjOnInstance). Equality is exact —
+/// hashing only picks the shard and bucket, so collisions cannot
+/// cross-contaminate results.
 struct SptCacheKey {
   SptCacheKind kind = SptCacheKind::kReverseTargetSpt;
   uint64_t epoch = 0;
@@ -67,7 +70,6 @@ struct SptCacheKey {
   uint32_t config = 0;
   std::vector<NodeId> targets;
   Algorithm algorithm = Algorithm::kAuto;
-  uint32_t k = 0;
 
   bool operator==(const SptCacheKey&) const = default;
   size_t Hash() const;
@@ -106,6 +108,8 @@ struct CachedRootPath {
 /// Values sit behind shared_ptr so eviction is safe while a worker still
 /// holds (or has adopted) the data. `cost` is the work a hit saves: the
 /// nodes the computation that produced the value settled (at least 1).
+/// `answer_k` is the k a kAnswer value was computed for; an answer holding
+/// fewer paths is complete, since no more exist.
 struct SptCacheValue {
   std::shared_ptr<const SptResult> full_spt;            // kReverseTargetSpt
   std::shared_ptr<const SearchSnapshot> snapshot;       // kForwardSpti
@@ -113,6 +117,7 @@ struct SptCacheValue {
   std::shared_ptr<const CachedRootPath> root_path;      // kRootPath
   std::shared_ptr<const std::vector<Path>> answer;      // kAnswer
   std::shared_ptr<const LandmarkSetAggregates> set_bound;  // kSetBound
+  uint32_t answer_k = 0;                                // kAnswer
   uint64_t cost = 1;
 
   size_t MemoryBytes() const;
@@ -261,8 +266,10 @@ struct QueryCacheContext {
 
 /// Builds the landmark set bound, serving the O(|L| * |S|) per-set
 /// aggregation from the kSetBound entries of `cache->spt` when possible.
-/// With a null cache (or a null `cache->spt`) this is the plain
-/// LandmarkSetBound constructor. Cache hits and misses are counted into
+/// With a null cache (or a null `cache->spt`), or a one-node set, this is
+/// the plain LandmarkSetBound constructor: a one-node set's aggregates are
+/// just that node's table rows, and its cost-1 entry was mostly evicted
+/// before any reuse. Cache hits and misses are counted into
 /// `algo` (if non-null); either way the returned bound is byte-identical
 /// to an uncached one, because the aggregates are a pure function of the
 /// key. The key omits the index itself: an engine's cache serves one

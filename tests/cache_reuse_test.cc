@@ -2,8 +2,9 @@
 // test compares full node sequences (not just lengths) between cache-off
 // and cache-on runs — the byte-identical guarantee of DESIGN.md
 // "Cross-query reuse" — including under eviction thrash, multi-worker
-// interleaving, and epoch invalidation. The answer entries (exact repeats
-// served whole) are tested for what they key on and what they never
+// interleaving, and epoch invalidation. The answer entries (a repeat
+// served whole, or a smaller k served as the prefix of a cached answer)
+// are tested for what they key on, what they serve and what they never
 // store.
 //
 // The cache budget can be forced down with KPJ_CACHE_TEST_MB (check.sh
@@ -45,9 +46,10 @@ Graph TestGraph(uint32_t nodes = 3000, uint64_t seed = 21) {
 
 /// A zipf-ish batch: few sources repeat often (cache-friendly), the rest
 /// are one-shot; all queries share one target category. k alternates
-/// between 8 and 9, so a hot source comes back both as an exact repeat
-/// (served from the answer cache) and at the other k (run by the solver
-/// on warm SPT state).
+/// between 8 and 9, so a hot source comes back as an exact repeat or at
+/// k = 8 after k = 9 (both served from the answer cache, the latter as a
+/// prefix), or at k = 9 after only k = 8 (run by the solver on warm SPT
+/// state).
 std::vector<KpjQuery> RepeatingBatch(NodeId num_nodes, size_t count,
                                      uint64_t seed) {
   Rng rng(seed);
@@ -179,14 +181,16 @@ TEST_P(CacheReuseTest, RepeatedSourcesActuallyHitTheCache) {
             batch.size());
   // Each miss here is a complete, small answer, and each set-bound miss
   // inserts its small aggregates, so each one is inserted: the insertions
-  // beyond the answer and set-bound misses are SPT substrate.
+  // beyond the answer and set-bound misses are SPT substrate. (A one-node
+  // set bound, like a single source's, is neither looked up nor
+  // inserted.)
   const uint64_t spt_insertions = snap.spt_cache_insertions -
                                   snap.algo.answer_cache_misses -
                                   snap.algo.bound_cache_misses;
   // DA has no cacheable substrate, and SPT_P caches none: it makes no SPT
   // lookup and inserts nothing but its answers. Every other algorithm
   // must both miss (first sight of a source) and hit (the same source at
-  // the other k).
+  // k = 9 after k = 8, which no cached answer covers).
   if (GetParam() == Algorithm::kIterBoundSptP) {
     EXPECT_EQ(snap.algo.spt_cache_hits, 0u);
     EXPECT_EQ(snap.algo.spt_cache_misses, 0u);
@@ -350,7 +354,7 @@ TEST_F(AnswerCacheTest, RepeatIsServedWholeAndEqualsCacheOff) {
   }
 }
 
-TEST_F(AnswerCacheTest, KeyCoversKAndAlgorithmButNotTargetOrder) {
+TEST_F(AnswerCacheTest, LargerKAndOtherAlgorithmMissButTargetOrderHits) {
   KpjEngine engine(*instance_,
                    EngineOptions(Algorithm::kIterBoundSptI,
                                  CacheMbFromEnv(16)));
@@ -361,7 +365,8 @@ TEST_F(AnswerCacheTest, KeyCoversKAndAlgorithmButNotTargetOrder) {
     return r.ok() ? r.value().stats.algo.answer_cache_hits : 0u;
   };
 
-  // Another k is another answer.
+  // Another k is another answer when the cached one does not cover it:
+  // eight paths cannot serve nine.
   EXPECT_EQ(hits(engine.Submit(Query(9)).get()), 0u);
   // Another solver is another answer, even though the paths agree.
   QueryContext other;
@@ -427,6 +432,130 @@ TEST_F(AnswerCacheTest, DeadlineTruncatedAnswerIsNeverStored) {
   EXPECT_EQ(NodesOf(full), NodesOf(cold.Submit(query).get()));
 }
 
+/// A chain of `diamonds` diamonds, u -> {upper, lower} -> next u: every
+/// source-to-end path has 2 * diamonds + 1 nodes, and there are
+/// 2^diamonds of them.
+Graph DiamondChain(NodeId diamonds) {
+  GraphBuilder builder(3 * diamonds + 1);
+  for (NodeId d = 0; d < diamonds; ++d) {
+    NodeId u = 3 * d, upper = u + 1, lower = u + 2, next = u + 3;
+    builder.AddEdge(u, upper, 1);
+    builder.AddEdge(upper, next, 1);
+    builder.AddEdge(u, lower, 1 + d % 3);
+    builder.AddEdge(lower, next, 1);
+  }
+  return builder.Build();
+}
+
+/// Expects `r` to be an answer-cache hit: ok, zero work counters.
+void ExpectServedWhole(const Result<KpjResult>& r) {
+  ASSERT_TRUE(r.ok());
+  const KpjResult& hit = r.value();
+  EXPECT_TRUE(hit.status.ok());
+  EXPECT_EQ(hit.stats.algo.answer_cache_hits, 1u);
+  EXPECT_EQ(hit.stats.algo.answer_cache_misses, 0u);
+  EXPECT_EQ(hit.stats.nodes_settled, 0u);
+  EXPECT_EQ(hit.stats.shortest_path_computations, 0u);
+  EXPECT_EQ(hit.stats.algo.node_expansions, 0u);
+}
+
+/// Expects `r` to be an answer-cache miss the solver ran.
+void ExpectSolved(const Result<KpjResult>& r) {
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value().stats.algo.answer_cache_hits, 0u);
+  EXPECT_EQ(r.value().stats.algo.answer_cache_misses, 1u);
+  EXPECT_GT(r.value().stats.nodes_settled, 0u);
+}
+
+TEST_F(AnswerCacheTest, SmallerKIsServedAsThePrefixOfALargerAnswer) {
+  for (Algorithm algorithm : kAllAlgorithms) {
+    SCOPED_TRACE(AlgorithmName(algorithm));
+    KpjEngine cold(*instance_, EngineOptions(algorithm, 0));
+    KpjEngine warm(*instance_, EngineOptions(algorithm, CacheMbFromEnv(16)));
+    Result<KpjResult> first = warm.Submit(Query(8)).get();
+    ExpectSolved(first);
+    ASSERT_EQ(first.value().paths.size(), 8u);
+    Result<KpjResult> prefix = warm.Submit(Query(3)).get();
+    ExpectServedWhole(prefix);
+    EXPECT_EQ(prefix.value().algorithm_used, algorithm);
+    EXPECT_EQ(NodesOf(prefix), NodesOf(cold.Submit(Query(3)).get()));
+    EXPECT_EQ(NodesOf(first), NodesOf(cold.Submit(Query(8)).get()));
+  }
+}
+
+TEST_F(AnswerCacheTest, LargerKMissesReplacesTheEntryThenServesSmallerK) {
+  KpjEngine cold(*instance_, EngineOptions(Algorithm::kIterBoundSptI, 0));
+  KpjEngine warm(*instance_, EngineOptions(Algorithm::kIterBoundSptI,
+                                           CacheMbFromEnv(16)));
+  ExpectSolved(warm.Submit(Query(3)).get());
+  const uint64_t insertions = warm.MetricsSnapshot().spt_cache_insertions;
+  // Three paths cannot serve eight: the solver runs, and its answer
+  // replaces the entry instead of adding a second one.
+  Result<KpjResult> larger = warm.Submit(Query(8)).get();
+  ExpectSolved(larger);
+  EXPECT_EQ(NodesOf(larger), NodesOf(cold.Submit(Query(8)).get()));
+  const EngineMetricsSnapshot after = warm.MetricsSnapshot();
+  EXPECT_GT(after.spt_cache_insertions, insertions);
+  // k = 5 now hits the eight-path entry.
+  Result<KpjResult> middle = warm.Submit(Query(5)).get();
+  ExpectServedWhole(middle);
+  EXPECT_EQ(NodesOf(middle), NodesOf(cold.Submit(Query(5)).get()));
+  // So do k = 3 and k = 8 themselves.
+  ExpectServedWhole(warm.Submit(Query(3)).get());
+  ExpectServedWhole(warm.Submit(Query(8)).get());
+  EXPECT_EQ(warm.MetricsSnapshot().spt_cache_insertions,
+            after.spt_cache_insertions);
+}
+
+TEST(AnswerCachePrefixTest, CompleteAnswerServesAnyLargerK) {
+  // Three diamonds: exactly 2^3 = 8 source-to-end paths, so an answer
+  // asked for 20 holds all 8, and holds them for every larger k too.
+  KpjInstance instance =
+      KpjInstance::Wrap(DiamondChain(3), Permutation()).value();
+  KpjQuery query;
+  query.sources = {0};
+  query.targets = {9};
+  for (Algorithm algorithm : kAllAlgorithms) {
+    SCOPED_TRACE(AlgorithmName(algorithm));
+    KpjEngine cold(instance, EngineOptions(algorithm, 0));
+    KpjEngine warm(instance, EngineOptions(algorithm, CacheMbFromEnv(16)));
+    query.k = 20;
+    Result<KpjResult> complete = warm.Submit(query).get();
+    ExpectSolved(complete);
+    ASSERT_EQ(complete.value().paths.size(), 8u);
+    for (uint32_t k : {50u, 20u, 8u, 7u}) {
+      query.k = k;
+      Result<KpjResult> served = warm.Submit(query).get();
+      ExpectServedWhole(served);
+      EXPECT_EQ(NodesOf(served), NodesOf(cold.Submit(query).get()))
+          << "k " << k;
+    }
+  }
+}
+
+TEST_F(AnswerCacheTest, DeadlineTruncatedAnswerIsNeverServedAsAPrefix) {
+  KpjEngine engine(*instance_,
+                   EngineOptions(Algorithm::kIterBoundSptI,
+                                 CacheMbFromEnv(16)));
+  KpjEngine cold(*instance_, EngineOptions(Algorithm::kIterBoundSptI, 0));
+  ExpectSolved(engine.Submit(Query(8)).get());
+  // Eight paths cannot serve forty; the run is cut by its deadline, so
+  // its prefix is stored nowhere and the eight-path entry stays.
+  Result<KpjResult> truncated = engine.Submit(Query(40), 1e-6).get();
+  ASSERT_TRUE(truncated.ok());
+  ASSERT_EQ(truncated.value().status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(truncated.value().stats.algo.answer_cache_hits, 0u);
+  Result<KpjResult> small = engine.Submit(Query(5)).get();
+  ExpectServedWhole(small);
+  EXPECT_EQ(NodesOf(small), NodesOf(cold.Submit(Query(5)).get()));
+  // The next k = 40 without a deadline still runs the solver, and its
+  // answer then serves everything up to forty.
+  Result<KpjResult> full = engine.Submit(Query(40)).get();
+  ExpectSolved(full);
+  EXPECT_EQ(NodesOf(full), NodesOf(cold.Submit(Query(40)).get()));
+  ExpectServedWhole(engine.Submit(Query(12)).get());
+}
+
 TEST_F(AnswerCacheTest, GkpjRepeatIsServedWholeFromTheAnswerCache) {
   KpjQuery query = Query();
   NodeId second = query.sources.front();
@@ -457,22 +586,14 @@ TEST_F(AnswerCacheTest, GkpjRepeatIsServedWholeFromTheAnswerCache) {
     EXPECT_EQ(hit.stats.algo.node_expansions, 0u);
     EXPECT_EQ(NodesOf(repeat), NodesOf(reference));
     EXPECT_EQ(NodesOf(first), NodesOf(reference));
-  }
-}
 
-/// A chain of `diamonds` diamonds, u -> {upper, lower} -> next u: every
-/// source-to-end path has 2 * diamonds + 1 nodes, and there are
-/// 2^diamonds of them.
-Graph DiamondChain(NodeId diamonds) {
-  GraphBuilder builder(3 * diamonds + 1);
-  for (NodeId d = 0; d < diamonds; ++d) {
-    NodeId u = 3 * d, upper = u + 1, lower = u + 2, next = u + 3;
-    builder.AddEdge(u, upper, 1);
-    builder.AddEdge(upper, next, 1);
-    builder.AddEdge(u, lower, 1 + d % 3);
-    builder.AddEdge(lower, next, 1);
+    // A smaller k over the same source set is the cached answer's prefix.
+    KpjQuery smaller = reordered;
+    smaller.k = 3;
+    Result<KpjResult> prefix = warm.Submit(smaller).get();
+    ExpectServedWhole(prefix);
+    EXPECT_EQ(NodesOf(prefix), NodesOf(cold.Submit(smaller).get()));
   }
-  return builder.Build();
 }
 
 TEST(AnswerCacheBudgetTest, AnswerLargerThanAShardIsNotInserted) {

@@ -88,8 +88,8 @@ TEST(SptCacheTest, KeysDifferingInAnyFieldDoNotCollide) {
   SptCache cache(1 << 20);
   cache.Insert(RootKey(1, 0, 9), RootValue(0, 9));
   // Same (source, target), different epoch / kind / config / targets /
-  // algorithm / k: all misses — equality is exact, hashing only places
-  // the bucket.
+  // algorithm: all misses — equality is exact, hashing only places the
+  // bucket. (No key holds k: one answer entry serves every k it covers.)
   EXPECT_FALSE(cache.Lookup(RootKey(2, 0, 9)).has_value());
   EXPECT_FALSE(cache.Lookup(RootKey(1, 1, 9)).has_value());
   EXPECT_FALSE(cache.Lookup(RootKey(1, 0, 8)).has_value());
@@ -102,9 +102,6 @@ TEST(SptCacheTest, KeysDifferingInAnyFieldDoNotCollide) {
   SptCacheKey other_algorithm = RootKey(1, 0, 9);
   other_algorithm.algorithm = Algorithm::kDA;
   EXPECT_FALSE(cache.Lookup(other_algorithm).has_value());
-  SptCacheKey other_k = RootKey(1, 0, 9);
-  other_k.k = 8;
-  EXPECT_FALSE(cache.Lookup(other_k).has_value());
   EXPECT_TRUE(cache.Lookup(RootKey(1, 0, 9)).has_value());
 
   // Set-bound keys: epoch, direction and set each tell them apart, and one
@@ -298,7 +295,6 @@ TEST(SptCacheTest, AnswerBytesTrackAnswerEntries) {
   EXPECT_EQ(cache.StatsSnapshot().answer_bytes, 0u);
   SptCacheKey answer_key = RootKey(1, 0, 9);
   answer_key.kind = SptCacheKind::kAnswer;
-  answer_key.k = 2;
   SptCacheValue answer;
   answer.answer = std::make_shared<const std::vector<Path>>(2);
   cache.Insert(answer_key, answer);
@@ -525,7 +521,6 @@ TEST_F(BoundCacheTest, CheapSetBoundIsEvictedBeforeCostlierAnswer) {
   // older answer, as LRU would.
   SptCacheKey answer_key = RootKey(1, 0, 9);
   answer_key.kind = SptCacheKind::kAnswer;
-  answer_key.k = 2;
   SptCacheValue answer;
   answer.answer = std::make_shared<const std::vector<Path>>(2);
   answer.cost = 100;
@@ -596,6 +591,35 @@ TEST_F(BoundCacheTest, CachedSetBoundMatchesPlainConstruction) {
   }
   EXPECT_EQ(no_cache.bound_cache_misses, 0u);
   EXPECT_EQ(no_cache.bound_cache_hits, 0u);
+}
+
+TEST_F(BoundCacheTest, OneNodeSetBoundBypassesTheCache) {
+  // A one-node set's aggregates are that node's table rows: built
+  // directly, never looked up, inserted or counted, in either direction.
+  SptCache cache(1 << 20);
+  const QueryCacheContext context{&cache, /*epoch=*/1};
+  const std::vector<NodeId> set = {17};
+  AlgoStats algo;
+  for (BoundDirection direction :
+       {BoundDirection::kToSet, BoundDirection::kFromSet}) {
+    for (int round = 0; round < 2; ++round) {
+      const LandmarkSetBound cached =
+          MakeCachedSetBound(&landmarks_, set, direction,
+                             /*scoring_node=*/12, /*max_active=*/2, &context,
+                             &algo);
+      LandmarkSetBound plain(&landmarks_, set, direction, 12, 2);
+      for (NodeId u = 0; u < graph_.NumNodes(); ++u) {
+        ASSERT_EQ(cached.Estimate(u), plain.Estimate(u))
+            << "round " << round << " node " << u;
+      }
+    }
+    EXPECT_FALSE(cache.Contains(SetBoundKey(1, direction, set)));
+  }
+  EXPECT_EQ(algo.bound_cache_misses, 0u);
+  EXPECT_EQ(algo.bound_cache_hits, 0u);
+  const SptCacheStats stats = cache.StatsSnapshot();
+  EXPECT_EQ(stats.insertions, 0u);
+  EXPECT_EQ(stats.entries, 0u);
 }
 
 }  // namespace
